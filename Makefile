@@ -2,10 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-smoke bench-sync bench-pdes bench-kv bench-litmus pdes litmus farm farm-grow synczoo chaos kv cover serve clean
-
-# Extra flags for cmd/benchjson, e.g. BENCHJSON_FLAGS=-baseline=old.json
-BENCHJSON_FLAGS ?=
+.PHONY: build test race vet bench bench-smoke bench-check pdes litmus farm farm-grow synczoo chaos kv cover serve clean
 
 build:
 	$(GO) build ./...
@@ -22,65 +19,19 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Machine-readable throughput record: best of 3 runs, written to
-# results/BENCH_4.json with before-vs-after ratios against the pre-overhaul
-# checker baseline, and mirrored to results/BENCH_latest.json (see
-# cmd/benchjson).
-bench-json:
-	$(GO) test '-bench=SimulatorThroughput|Enumerate|LitmusCorpus' -benchmem -benchtime=2s -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -baseline=results/BENCH_4_baseline.json \
-			-out results/BENCH_4.json -latest results/BENCH_latest.json
-	@cat results/BENCH_4.json
-
 # One-iteration benchmark smoke: proves the bench paths (simulator kernel and
 # exploration engine) build and run; used by CI, where timing numbers would be
 # noise anyway.
 bench-smoke:
 	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
 
-# Synchronization-zoo contention sweep as a committed benchmark record:
-# rmr/acq and acq/kcycle per algorithm land in the extra map (see
-# cmd/benchjson), written to results/BENCH_6.json.
-bench-sync:
-	$(GO) test '-bench=SyncZoo' -benchtime=1x -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) \
-			-out results/BENCH_6.json -latest results/BENCH_latest.json
-	@cat results/BENCH_6.json
-
-# PDES scaling record: the 1024-node stencil swept across engine worker
-# counts (workers=0 is the classic serial engine) on both the ideal and
-# the contended network, plus the closed-loop KV service on the contended
-# network, with within-report speedup ratios against each family's serial
-# baseline annotated as vs_base (see cmd/benchjson -ratio-base). Written
-# to results/BENCH_9.json. The report's "cpus" field matters when reading
-# the curve: wall-clock speedup cannot exceed min(workers, cpus).
-bench-pdes:
-	$(GO) test '-bench=PDESStencil|PDESKV' -benchmem -benchtime=2x -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -ratio-base=workers=0 \
-			-out results/BENCH_9.json -latest results/BENCH_latest.json
-	@cat results/BENCH_9.json
-
-# Key-value service latency record: the in-sim KV store swept across
-# machine sizes for cbl vs mcs shard locks, with p50/p99/throughput per
-# node count assembled into scaling curves (see cmd/benchjson -curves).
-# Written to results/BENCH_8.json. The curve to read: cbl's read-mostly
-# p50/p99 stay low as procs grow (READ-UPDATE fast path) while mcs's climb.
-bench-kv:
-	$(GO) test '-bench=KVStore' -benchtime=1x -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -curves=procs \
-			-out results/BENCH_8.json -latest results/BENCH_latest.json
-	@cat results/BENCH_8.json
-
-# Symmetry-reduction record: the litmus corpus enumerated with the
-# symmetry quotient on vs off, with the within-report speedup annotated
-# against the sym=off variant (see cmd/benchjson -ratio-base). Written to
-# results/BENCH_10.json. The states metric is the headline: the quotient
-# must explore >= 1.5x fewer states at identical verdicts.
-bench-litmus:
-	$(GO) test '-bench=LitmusCorpus' -benchmem -benchtime=2s -count=3 -run=^$$ . \
-		| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -ratio-base=sym=off \
-			-out results/BENCH_10.json -latest results/BENCH_latest.json
-	@cat results/BENCH_10.json
+# Deterministic-counter gate: the whole-system benchmark's own tests
+# (bench/, a separate module) smoke every workload and compare the
+# host-independent counters and litmus allowed sets with the pinned ones
+# in bench/testdata/counters.json and bench/allowed.json (~30 s). The
+# timed benchmark itself is bash bench/run.sh (see bench/README.md).
+bench-check:
+	$(GO) -C bench test ./...
 
 # PDES determinism gate: the parallel engine's unit tests, the window-merge
 # port-arbitration parity suite, and every workers=1-vs-N equality property
@@ -111,7 +62,7 @@ litmus:
 # every §2 axiom family covered) replayed end to end under the race
 # detector — canonical-form fixpoint, recomputed coverage vectors, pinned
 # allowed sets, simulator cross-validation, and engine-configuration
-# agreement (POR/symmetry/worker-count) on every test.
+# agreement (POR/symmetry) on every test.
 farm:
 	$(GO) test -race -run 'TestGeneratedCorpusReplay|TestDifferentialGenerated|TestFarm|TestCanonicalize' \
 		./internal/litmus/
@@ -137,7 +88,7 @@ chaos:
 # and the lane-safety bit-identical check), the harness/server/CLI surface,
 # then a short chaos soak through the CLI across both protocols.
 kv:
-	$(GO) test -race -short ./internal/kvapp/ ./cmd/benchjson/
+	$(GO) test -race -short ./internal/kvapp/
 	$(GO) test -race -run 'KV|MetricsLatency' ./internal/harness/ ./internal/server/
 	$(GO) run ./cmd/ssmpkv soak -seeds 4
 	$(GO) test '-bench=KVStore/lock=(cbl|mcs)/procs=4$$' -benchtime=1x -run=^$$ .

@@ -37,7 +37,6 @@ import (
 func tuningFlags(fs *flag.FlagSet) func() (bccheck.Tuning, error) {
 	por := fs.String("por", "on", "partial-order reduction: on or off")
 	sym := fs.String("sym", "on", "symmetry reduction: on or off")
-	workers := fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 	return func() (bccheck.Tuning, error) {
 		switch *por {
 		case "on", "off":
@@ -49,7 +48,7 @@ func tuningFlags(fs *flag.FlagSet) func() (bccheck.Tuning, error) {
 		default:
 			return bccheck.Tuning{}, fmt.Errorf("-sym must be on or off, got %q", *sym)
 		}
-		return bccheck.Tuning{DisablePOR: *por == "off", DisableSymmetry: *sym == "off", Workers: *workers}, nil
+		return bccheck.Tuning{DisablePOR: *por == "off", DisableSymmetry: *sym == "off"}, nil
 	}
 }
 
@@ -86,13 +85,13 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ssmplitmus list                              list the embedded corpus
-  ssmplitmus run [-seeds N] [-v] [-por on|off] [-workers N] [name ...]
+  ssmplitmus run [-seeds N] [-v] [-por on|off] [-sym on|off] [name ...]
                                                cross-validate tests (default: all)
   ssmplitmus run -faults [-drop P] [-dup P] [-delay P] [-delay-max N] [name ...]
                                                chaos sweep: same check under fault injection
   ssmplitmus show name                         print a corpus test's JSON
   ssmplitmus explain [-seeds N] name outcome   show the execution graph of a run producing outcome
-  ssmplitmus fuzz [-budget D | -n N] [-rng S] [-seeds N] [-por on|off] [-sym on|off] [-workers N]
+  ssmplitmus fuzz [-budget D | -n N] [-rng S] [-seeds N] [-por on|off] [-sym on|off]
                                                fuzz random programs against the model
   ssmplitmus farm [-budget D | -n N] [-rng S] [-seeds N] [-farm-workers N] [-out DIR] [-report]
                                                grow a deduplicated axiom-tagged corpus`)

@@ -76,9 +76,9 @@ type Options struct {
 	MaxStates int
 	// LocName renders locations in witness labels (default "b<B>w<W>").
 	LocName func(Loc) string
-	// Witnesses asks for one witness trace per outcome. Witness mode
-	// forces the serial canonical engine and disables symmetry reduction
-	// (see Tuning).
+	// Witnesses asks for one witness trace per outcome: the first path
+	// the depth-first search takes to it. Witness mode disables symmetry
+	// reduction (see Tuning).
 	Witnesses bool
 	// Mutate ablates one axiom family of the model (see Mutation). Used
 	// by axiom-coverage analysis; a non-zero mutation forces DisablePOR
@@ -86,16 +86,14 @@ type Options struct {
 	// unmutated semantics.
 	Mutate Mutation
 	// Tuning selects exploration-engine variants. The zero value — POR
-	// on, symmetry on, workers = GOMAXPROCS — is correct for all
-	// programs; Tuning only trades time for reproduction of the
-	// unreduced state count.
+	// on, symmetry on — is correct for all programs; Tuning only trades
+	// time for reproduction of the unreduced state count.
 	Tuning Tuning
 }
 
 // Tuning selects exploration strategies. Every setting preserves the
 // outcome set; DisablePOR and DisableSymmetry additionally preserve the
-// unreduced state count, and any Workers value yields results
-// bit-identical to Workers=1.
+// unreduced state count.
 type Tuning struct {
 	// DisablePOR turns off partial-order reduction, exploring the full
 	// interleaving graph (the pre-reduction semantics).
@@ -104,8 +102,7 @@ type Tuning struct {
 	// canonicalized under the program's processor/block/barrier
 	// automorphisms, so States counts orbit members individually.
 	DisableSymmetry bool
-	// Workers caps exploration parallelism. 0 means GOMAXPROCS; 1 forces
-	// the serial engine.
+	// Deprecated: exploration is serial; Workers has no effect.
 	Workers int
 }
 

@@ -89,20 +89,20 @@
 //
 // The search is built for throughput without giving up determinism.
 // States live in pooled flat arrays (a clone is a few memcpys) and are
-// interned by a 128-bit hash of a canonical encoding in a sharded visited
-// set — no per-state strings, and at the default 2M-state cap the
-// collision probability of the fixed-seed 128-bit hash is negligible
-// (~2^-87). Successor labels are small structured descriptors rendered to
-// text only when a witness (Options.Witnesses) or a deadlock report is
-// emitted. Partial-order reduction prunes interleavings of
+// interned by a 128-bit hash of a canonical encoding in a visited set —
+// no per-state strings, and at the default 2M-state cap the collision
+// probability of the fixed-seed 128-bit hash is negligible (~2^-87).
+// Successor labels are small structured descriptors rendered to text only
+// when a witness (Options.Witnesses) or a deadlock report is emitted.
+// Partial-order reduction prunes interleavings of
 // retire/propagation/unsubscription transitions that provably commute
 // invisibly (see por.go for the soundness argument); Result.Pruned counts
 // what it skipped, and Tuning.DisablePOR restores the full graph.
-// Exploration fans out across Tuning.Workers work-stealing workers; the
-// reduced graph is a deterministic subgraph and outcomes merge by
-// canonical key, so outcome set, States, and Pruned are bit-identical at
-// any worker count. Witness mode forces the serial canonical
-// depth-first engine, which also defines the canonical deadlock report.
+// Exploration is one depth-first search, so outcome set, States, and
+// Pruned are deterministic; its path gives each outcome's witness and the
+// canonical deadlock report. The search is serial because litmus
+// programs are small (about 90 states each on the corpus) and callers
+// with cores to spare run whole programs concurrently instead.
 //
 // Symmetry reduction (sym.go) quotients the state space by the program's
 // automorphism group: processor/block/barrier renamings under which the

@@ -1,56 +1,39 @@
 package bccheck
 
-// The exploration drivers. Two engines share the transition semantics,
-// the POR filter, the hash-interned visited set, and the pooled state
-// representation:
-//
-//   - a serial depth-first engine that maintains the canonical path, used
-//     when Workers == 1, when witnesses are requested, and to produce
-//     deterministic deadlock reports;
-//   - a parallel work-stealing frontier engine across N workers with
-//     worker-local outcome maps merged at the end.
-//
-// Both explore the same reduced graph (the ample choice is a function of
-// the state), so outcome set, state count, and pruned count are
-// bit-identical between them at any worker count.
+// The exploration driver: one depth-first search over the POR-reduced,
+// symmetry-quotiented graph, interning states in a hash-keyed visited
+// set. The DFS keeps its path, so it also produces the canonical
+// witnesses and deadlock reports. It is serial on purpose: litmus
+// programs average about 90 states, too few to pay for sharing a
+// frontier (two work-stealing workers measured 1.08x slower than one),
+// and the callers with cores to spare (the farm's pipelines, the ssmpd
+// pool) run whole programs concurrently.
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 type engine struct {
 	c      *compiled
-	vis    *visitedSet
-	limit  int64
-	states atomic.Int64
-	pruned atomic.Int64
-
-	// Parallel-run coordination.
-	pending     atomic.Int64
-	stop        atomic.Bool
-	sawDeadlock atomic.Bool
-	failMu      sync.Mutex
-	fail        error
+	vis    visitedSet
+	states int
+	pruned int
 }
 
 func newEngine(c *compiled) *engine {
-	return &engine{c: c, vis: newVisitedSet(), limit: int64(c.max)}
+	return &engine{c: c, vis: make(visitedSet)}
 }
 
 func (e *engine) limitError() error {
 	return &StateLimitError{
-		States: int(e.states.Load()),
+		States: e.states,
 		Limit:  e.c.max,
 		Prefix: e.canonicalPrefix(16),
 	}
 }
 
-// deadlockError renders the serial path to a stuck state. Under symmetry
+// deadlockError renders the DFS path to a stuck state. Under symmetry
 // reduction the path's states live in canonicalized numbering; each label
 // is mapped back through the cumulative permutation recorded when it was
 // emitted, so reports always read in the program's own numbering.
@@ -66,9 +49,8 @@ func (e *engine) deadlockError(path []sdesc, views []permView) error {
 // canonicalPrefix walks the reduced graph from the initial state taking
 // the first transition at every step, rendering up to n labels. It is a
 // deterministic sketch of where the exploration's branching lives,
-// attached to state-limit errors regardless of which worker tripped the
-// cap. Error path only; prune accounting from the walk is discarded by
-// the caller.
+// attached to state-limit errors. Error path only; prune accounting
+// from the walk is discarded by the caller.
 func (e *engine) canonicalPrefix(n int) []string {
 	w := newWorker(e)
 	s := e.c.initial(w)
@@ -111,17 +93,9 @@ func (e *engine) canonicalPrefix(n int) []string {
 // first stuck state in canonical order defines the deadlock report.
 func (e *engine) runSerial() (map[string]*Outcome, error) {
 	w := newWorker(e)
-	s0 := e.c.initial(w)
-	cv0 := identView()
-	if len(e.c.syms) > 0 {
-		var gi int
-		s0, gi = w.canonicalize(s0)
-		cv0 = e.c.composeView(gi, cv0)
-		e.vis.add(hash128(w.encBest))
-	} else {
-		e.vis.add(w.hash(s0))
-	}
-	e.states.Store(1)
+	s0, gi, _ := w.canonAdd(e.c.initial(w))
+	cv0 := e.c.composeView(gi, identView())
+	e.states = 1
 	var path []sdesc
 	var views []permView
 	var dfs func(s *mstate, cv permView) error
@@ -139,7 +113,7 @@ func (e *engine) runSerial() (map[string]*Outcome, error) {
 				w.put(nc)
 				return
 			}
-			if e.states.Add(1) > e.limit {
+			if e.states++; e.states > e.c.max {
 				w.put(nc)
 				ferr = e.limitError()
 				return
@@ -170,173 +144,6 @@ func (e *engine) runSerial() (map[string]*Outcome, error) {
 	return w.outcomes, nil
 }
 
-// pworker is a parallel worker: an exploration context plus a mutex-
-// guarded ring deque. The owner pushes and pops at the back (depth-first
-// locally, keeping the frontier small); thieves steal from the front,
-// taking the shallowest — widest — subtrees.
-type pworker struct {
-	worker
-	mu   sync.Mutex
-	ring []item
-	head int
-	tail int // tail-head = live count; indices are logical, mod len(ring)
-}
-
-type item struct{ s *mstate }
-
-func (p *pworker) grow() {
-	old := len(p.ring)
-	next := make([]item, max(64, old*2))
-	for i := p.head; i < p.tail; i++ {
-		next[i%len(next)] = p.ring[i%old]
-	}
-	p.ring = next
-}
-
-func (p *pworker) pushBack(it item) {
-	p.mu.Lock()
-	if len(p.ring) == 0 || p.tail-p.head == len(p.ring) {
-		p.grow()
-	}
-	p.ring[p.tail%len(p.ring)] = it
-	p.tail++
-	p.mu.Unlock()
-}
-
-func (p *pworker) popBack() (item, bool) {
-	p.mu.Lock()
-	if p.tail == p.head {
-		p.mu.Unlock()
-		return item{}, false
-	}
-	p.tail--
-	it := p.ring[p.tail%len(p.ring)]
-	p.mu.Unlock()
-	return it, true
-}
-
-func (p *pworker) popFront() (item, bool) {
-	p.mu.Lock()
-	if p.tail == p.head {
-		p.mu.Unlock()
-		return item{}, false
-	}
-	it := p.ring[p.head%len(p.ring)]
-	p.head++
-	p.mu.Unlock()
-	return it, true
-}
-
-func (e *engine) failWith(err error) {
-	e.failMu.Lock()
-	if e.fail == nil {
-		e.fail = err
-	}
-	e.failMu.Unlock()
-	e.stop.Store(true)
-}
-
-// runParallel explores the frontier across nw workers. Workers expand
-// from their own deque backs and steal from others' fronts; a global
-// pending counter (items pushed but not yet fully expanded) detects
-// termination. Outcome maps are worker-local and merged by key, which is
-// deterministic because an outcome's content is exactly its key.
-func (e *engine) runParallel(nw int) (map[string]*Outcome, error) {
-	ws := make([]*pworker, nw)
-	for i := range ws {
-		ws[i] = &pworker{worker: worker{e: e, outcomes: make(map[string]*Outcome)}}
-	}
-	s0 := e.c.initial(&ws[0].worker)
-	s0, _, _ = ws[0].canonAdd(s0)
-	e.states.Store(1)
-	e.pending.Store(1)
-	ws[0].pushBack(item{s: s0})
-
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			e.workLoop(self, ws)
-		}(i)
-	}
-	wg.Wait()
-	if e.fail != nil {
-		return nil, e.fail
-	}
-	merged := ws[0].outcomes
-	for _, w := range ws[1:] {
-		for k, o := range w.outcomes {
-			if _, ok := merged[k]; !ok {
-				merged[k] = o
-			}
-		}
-	}
-	return merged, nil
-}
-
-func (e *engine) workLoop(self int, ws []*pworker) {
-	w := ws[self]
-	idle := 0
-	for {
-		if e.stop.Load() {
-			return
-		}
-		it, ok := w.popBack()
-		for j := 1; !ok && j < len(ws); j++ {
-			it, ok = ws[(self+j)%len(ws)].popFront()
-		}
-		if !ok {
-			if e.pending.Load() == 0 {
-				return
-			}
-			if idle++; idle > 64 {
-				time.Sleep(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-			continue
-		}
-		idle = 0
-		e.expandItem(w, it.s)
-		e.pending.Add(-1)
-	}
-}
-
-func (e *engine) expandItem(w *pworker, s *mstate) {
-	emitted := 0
-	e.expandReduced(&w.worker, s, func(d sdesc, ns *mstate) {
-		emitted++
-		if e.stop.Load() {
-			w.put(ns)
-			return
-		}
-		nc, _, fresh := w.canonAdd(ns)
-		if !fresh {
-			w.put(nc)
-			return
-		}
-		if e.states.Add(1) > e.limit {
-			w.put(nc)
-			e.failWith(e.limitError())
-			return
-		}
-		e.pending.Add(1)
-		w.pushBack(item{s: nc})
-	})
-	if emitted == 0 {
-		if !e.c.quiescent(s) {
-			// Record that a deadlock exists and let the caller rerun the
-			// serial engine for the canonical, deterministic report.
-			e.sawDeadlock.Store(true)
-			e.stop.Store(true)
-		} else {
-			w.record(s, nil)
-		}
-	}
-	w.put(s)
-}
-
 func (e *engine) result(out map[string]*Outcome) *Result {
 	// Close the terminal outcome set under the automorphism group: the
 	// quotient exploration records one representative per outcome orbit,
@@ -356,10 +163,7 @@ func (e *engine) result(out map[string]*Outcome) *Result {
 			}
 		}
 	}
-	res := &Result{
-		States: int(e.states.Load()),
-		Pruned: int(e.pruned.Load()),
-	}
+	res := &Result{States: e.states, Pruned: e.pruned}
 	for _, o := range out {
 		res.Outcomes = append(res.Outcomes, *o)
 	}
@@ -367,29 +171,8 @@ func (e *engine) result(out map[string]*Outcome) *Result {
 	return res
 }
 
-// enumerate runs the exploration engine per the compiled tuning. Witness
-// mode forces the serial engine: witnesses are defined as the canonical
-// DFS's first path to each outcome, so they are identical however the
-// non-witness exploration was parallelized.
+// enumerate explores the compiled program and assembles its result.
 func (c *compiled) enumerate() (*Result, error) {
-	nw := c.tune.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if c.wit {
-		nw = 1
-	}
-	if nw > 1 {
-		e := newEngine(c)
-		out, err := e.runParallel(nw)
-		if e.sawDeadlock.Load() {
-			// Fall through to a fresh serial run for the canonical error.
-		} else if err != nil {
-			return nil, err
-		} else {
-			return e.result(out), nil
-		}
-	}
 	e := newEngine(c)
 	out, err := e.runSerial()
 	if err != nil {

@@ -51,37 +51,13 @@ func snapshot(t *testing.T, prog Program, opts Options) (keys []string, states, 
 	return res.Keys(), res.States, res.Pruned
 }
 
-// TestParallelMatchesSerial pins the determinism contract: for every
-// worker count, with POR on and off, outcome keys, state counts, and
-// pruned counts are bit-identical to the serial engine.
-func TestParallelMatchesSerial(t *testing.T) {
-	for name, prog := range enginePrograms() {
-		for _, por := range []bool{false, true} {
-			base := Options{Tuning: Tuning{Workers: 1, DisablePOR: !por}}
-			wantK, wantS, wantP := snapshot(t, prog, base)
-			for _, workers := range []int{2, 4, 8} {
-				opts := base
-				opts.Tuning.Workers = workers
-				gotK, gotS, gotP := snapshot(t, prog, opts)
-				if !reflect.DeepEqual(gotK, wantK) {
-					t.Errorf("%s por=%v workers=%d: keys %v, want %v", name, por, workers, gotK, wantK)
-				}
-				if gotS != wantS || gotP != wantP {
-					t.Errorf("%s por=%v workers=%d: states/pruned %d/%d, want %d/%d",
-						name, por, workers, gotS, gotP, wantS, wantP)
-				}
-			}
-		}
-	}
-}
-
 // TestPORPreservesOutcomes pins POR soundness on the program spread:
 // identical outcome sets, never more states than the full graph, and
 // States+Pruned as a sanity bound on the work saved.
 func TestPORPreservesOutcomes(t *testing.T) {
 	for name, prog := range enginePrograms() {
-		full := Options{Tuning: Tuning{Workers: 1, DisablePOR: true}}
-		red := Options{Tuning: Tuning{Workers: 1}}
+		full := Options{Tuning: Tuning{DisablePOR: true}}
+		red := Options{}
 		fullK, fullS, fullP := snapshot(t, prog, full)
 		redK, redS, redP := snapshot(t, prog, red)
 		if !reflect.DeepEqual(redK, fullK) {
@@ -103,8 +79,8 @@ func TestPORPreservesOutcomes(t *testing.T) {
 // interleavings collapse measurably under POR.
 func TestPORReducesIRIW(t *testing.T) {
 	prog := enginePrograms()["iriw-update"]
-	_, fullS, _ := snapshot(t, prog, Options{Tuning: Tuning{Workers: 1, DisablePOR: true}})
-	_, redS, redP := snapshot(t, prog, Options{Tuning: Tuning{Workers: 1}})
+	_, fullS, _ := snapshot(t, prog, Options{Tuning: Tuning{DisablePOR: true}})
+	_, redS, redP := snapshot(t, prog, Options{})
 	// Most IRIW interleavings are genuinely observable — that is the
 	// test's point — so the reduction trims the invisible tail (post-read
 	// retires and deliveries), not the core diamond.
@@ -115,29 +91,6 @@ func TestPORReducesIRIW(t *testing.T) {
 		t.Errorf("IRIW: POR pruned nothing")
 	}
 	t.Logf("IRIW: %d states full, %d reduced, %d pruned", fullS, redS, redP)
-}
-
-// TestWitnessStableAcrossTunings pins the canonical-witness contract:
-// witness mode forces the serial canonical engine, so traces don't vary
-// with the Workers setting.
-func TestWitnessStableAcrossTunings(t *testing.T) {
-	prog := enginePrograms()["sb"]
-	a, err := Enumerate(prog, Options{Witnesses: true, Tuning: Tuning{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Enumerate(prog, Options{Witnesses: true, Tuning: Tuning{Workers: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-		t.Errorf("witnesses differ across worker settings")
-	}
-	for _, o := range a.Outcomes {
-		if len(o.Witness) == 0 {
-			t.Errorf("outcome %q missing witness", o.Key())
-		}
-	}
 }
 
 func TestHash128(t *testing.T) {

@@ -11,7 +11,6 @@ package bccheck
 import (
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 type hkey struct{ hi, lo uint64 }
@@ -52,38 +51,14 @@ func hash128(p []byte) hkey {
 	return hkey{hi: mum(a^hm3, b^hm1), lo: mum(a^hm4, b^hm2)}
 }
 
-// visitedSet is the sharded insert-only set of explored state keys.
-// Shards keep lock contention negligible under parallel exploration; the
-// serial engine pays one uncontended lock per insert.
-const visShards = 64
-
-type visitedSet struct {
-	shards [visShards]visShard
-}
-
-type visShard struct {
-	mu sync.Mutex
-	m  map[hkey]struct{}
-	_  [40]byte // keep shards off each other's cache lines
-}
-
-func newVisitedSet() *visitedSet {
-	v := &visitedSet{}
-	for i := range v.shards {
-		v.shards[i].m = make(map[hkey]struct{})
-	}
-	return v
-}
+// visitedSet is the insert-only set of explored state keys.
+type visitedSet map[hkey]struct{}
 
 // add inserts k and reports whether it was absent.
-func (v *visitedSet) add(k hkey) bool {
-	sh := &v.shards[k.lo&(visShards-1)]
-	sh.mu.Lock()
-	if _, ok := sh.m[k]; ok {
-		sh.mu.Unlock()
+func (v visitedSet) add(k hkey) bool {
+	if _, ok := v[k]; ok {
 		return false
 	}
-	sh.m[k] = struct{}{}
-	sh.mu.Unlock()
+	v[k] = struct{}{}
 	return true
 }

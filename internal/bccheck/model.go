@@ -239,7 +239,7 @@ func compile(prog Program, opts Options) (*compiled, error) {
 	c.computeMasks()
 	// Witness labels are rendered in the numbering of the explored
 	// states, so witness mode keeps the identity numbering by skipping
-	// symmetry entirely (it already forces the serial engine).
+	// symmetry entirely.
 	if !c.wit && !c.tune.DisableSymmetry {
 		c.computeSyms()
 	}

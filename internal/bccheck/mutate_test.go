@@ -9,7 +9,7 @@ import (
 // and returns its outcome keys plus the result.
 func mutKeys(t *testing.T, prog Program, m Mutation) (*Result, []string) {
 	t.Helper()
-	res, err := Enumerate(prog, Options{Mutate: m, Tuning: Tuning{Workers: 1}})
+	res, err := Enumerate(prog, Options{Mutate: m})
 	if err != nil {
 		t.Fatalf("enumerate mutate=%v: %v", m, err)
 	}
@@ -50,7 +50,7 @@ func TestUnknownMutationRejected(t *testing.T) {
 // proved against the real semantics only.
 func TestMutationsDisableReductions(t *testing.T) {
 	prog := enginePrograms()["sb"]
-	full, err := Enumerate(prog, Options{Tuning: Tuning{DisablePOR: true, DisableSymmetry: true, Workers: 1}})
+	full, err := Enumerate(prog, Options{Tuning: Tuning{DisablePOR: true, DisableSymmetry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

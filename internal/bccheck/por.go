@@ -88,7 +88,7 @@ const (
 
 // ample returns the first invisible-tail transition of s, if any. The
 // scan order is a fixed function of the state, so the reduced graph is a
-// deterministic subgraph — serial and parallel exploration agree on it.
+// deterministic subgraph of the full one.
 func (c *compiled) ample(s *mstate) (kind uint8, idx int, ok bool) {
 	// An unsubscription delivery only clears a subscriber bit; that is
 	// visible solely through the destination's future line reads (the
@@ -165,9 +165,7 @@ func (e *engine) expandReduced(w *worker, s *mstate, emit emitFn) {
 	c := e.c
 	if !c.tune.DisablePOR {
 		if kind, idx, ok := c.ample(s); ok {
-			if skipped := c.enabledCount(s) - 1; skipped > 0 {
-				e.pruned.Add(int64(skipped))
-			}
+			e.pruned += c.enabledCount(s) - 1
 			switch kind {
 			case ampUnsub:
 				c.unsubStep(w, s, idx, emit)

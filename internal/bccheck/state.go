@@ -105,8 +105,8 @@ func (c *compiled) newState() *mstate {
 	}
 }
 
-// worker is one exploration context: a state free list, the encode
-// scratch buffer, and a local outcome map merged at the end of the run.
+// worker is an exploration context: a state free list, the encode
+// scratch buffers, and the outcomes recorded so far.
 type worker struct {
 	e         *engine
 	free      []*mstate
@@ -344,9 +344,8 @@ func (c *compiled) appendOutcomeKey(dst []byte, s *mstate) []byte {
 	return dst
 }
 
-// record notes a terminal state's outcome in the worker-local map. When
-// the engine runs in witness mode (serial canonical DFS), the first path
-// reaching each outcome is rendered as its witness.
+// record notes a terminal state's outcome. In witness mode the first
+// path reaching each outcome is rendered as its witness.
 func (w *worker) record(s *mstate, path []sdesc) {
 	c := w.e.c
 	w.keybuf = c.appendOutcomeKey(w.keybuf[:0], s)

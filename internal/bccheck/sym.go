@@ -28,16 +28,14 @@ package bccheck
 // Canonicalization picks, per state, the orbit member with the
 // lexicographically least encoding (materialize each g·s with applyPerm,
 // encode, compare). The engine then explores *from the representative*,
-// which is what makes the reduction compose with POR and the parallel
-// frontier: the representative — including the order of its in-flight
-// prop/unsub slices, normalized by normInflight — is a pure function of
-// the orbit, so the ample choice and the successor set are the same
-// whichever orbit member arrived first, and States/Pruned stay
-// bit-identical at any worker count.
+// which is what makes the reduction compose with POR: the
+// representative — including the order of its in-flight prop/unsub
+// slices, normalized by normInflight — is a pure function of the orbit,
+// so the ample choice and the successor set are the same whichever orbit
+// member arrived first.
 //
 // Witness mode and model mutations disable symmetry (compile() skips
-// computeSyms), exactly as witness mode already forces the serial
-// engine.
+// computeSyms).
 
 import "encoding/binary"
 
@@ -520,7 +518,7 @@ func (w *worker) canonAdd(ns *mstate) (*mstate, int, bool) {
 	return nc, gi, w.e.vis.add(hash128(w.encBest))
 }
 
-// permView is a cumulative permutation accumulated along a serial
+// permView is a cumulative permutation accumulated along the
 // exploration path: it sends original indices to the numbering the
 // current representative uses. Deadlock and state-limit reports map
 // their step labels back through the inverse so they always render in

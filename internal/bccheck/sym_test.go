@@ -76,37 +76,22 @@ func TestObserveBreaksSymmetry(t *testing.T) {
 	}
 }
 
-// TestSymmetryMatrix is the combos net: every DisablePOR × DisableSymmetry
-// × Workers configuration agrees on outcome keys, and configurations that
-// differ only in worker count agree on States/Pruned exactly.
+// TestSymmetryMatrix is the combos net: every DisablePOR ×
+// DisableSymmetry configuration agrees on outcome keys.
 func TestSymmetryMatrix(t *testing.T) {
 	for name, tc := range symProgs() {
-		type snap struct {
-			keys           []string
-			states, pruned int
-		}
-		var ref *snap
+		var ref []string
 		for _, por := range []bool{false, true} {
 			for _, sym := range []bool{false, true} {
-				var serial *snap
-				for _, workers := range []int{1, 2, 4} {
-					opts := Options{Tuning: Tuning{DisablePOR: por, DisableSymmetry: sym, Workers: workers}}
-					res, err := Enumerate(tc.prog, opts)
-					if err != nil {
-						t.Fatalf("%s por=%v sym=%v w=%d: %v", name, por, sym, workers, err)
-					}
-					s := &snap{res.Keys(), res.States, res.Pruned}
-					if ref == nil {
-						ref = s
-					} else if !reflect.DeepEqual(s.keys, ref.keys) {
-						t.Errorf("%s por=%v sym=%v w=%d: keys %v, want %v", name, por, sym, workers, s.keys, ref.keys)
-					}
-					if serial == nil {
-						serial = s
-					} else if s.states != serial.states || s.pruned != serial.pruned {
-						t.Errorf("%s por=%v sym=%v w=%d: states/pruned %d/%d, want %d/%d",
-							name, por, sym, workers, s.states, s.pruned, serial.states, serial.pruned)
-					}
+				opts := Options{Tuning: Tuning{DisablePOR: por, DisableSymmetry: sym}}
+				res, err := Enumerate(tc.prog, opts)
+				if err != nil {
+					t.Fatalf("%s por=%v sym=%v: %v", name, por, sym, err)
+				}
+				if ref == nil {
+					ref = res.Keys()
+				} else if !reflect.DeepEqual(res.Keys(), ref) {
+					t.Errorf("%s por=%v sym=%v: keys %v, want %v", name, por, sym, res.Keys(), ref)
 				}
 			}
 		}
@@ -117,11 +102,11 @@ func TestSymmetryMatrix(t *testing.T) {
 // the quotient explores at least 2x fewer states (the orbit order is 6).
 func TestSymmetryReduces(t *testing.T) {
 	prog := symProgs()["three-writers"].prog
-	on, err := Enumerate(prog, Options{Tuning: Tuning{Workers: 1}})
+	on, err := Enumerate(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Enumerate(prog, Options{Tuning: Tuning{Workers: 1, DisableSymmetry: true}})
+	off, err := Enumerate(prog, Options{Tuning: Tuning{DisableSymmetry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +118,11 @@ func TestSymmetryReduces(t *testing.T) {
 
 // TestStateLimitPrefixUnderSymmetry: the canonical prefix attached to a
 // state-limit error renders in the program's own numbering whether or not
-// symmetry renamed states internally, and is identical across worker
-// counts (it is recomputed by a deterministic serial walk).
+// symmetry renamed states internally.
 func TestStateLimitPrefixUnderSymmetry(t *testing.T) {
 	prog := symProgs()["three-writers"].prog
 	label := regexp.MustCompile(`^P[0-2][:']`)
-	var prefixes [][]string
-	for _, tune := range []Tuning{
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 1, DisableSymmetry: true},
-	} {
+	for _, tune := range []Tuning{{}, {DisableSymmetry: true}} {
 		_, err := Enumerate(prog, Options{MaxStates: 4, Tuning: tune})
 		if !errors.Is(err, ErrStateLimit) {
 			t.Fatalf("%+v: want ErrStateLimit, got %v", tune, err)
@@ -160,11 +139,6 @@ func TestStateLimitPrefixUnderSymmetry(t *testing.T) {
 				t.Errorf("%+v: prefix label %q not in original numbering", tune, l)
 			}
 		}
-		prefixes = append(prefixes, sle.Prefix)
-	}
-	// Same tuning modulo workers: identical prefix.
-	if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
-		t.Errorf("prefix differs across worker counts:\n%v\n%v", prefixes[0], prefixes[1])
 	}
 }
 
@@ -212,7 +186,7 @@ func TestWitnessModeDisablesSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Enumerate(prog, Options{Tuning: Tuning{Workers: 1, DisableSymmetry: true}})
+	off, err := Enumerate(prog, Options{Tuning: Tuning{DisableSymmetry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@ package litmus
 import (
 	"embed"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -18,26 +20,7 @@ import (
 var corpusFS embed.FS
 
 // Corpus returns the embedded tests, sorted by name.
-func Corpus() ([]*Test, error) {
-	entries, err := fs.ReadDir(corpusFS, "testdata")
-	if err != nil {
-		return nil, err
-	}
-	var tests []*Test
-	for _, e := range entries {
-		data, err := fs.ReadFile(corpusFS, "testdata/"+e.Name())
-		if err != nil {
-			return nil, err
-		}
-		t, err := Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		tests = append(tests, t)
-	}
-	sort.Slice(tests, func(i, j int) bool { return tests[i].Name < tests[j].Name })
-	return tests, nil
-}
+func Corpus() ([]*Test, error) { return loadDir(corpusFS, "testdata") }
 
 // The farm-generated corpus ships alongside the hand-written one: each
 // file is the canonical representative of one behavioral equivalence
@@ -47,8 +30,11 @@ func Corpus() ([]*Test, error) {
 var generatedFS embed.FS
 
 // Generated returns the embedded farm-generated tests, sorted by name.
-func Generated() ([]*Test, error) {
-	entries, err := fs.ReadDir(generatedFS, "testdata/generated")
+func Generated() ([]*Test, error) { return loadDir(generatedFS, "testdata/generated") }
+
+// loadDir parses every .json file in dir, sorted by test name.
+func loadDir(fsys embed.FS, dir string) ([]*Test, error) {
+	entries, err := fs.ReadDir(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -57,18 +43,26 @@ func Generated() ([]*Test, error) {
 		if !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		data, err := fs.ReadFile(generatedFS, "testdata/generated/"+e.Name())
+		t, err := parseFile(fsys, dir+"/"+e.Name())
 		if err != nil {
 			return nil, err
-		}
-		t, err := Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name(), err)
 		}
 		tests = append(tests, t)
 	}
 	sort.Slice(tests, func(i, j int) bool { return tests[i].Name < tests[j].Name })
 	return tests, nil
+}
+
+func parseFile(fsys embed.FS, file string) (*Test, error) {
+	data, err := fs.ReadFile(fsys, file)
+	if err != nil {
+		return nil, err
+	}
+	t, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path.Base(file), err)
+	}
+	return t, nil
 }
 
 // WriteGeneratedCorpus replaces the generated corpus in dir: stale
@@ -99,28 +93,20 @@ func WriteGeneratedCorpus(dir string, tests []*Test) error {
 	return nil
 }
 
-// Load returns the embedded test with the given name, searching the
-// hand-written corpus first and the generated corpus second.
+// Load returns the embedded test with the given name, reading
+// testdata/<name>.json if it exists and testdata/generated/<name>.json
+// otherwise. Only that one file is parsed, so every file's name field
+// must equal its file name (TestCorpusNamesMatchFiles pins this).
 func Load(name string) (*Test, error) {
-	tests, err := Corpus()
-	if err != nil {
-		return nil, err
+	if !fs.ValidPath(name) || strings.Contains(name, "/") {
+		return nil, fmt.Errorf("litmus: test name %q is not a single path element", name)
 	}
-	for _, t := range tests {
-		if t.Name == name {
-			return t, nil
-		}
+	t, err := parseFile(corpusFS, "testdata/"+name+".json")
+	if errors.Is(err, fs.ErrNotExist) {
+		t, err = parseFile(generatedFS, "testdata/generated/"+name+".json")
 	}
-	if strings.HasPrefix(name, "g") {
-		gen, err := Generated()
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range gen {
-			if t.Name == name {
-				return t, nil
-			}
-		}
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("litmus: no corpus test named %q", name)
 	}
-	return nil, fmt.Errorf("litmus: no corpus test named %q", name)
+	return t, err
 }

@@ -5,6 +5,7 @@ package litmus
 // points, corpus lookup, and violation explanation.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,50 @@ func TestLoadCorpus(t *testing.T) {
 	}
 	if _, err := Load("no-such-test"); err == nil || !strings.Contains(err.Error(), "no corpus test") {
 		t.Fatalf("want lookup error, got %v", err)
+	}
+}
+
+// TestLoadMatchesCorpus: Load, which reads one file, returns exactly the
+// test that the whole-corpus readers return under that name, for every
+// hand-written and generated test.
+func TestLoadMatchesCorpus(t *testing.T) {
+	hand, err := Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Generated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range append(hand, gen...) {
+		got, err := Load(want.Name)
+		if err != nil {
+			t.Fatalf("Load(%q): %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Load(%q) differs from the corpus entry", want.Name)
+		}
+	}
+}
+
+// TestLoadRejectsPaths: Load takes a bare test name, never a path, so
+// neither a parent reference nor the generated directory names a test.
+func TestLoadRejectsPaths(t *testing.T) {
+	gen, err := Generated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"", "..", "../sb", "./sb", "sb/", "/sb", "testdata/sb", "generated/" + gen[0].Name,
+	} {
+		if _, err := Load(name); err == nil || !strings.Contains(err.Error(), "single path element") {
+			t.Errorf("Load(%q): want a path error, got %v", name, err)
+		}
+	}
+	for _, name := range []string{".", "sb.json", "generated", "README", "no-such-test"} {
+		if _, err := Load(name); err == nil || !strings.Contains(err.Error(), "no corpus test") {
+			t.Errorf("Load(%q): want a lookup error, got %v", name, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"embed"
 	"io/fs"
 	"strings"
 	"testing"
@@ -38,22 +39,38 @@ func TestCorpus(t *testing.T) {
 }
 
 // TestCorpusNamesMatchFiles makes sure the name field inside each JSON
-// file agrees with its file name, so ssmplitmus run <name> finds it.
+// file, hand-written and generated, agrees with its file name: Load reads
+// only <name>.json, so ssmplitmus run <name> and ssmpd depend on it.
 func TestCorpusNamesMatchFiles(t *testing.T) {
-	entries, err := fs.ReadDir(corpusFS, "testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		want := strings.TrimSuffix(e.Name(), ".json")
-		lt, err := Load(want)
+	n := 0
+	for _, dir := range []struct {
+		fsys embed.FS
+		path string
+	}{{corpusFS, "testdata"}, {generatedFS, "testdata/generated"}} {
+		entries, err := fs.ReadDir(dir.fsys, dir.path)
 		if err != nil {
-			t.Errorf("file %s declares a name other than %q: %v", e.Name(), want, err)
-			continue
+			t.Fatal(err)
 		}
-		if lt.Doc == "" {
-			t.Errorf("test %s has no doc", want)
+		for _, e := range entries {
+			want, ok := strings.CutSuffix(e.Name(), ".json")
+			if !ok {
+				continue
+			}
+			n++
+			lt, err := parseFile(dir.fsys, dir.path+"/"+e.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lt.Name != want {
+				t.Errorf("%s/%s declares name %q", dir.path, e.Name(), lt.Name)
+			}
+			if dir.path == "testdata" && lt.Doc == "" {
+				t.Errorf("test %s has no doc", want)
+			}
 		}
+	}
+	if n < 300 {
+		t.Errorf("checked %d corpus files, want >= 300", n)
 	}
 }
 

@@ -189,8 +189,8 @@ func Run(t *Test, seeds []uint64) (*Report, error) {
 	return RunTuned(t, seeds, bccheck.Tuning{})
 }
 
-// RunTuned is Run with explicit exploration-engine tuning (POR off,
-// forced worker count). Tuning never changes verdicts, only cost.
+// RunTuned is Run with explicit exploration-engine tuning (POR or
+// symmetry off). Tuning never changes verdicts, only cost.
 func RunTuned(t *Test, seeds []uint64, tune bccheck.Tuning) (*Report, error) {
 	return runSweep(t, seeds, tune, ChaosConfig{})
 }

@@ -184,8 +184,7 @@ func (s *Server) handleLitmusPost(w http.ResponseWriter, r *http.Request) {
 		LitmusSpec
 		TimeoutMS int64 `json:"timeout_ms"`
 	}
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.LitmusSpec.Normalize(); err != nil {

@@ -300,8 +300,7 @@ type SimRequest struct {
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.SimSpec.Normalize(); err != nil {
@@ -356,8 +355,7 @@ func (s *Server) handleFigurePost(w http.ResponseWriter, r *http.Request) {
 		FigureSpec
 		TimeoutMS int64 `json:"timeout_ms"`
 	}
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.serveFigure(w, r, req.FigureSpec, req.TimeoutMS)
@@ -595,18 +593,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
+// maxBodyBytes caps every POST body. The largest legitimate request, an
+// inline litmus test, is a few KiB.
+const maxBodyBytes = 1 << 20
+
 // decodeBody decodes a JSON request body, rejecting unknown fields so that
 // a typoed parameter fails loudly instead of silently hitting defaults
 // (and caching under an unintended key). An empty body means "all
-// defaults".
-func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
+// defaults". On failure it writes the error response, 413 for a body
+// over maxBodyBytes and 400 otherwise, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil || errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 	}
-	return nil
+	return false
 }

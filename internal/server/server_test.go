@@ -424,3 +424,20 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("bad procs query: %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestOversizedBodyReturns413: every POST endpoint refuses a body over
+// maxBodyBytes with 413 instead of buffering it, and the daemon keeps
+// serving afterwards.
+func TestOversizedBodyReturns413(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	huge := `{"pad":"` + strings.Repeat("a", 2<<20) + `"}`
+	for _, path := range []string{"/v1/sim", "/v1/figure", "/v1/kv", "/v1/litmus"} {
+		resp, body := postJSON(t, ts.URL+path, huge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413: %.200s", path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/sim", smallSim); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim after oversized bodies: status = %d: %s", resp.StatusCode, body)
+	}
+}
