@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke bench-check pdes litmus farm farm-grow synczoo chaos kv cover serve clean
+.PHONY: build test race vet fmt-check bench bench-smoke bench-check pdes litmus farm farm-grow synczoo chaos kv cover serve clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when any Go file is not gofmt-clean. `gofmt -l .`
+# lists the offenders and `gofmt -w .` fixes them.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -572,22 +572,28 @@ func TestWriteBufferCoalescingReducesTraffic(t *testing.T) {
 func TestLockCacheExhaustionSurfacesAsError(t *testing.T) {
 	// The paper treats lock-cache capacity as a compile-time-managed
 	// resource (§4.3); exceeding it is a program/mapping bug and must
-	// surface, not hang.
-	cfg := cblConfig(4)
-	cfg.LockEntries = 2
-	m := NewMachine(cfg)
-	progs := make([]Program, 4)
-	progs[0] = func(p *Proc) {
-		p.WriteLock(0)  // block 0
-		p.WriteLock(32) // block 8
-		p.WriteLock(64) // block 16: exceeds the 2-entry lock cache
-		p.Unlock(64)
-		p.Unlock(32)
-		p.Unlock(0)
-	}
-	_, err := m.Run(progs)
-	if err == nil || !strings.Contains(err.Error(), "lock cache full") {
-		t.Fatalf("err = %v, want lock cache full surfaced", err)
+	// surface, not hang. With local time before the third lock, the lock
+	// is issued from the event loop at the end of the replay, and the
+	// error must still come back as the program's own.
+	for _, think := range []sim.Time{0, 5} {
+		cfg := cblConfig(4)
+		cfg.LockEntries = 2
+		m := NewMachine(cfg)
+		progs := make([]Program, 4)
+		progs[0] = func(p *Proc) {
+			p.WriteLock(0)  // block 0
+			p.WriteLock(32) // block 8
+			p.Think(think)
+			p.WriteLock(64) // block 16: exceeds the 2-entry lock cache
+			p.Unlock(64)
+			p.Unlock(32)
+			p.Unlock(0)
+		}
+		_, err := m.Run(progs)
+		if err == nil || !strings.Contains(err.Error(), "processor 0 panicked") ||
+			!strings.Contains(err.Error(), "lock cache full") {
+			t.Fatalf("think=%d: err = %v, want lock cache full surfaced as processor 0's error", think, err)
+		}
 	}
 }
 

@@ -42,6 +42,20 @@ type Proc struct {
 	hopIdx int
 	lag    sim.Time
 
+	// op is the blocking primitive the program is parked on. The program
+	// records it and parks once; the last hop of the replay issues it
+	// from the event loop (see block). issuedAt is the cycle it was
+	// issued, from which its stall is charged; opPanic carries a panic
+	// raised at issue back to the program. flushing marks a CP-Synch
+	// operation waiting for its write buffer to drain: cb0 then continues
+	// the operation instead of resuming the program.
+	op       pendingOp
+	issuedAt sim.Time
+	opPanic  any
+	flushing bool
+	// parks counts the times the program yielded to the event loop.
+	parks uint64
+
 	// cb0 and cbW are the controller completion callbacks, and endOp the
 	// beginOp closer, allocated once instead of once per operation.
 	cb0   func()
@@ -112,7 +126,16 @@ func (p *Proc) record(write, rmw bool, a mem.Addr, value, prev mem.Word, start s
 
 func newProc(m *Machine, n *node, eng *sim.Engine) *Proc {
 	p := &Proc{id: n.id, m: m, n: n, eng: eng, resume: make(chan mem.Word), yield: make(chan struct{})}
-	p.cb0 = func() { p.step(0) }
+	p.cb0 = func() {
+		if p.flushing {
+			// A CP-Synch operation's write buffer has drained:
+			// release or arrive from here, as the resumed program
+			// would have.
+			p.issueOnLoop()
+			return
+		}
+		p.step(0)
+	}
 	p.cbW = func(w mem.Word) { p.step(w) }
 	p.endOp = func() { p.opDepth-- }
 	return p
@@ -152,24 +175,158 @@ func (p *Proc) sync() {
 	if len(p.hops) == 0 {
 		return
 	}
-	p.hopIdx = 1
-	p.lag = 0
-	p.eng.AfterStep(p.hops[0], p, 0)
+	p.replay(stepResume)
 	p.wait()
 }
 
-// OnStep implements sim.Stepper: it advances the hop-replay chain, resuming
-// the program once the last hop has fired. Called from the event loop only.
-func (p *Proc) OnStep(uint64) {
+// What the last hop of a replay does: resume the program, or issue the
+// blocking primitive it is parked on. The choice rides in the hop events'
+// arg.
+const (
+	stepResume uint64 = iota
+	stepIssue
+)
+
+// replay schedules the first hop of the batched local time; each hop
+// schedules the next, and the last one does what last says.
+func (p *Proc) replay(last uint64) {
+	p.hopIdx = 1
+	p.lag = 0
+	p.eng.AfterStep(p.hops[0], p, last)
+}
+
+// OnStep implements sim.Stepper: it advances the hop-replay chain and, once
+// the last hop has fired, resumes the program or issues its pending
+// operation. Called from the event loop only.
+func (p *Proc) OnStep(last uint64) {
 	if p.hopIdx < len(p.hops) {
 		d := p.hops[p.hopIdx]
 		p.hopIdx++
-		p.eng.AfterStep(d, p, 0)
+		p.eng.AfterStep(d, p, last)
 		return
 	}
 	p.hops = p.hops[:0]
 	p.hopIdx = 0
+	if last == stepIssue {
+		p.issuedAt = p.eng.Now()
+		p.issueOnLoop()
+		return
+	}
 	p.step(0)
+}
+
+// pendingOp is a blocking primitive as the program records it for issue.
+type pendingOp struct {
+	kind  OpKind
+	addr  mem.Addr
+	word  mem.Word
+	parts int
+	rmw   func(mem.Word) mem.Word
+}
+
+// block issues the pending operation p.op and parks the program once until
+// it completes, charging the cycles from issue to completion to cat. With
+// no local time batched the program issues inline. Otherwise it schedules
+// the replay and parks at once, and the last hop issues the operation from
+// the event loop. That is the event in which a program woken by the hop
+// would have issued it, with the same controller calls in the same order,
+// so runs stay bit-identical; only the wake-up in between is gone.
+func (p *Proc) block(cat stallCat) mem.Word {
+	if len(p.hops) > 0 {
+		p.replay(stepIssue)
+	} else {
+		p.issuedAt = p.eng.Now()
+		if !p.issue() {
+			return 0
+		}
+	}
+	w := p.wait()
+	if r := p.opPanic; r != nil {
+		p.opPanic = nil
+		panic(r)
+	}
+	p.charge(cat, p.eng.Now()-p.issuedAt)
+	return w
+}
+
+// issue hands the pending operation to its controller and reports whether
+// the program must wait for a completion callback; a flush that finds the
+// write buffer empty completes at once. UNLOCK and BARRIER flush first:
+// while the buffer is not empty issue registers cb0 with it, and cb0
+// re-enters issue once it drains, to release or arrive.
+func (p *Proc) issue() bool {
+	o, n := &p.op, p.n
+	switch o.kind {
+	case OpRead:
+		if p.m.cfg.Protocol == ProtoWBI {
+			n.wbiN.Read(o.addr, p.cbW)
+		} else {
+			n.rucN.Read(o.addr, p.cbW)
+		}
+	case OpWrite:
+		if p.m.cfg.Protocol == ProtoWBI {
+			n.wbiN.Write(o.addr, o.word, p.cb0)
+		} else {
+			n.rucN.Write(o.addr, o.word, p.cb0)
+		}
+	case OpReadGlobal:
+		n.rucN.ReadGlobal(o.addr, p.cbW)
+	case OpReadUpdate:
+		n.rucN.ReadUpdate(o.addr, p.cbW)
+	case OpResetUpdate:
+		n.rucN.ResetUpdate(o.addr, p.cb0)
+	case OpReadLock, OpWriteLock:
+		mode := msg.LockRead
+		if o.kind == OpWriteLock {
+			mode = msg.LockWrite
+		}
+		if err := n.cblU.Lock(o.addr, mode, p.cb0); err != nil {
+			panic(fmt.Sprintf("core: processor %d %v on %d: %v", p.id, mode, o.addr, err))
+		}
+	case OpRMW:
+		n.wbiN.RMW(o.addr, o.rmw, p.cbW)
+	default: // OpFlush, OpUnlock, OpBarrier
+		if p.flushing {
+			p.flushing = false
+		} else if !n.buf.Empty() {
+			p.flushing = true
+			n.buf.OnEmpty(p.cb0)
+			return true
+		}
+		switch o.kind {
+		case OpUnlock:
+			if err := n.cblU.Unlock(o.addr, p.cb0); err != nil {
+				panic(fmt.Sprintf("core: processor %d unlock on %d: %v", p.id, o.addr, err))
+			}
+		case OpBarrier:
+			n.barU.Arrive(o.addr, o.parts, p.cb0)
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// issueOnLoop issues the pending operation from the event loop and resumes
+// the program if there is nothing to wait for.
+func (p *Proc) issueOnLoop() {
+	if !p.tryIssue() {
+		p.step(0)
+	}
+}
+
+// tryIssue is issue with any panic it raises (a full lock cache, an unlock
+// of a lock not held) handed back to the program, which re-raises it, so
+// Run reports it as that processor's error exactly as when the program
+// issues inline.
+func (p *Proc) tryIssue() (pending bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.opPanic = r
+			pending = false
+		}
+	}()
+	return p.issue()
 }
 
 // abortSignal is the panic value used to unwind a program goroutine when
@@ -217,6 +374,7 @@ func (p *Proc) step(w mem.Word) {
 // program goroutine only. A resume issued by an abort drain unwinds the
 // program instead of returning to it.
 func (p *Proc) wait() mem.Word {
+	p.parks++
 	p.yield <- struct{}{}
 	w := <-p.resume
 	if p.m.aborting {
@@ -230,7 +388,12 @@ func (p *Proc) wait() mem.Word {
 func (p *Proc) waitAs(cat stallCat) mem.Word {
 	start := p.eng.Now()
 	w := p.wait()
-	d := p.eng.Now() - start
+	p.charge(cat, p.eng.Now()-start)
+	return w
+}
+
+// charge adds d stalled cycles to a category.
+func (p *Proc) charge(cat stallCat, d sim.Time) {
 	switch cat {
 	case catBusy:
 		p.stats.Busy += d
@@ -239,7 +402,6 @@ func (p *Proc) waitAs(cat stallCat) mem.Word {
 	case catSync:
 		p.stats.SyncStall += d
 	}
-	return w
 }
 
 // Id returns the processor's node id.
@@ -306,14 +468,7 @@ func (p *Proc) Read(a mem.Addr) mem.Word {
 	p.Ops++
 	defer p.beginOp(OpRecord{Kind: OpRead, Addr: a})()
 	start := p.now()
-	if p.m.cfg.Protocol == ProtoWBI {
-		p.sync()
-		p.n.wbiN.Read(a, p.cbW)
-		w := p.waitAs(catMem)
-		p.record(false, false, a, w, 0, start)
-		return w
-	}
-	if p.n.cblU.Holds(a) {
+	if p.HoldsLock(a) {
 		// Lock-cache hit: the block's contents are unobservable remotely
 		// while the lock is held, so this is a purely local operation and
 		// stays in the batch.
@@ -325,9 +480,8 @@ func (p *Proc) Read(a mem.Addr) mem.Word {
 		p.record(false, false, a, w, 0, start)
 		return w
 	}
-	p.sync()
-	p.n.rucN.Read(a, p.cbW)
-	w := p.waitAs(catMem)
+	p.op = pendingOp{kind: OpRead, addr: a}
+	w := p.block(catMem)
 	p.record(false, false, a, w, 0, start)
 	return w
 }
@@ -340,14 +494,7 @@ func (p *Proc) Write(a mem.Addr, w mem.Word) {
 	p.Ops++
 	defer p.beginOp(OpRecord{Kind: OpWrite, Addr: a, Value: w})()
 	start := p.now()
-	if p.m.cfg.Protocol == ProtoWBI {
-		p.sync()
-		p.n.wbiN.Write(a, w, p.cb0)
-		p.waitAs(catMem)
-		p.record(true, false, a, w, 0, start)
-		return
-	}
-	if p.n.cblU.Holds(a) {
+	if p.HoldsLock(a) {
 		if err := p.n.cblU.WriteLocked(a, w); err != nil {
 			panic(err)
 		}
@@ -355,9 +502,8 @@ func (p *Proc) Write(a mem.Addr, w mem.Word) {
 		p.record(true, false, a, w, 0, start)
 		return
 	}
-	p.sync()
-	p.n.rucN.Write(a, w, p.cb0)
-	p.waitAs(catMem)
+	p.op = pendingOp{kind: OpWrite, addr: a, word: w}
+	p.block(catMem)
 	p.record(true, false, a, w, 0, start)
 }
 
@@ -368,15 +514,11 @@ func (p *Proc) ReadGlobal(a mem.Addr) mem.Word {
 	p.Ops++
 	defer p.beginOp(OpRecord{Kind: OpReadGlobal, Addr: a})()
 	start := p.now()
-	p.sync()
+	p.op = pendingOp{kind: OpReadGlobal, addr: a}
 	if p.m.cfg.Protocol == ProtoWBI {
-		p.n.wbiN.Read(a, p.cbW)
-		w := p.waitAs(catMem)
-		p.record(false, false, a, w, 0, start)
-		return w
+		p.op.kind = OpRead
 	}
-	p.n.rucN.ReadGlobal(a, p.cbW)
-	w := p.waitAs(catMem)
+	w := p.block(catMem)
 	p.record(false, false, a, w, 0, start)
 	return w
 }
@@ -392,9 +534,8 @@ func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
 	defer p.beginOp(OpRecord{Kind: OpWriteGlobal, Addr: a, Value: w})()
 	start := p.now()
 	if p.m.cfg.Protocol == ProtoWBI {
-		p.sync()
-		p.n.wbiN.Write(a, w, p.cb0)
-		p.waitAs(catMem)
+		p.op = pendingOp{kind: OpWrite, addr: a, word: w}
+		p.block(catMem)
 		p.record(true, false, a, w, 0, start)
 		return
 	}
@@ -406,6 +547,8 @@ func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
 		p.record(true, false, a, w, 0, start)
 		return
 	}
+	// Admission to the buffer may stall more than once, so it stays on
+	// the program side of the hand-off.
 	p.sync()
 	b := p.m.geom.BlockOf(a)
 	wi := p.m.geom.WordIndex(a)
@@ -441,13 +584,10 @@ func (p *Proc) FlushBuffer() {
 	}
 	// The buffer drains on its own schedule; batched local time must be
 	// replayed before observing it, or a pump completion due before the
-	// processor's logical now would be missed.
-	p.sync()
-	if p.n.buf.Empty() {
-		return
-	}
-	p.n.buf.OnEmpty(p.cb0)
-	p.waitAs(catSync)
+	// processor's logical now would be missed. block issues the flush
+	// after the replay.
+	p.op = pendingOp{kind: OpFlush}
+	p.block(catSync)
 }
 
 // ReadUpdate performs READ-UPDATE: reads the word and subscribes this node
@@ -456,9 +596,8 @@ func (p *Proc) ReadUpdate(a mem.Addr) mem.Word {
 	p.requireCBL("READ-UPDATE")
 	p.Ops++
 	defer p.beginOp(OpRecord{Kind: OpReadUpdate, Addr: a})()
-	p.sync()
-	p.n.rucN.ReadUpdate(a, p.cbW)
-	return p.waitAs(catMem)
+	p.op = pendingOp{kind: OpReadUpdate, addr: a}
+	return p.block(catMem)
 }
 
 // ResetUpdate performs RESET-UPDATE: cancels the subscription (CBL machine
@@ -467,9 +606,8 @@ func (p *Proc) ResetUpdate(a mem.Addr) {
 	p.requireCBL("RESET-UPDATE")
 	p.Ops++
 	defer p.beginOp(OpRecord{Kind: OpResetUpdate, Addr: a})()
-	p.sync()
-	p.n.rucN.ResetUpdate(a, p.cb0)
-	p.waitAs(catMem)
+	p.op = pendingOp{kind: OpResetUpdate, addr: a}
+	p.block(catMem)
 }
 
 func (p *Proc) lock(a mem.Addr, mode msg.LockMode) {
@@ -480,11 +618,8 @@ func (p *Proc) lock(a mem.Addr, mode msg.LockMode) {
 		k = OpWriteLock
 	}
 	defer p.beginOp(OpRecord{Kind: k, Addr: a})()
-	p.sync()
-	if err := p.n.cblU.Lock(a, mode, p.cb0); err != nil {
-		panic(fmt.Sprintf("core: processor %d %v on %d: %v", p.id, mode, a, err))
-	}
-	p.waitAs(catSync)
+	p.op = pendingOp{kind: k, addr: a}
+	p.block(catSync)
 	p.LockAcquires++
 }
 
@@ -503,15 +638,10 @@ func (p *Proc) WriteLock(a mem.Addr) { p.lock(a, msg.LockWrite) }
 // stall the processor beyond the local cache access.
 func (p *Proc) Unlock(a mem.Addr) {
 	p.requireCBL("UNLOCK")
-	p.Ops++
+	p.Ops += 2 // the UNLOCK and the FLUSH-BUFFER it performs first
 	defer p.beginOp(OpRecord{Kind: OpUnlock, Addr: a})()
-	// FlushBuffer replays any batched local time, so the clock is synced
-	// here even when the buffer is already empty.
-	p.FlushBuffer()
-	if err := p.n.cblU.Unlock(a, p.cb0); err != nil {
-		panic(fmt.Sprintf("core: processor %d unlock on %d: %v", p.id, a, err))
-	}
-	p.waitAs(catSync)
+	p.op = pendingOp{kind: OpUnlock, addr: a}
+	p.block(catSync)
 }
 
 // Barrier joins the hardware barrier named by address a with the given
@@ -519,11 +649,10 @@ func (p *Proc) Unlock(a mem.Addr) {
 // operation: the write buffer is flushed before arrival.
 func (p *Proc) Barrier(a mem.Addr, participants int) {
 	p.requireCBL("BARRIER")
-	p.Ops++
+	p.Ops += 2 // the BARRIER and the FLUSH-BUFFER it performs first
 	defer p.beginOp(OpRecord{Kind: OpBarrier, Addr: a, Participants: participants})()
-	p.FlushBuffer()
-	p.n.barU.Arrive(a, participants, p.cb0)
-	p.waitAs(catSync)
+	p.op = pendingOp{kind: OpBarrier, addr: a, parts: participants}
+	p.block(catSync)
 }
 
 // RMW performs an atomic read-modify-write on the WBI machine, returning
@@ -536,9 +665,8 @@ func (p *Proc) RMW(a mem.Addr, op func(mem.Word) mem.Word) mem.Word {
 	// approximation for exotic ops, which the trace format cannot carry).
 	defer p.beginOp(OpRecord{Kind: OpRMW, Addr: a, Delta: op(0)})()
 	start := p.now()
-	p.sync()
-	p.n.wbiN.RMW(a, op, p.cbW)
-	old := p.waitAs(catSync)
+	p.op = pendingOp{kind: OpRMW, addr: a, rmw: op}
+	old := p.block(catSync)
 	p.record(true, true, a, op(old), old, start)
 	return old
 }

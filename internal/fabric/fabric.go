@@ -6,6 +6,7 @@
 package fabric
 
 import (
+	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/msg"
 	"ssmp/internal/network"
@@ -47,6 +48,8 @@ type Fabric struct {
 	// xp is the reliable transport, enabled alongside the network's fault
 	// plane (see transport.go); nil otherwise.
 	xp *transport
+	// hits holds the word-carrying completions scheduled by AfterWord.
+	hits completions
 }
 
 // New builds a fabric over an engine and network.
@@ -87,6 +90,47 @@ func (f *Fabric) sendRaw(m *msg.Msg) {
 		f.OnSend(m)
 	}
 	f.Net.Send(m.Src, m.Dst, m.Words(), m)
+}
+
+// AfterWord schedules done(w) d cycles from now as a typed event, so a
+// cache hit's completion allocates no closure. It draws the same time,
+// sequence number and jitter key as the closure form eng.After would.
+func (f *Fabric) AfterWord(d sim.Time, done func(mem.Word), w mem.Word) {
+	f.Eng.AfterStep(d, &f.hits, f.hits.put(done, w))
+}
+
+// completions is a slot table of pending word-carrying completions; a
+// slot's index rides in its event's arg. Several can be in flight on one
+// node at once, so freed slots are reused through a free list threaded
+// through the table itself.
+type completions struct {
+	slots []completion
+	free  uint64 // 1 + index of the first free slot; 0 when none is free
+}
+
+type completion struct {
+	done func(mem.Word)
+	w    mem.Word
+	next uint64 // while the slot is free: the free list's next link
+}
+
+func (c *completions) put(done func(mem.Word), w mem.Word) uint64 {
+	if c.free == 0 {
+		c.slots = append(c.slots, completion{})
+		c.free = uint64(len(c.slots))
+	}
+	i := c.free - 1
+	c.free = c.slots[i].next
+	c.slots[i] = completion{done: done, w: w}
+	return i
+}
+
+// OnStep implements sim.Stepper: it frees slot i and runs its completion.
+func (c *completions) OnStep(i uint64) {
+	s := c.slots[i]
+	c.slots[i] = completion{next: c.free}
+	c.free = i + 1
+	s.done(s.w)
 }
 
 // Attach registers node's protocol dispatch with the network, interposing

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
+	"ssmp/internal/mem"
 	"ssmp/internal/msg"
 	"ssmp/internal/network"
 	"ssmp/internal/sim"
@@ -30,6 +32,31 @@ func TestSendCountsAndDelivers(t *testing.T) {
 	}
 	if f.Coll.Kind(msg.LockReq) != 1 {
 		t.Fatal("message not counted")
+	}
+}
+
+// TestAfterWordOverlapping: completions in flight at once each deliver
+// their own word at their own time, in any firing order, and freed slots
+// are reused rather than the table growing per completion.
+func TestAfterWordOverlapping(t *testing.T) {
+	eng := sim.NewEngine()
+	f := New(eng, network.New(eng, network.DefaultConfig(2)), DefaultTiming())
+	var got []string
+	done := func(w mem.Word) { got = append(got, fmt.Sprintf("%d@%d", w, eng.Now())) }
+	for round := mem.Word(0); round < 3; round++ {
+		f.AfterWord(3, done, 30+round)
+		f.AfterWord(1, done, 10+round)
+		f.AfterWord(2, done, 20+round)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "[10@1 20@2 30@3 11@4 21@5 31@6 12@7 22@8 32@9]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("completions %v, want %s", got, want)
+	}
+	if n := len(f.hits.slots); n != 3 {
+		t.Fatalf("slot table grew to %d for 3 in flight, want 3", n)
 	}
 }
 

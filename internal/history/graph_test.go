@@ -43,9 +43,9 @@ func TestOverlappingSameValueWrites(t *testing.T) {
 
 func TestGraphConversion(t *testing.T) {
 	r := &Recorder{}
-	r.Record(w(0, 5, 7, 0, 10))                                                      // block 1 word 1 at blockWords=4
-	r.Record(rd(1, 5, 7, 20, 30))                                                    //
-	r.Record(rmw(1, 6, 0, 1, 40, 50))                                                //
+	r.Record(w(0, 5, 7, 0, 10))                                                         // block 1 word 1 at blockWords=4
+	r.Record(rd(1, 5, 7, 20, 30))                                                       //
+	r.Record(rmw(1, 6, 0, 1, 40, 50))                                                   //
 	r.Record(Op{Proc: 0, Write: true, Addr: 5, Value: 9, Start: 60, End: sim.Infinity}) // pending
 
 	g := r.Graph(4)

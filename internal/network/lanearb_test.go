@@ -16,7 +16,9 @@ import (
 // at any worker count.
 
 // arbTrace runs a fixed open-loop injection schedule and returns the
-// per-destination delivery-time trace plus the final stats.
+// per-destination delivery-time trace plus the final stats. The trace has
+// one slice per node, so under lanes each node's lane appends only to its
+// own element.
 type arbShot struct {
 	at       sim.Time
 	src, dst int
@@ -37,11 +39,11 @@ func arbSchedule(nodes int) []arbShot {
 	return shots
 }
 
-func arbTraceSerial(t *testing.T, cfg Config) (map[int][]sim.Time, Stats) {
+func arbTraceSerial(t *testing.T, cfg Config) ([][]sim.Time, Stats) {
 	t.Helper()
 	e := sim.NewEngine()
 	n := New(e, cfg)
-	trace := make(map[int][]sim.Time)
+	trace := make([][]sim.Time, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
 		n.Attach(i, func(any) { trace[i] = append(trace[i], e.Now()) })
@@ -56,11 +58,11 @@ func arbTraceSerial(t *testing.T, cfg Config) (map[int][]sim.Time, Stats) {
 	return trace, n.Stats()
 }
 
-func arbTraceLanes(t *testing.T, cfg Config, workers int) (map[int][]sim.Time, Stats) {
+func arbTraceLanes(t *testing.T, cfg Config, workers int) ([][]sim.Time, Stats) {
 	t.Helper()
 	par := sim.NewParallel(cfg.Nodes)
 	n := NewParallel(par, cfg)
-	trace := make(map[int][]sim.Time)
+	trace := make([][]sim.Time, cfg.Nodes)
 	eng := make([]*sim.Engine, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i

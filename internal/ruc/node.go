@@ -80,8 +80,7 @@ func (n *Node) Read(a mem.Addr, done func(mem.Word)) {
 	wi := n.geom.WordIndex(a)
 	if l := n.cache.Lookup(b); l != nil {
 		n.f.RMR.LocalHit(n.id)
-		w := l.Data[wi]
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done(w) })
+		n.f.AfterWord(n.f.Time.CacheHit, done, l.Data[wi])
 		return
 	}
 	n.setPending(msg.ReadMiss, b, wi, done)
@@ -98,7 +97,7 @@ func (n *Node) Write(a mem.Addr, w mem.Word, done func()) {
 		n.f.RMR.LocalHit(n.id)
 		l.Data[wi] = w
 		l.Dirty.Set(wi)
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done() })
+		n.f.Eng.After(n.f.Time.CacheHit, done)
 		return
 	}
 	n.setPending(msg.ReadMiss, b, wi, func(mem.Word) {
@@ -148,8 +147,7 @@ func (n *Node) ReadUpdate(a mem.Addr, done func(mem.Word)) {
 	wi := n.geom.WordIndex(a)
 	if l := n.cache.Lookup(b); l != nil && l.Update {
 		n.f.RMR.LocalHit(n.id)
-		w := l.Data[wi]
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done(w) })
+		n.f.AfterWord(n.f.Time.CacheHit, done, l.Data[wi])
 		return
 	}
 	n.setPending(msg.ReadUpdateReq, b, wi, done)
@@ -166,13 +164,13 @@ func (n *Node) ResetUpdate(a mem.Addr, done func()) {
 	l := n.cache.Peek(b)
 	if l == nil || !l.Update {
 		n.f.RMR.LocalHit(n.id)
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done() })
+		n.f.Eng.After(n.f.Time.CacheHit, done)
 		return
 	}
 	l.Update = false
 	n.f.RMR.RemoteRef(n.id)
 	n.f.Send(&msg.Msg{Kind: msg.ResetUpdateReq, Src: n.id, Dst: n.geom.Home(b), Block: b})
-	n.f.Eng.After(n.f.Time.CacheHit, func() { done() })
+	n.f.Eng.After(n.f.Time.CacheHit, done)
 }
 
 // install places a received block into the cache, handling the displaced

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -10,6 +11,10 @@ import (
 // errQueueFull reports that the bounded job queue has no free slot; the
 // HTTP layer translates it into 429 + Retry-After.
 var errQueueFull = errors.New("server: job queue full")
+
+// errJobPanicked wraps the value of a panic recovered from a job; the HTTP
+// layer answers it with 500. Like every job error it is never cached.
+var errJobPanicked = errors.New("server: job panicked")
 
 // task is one unit of pool work: a closure plus the channel its waiters
 // block on. res/err are written once, before done is closed.
@@ -49,11 +54,22 @@ func (p *pool) worker() {
 		if err := t.ctx.Err(); err != nil {
 			t.err = err
 		} else {
-			t.res, t.err = t.run(t.ctx)
+			t.res, t.err = t.execute()
 		}
 		close(t.done)
 		p.busy.Add(-1)
 	}
+}
+
+// execute runs the job, recovering a panic into an errJobPanicked error so
+// that one bad job fails alone and the worker keeps serving.
+func (t *task) execute() (res any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("%w: %v", errJobPanicked, r)
+		}
+	}()
+	return t.run(t.ctx)
 }
 
 // submit enqueues a task without blocking.

@@ -279,11 +279,14 @@ func (s *Server) execute(ctx context.Context, key string, run func(context.Conte
 }
 
 // errStatus maps a job error to an HTTP status: deadline and cancellation
-// to 504, anything else (deadlock, horizon) to 422 — the request was
-// well-formed, the simulation it named failed.
+// to 504, a panic inside the job to 500, anything else (deadlock, horizon)
+// to 422 — the request was well-formed, the simulation it named failed.
 func errStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, errJobPanicked):
+		return http.StatusInternalServerError
 	}
 	return http.StatusUnprocessableEntity
 }

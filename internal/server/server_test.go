@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,6 +277,56 @@ func TestInflightDedup(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("identical concurrent jobs ran %d times, want 1", runs)
+	}
+}
+
+func TestPanickingJobAnswers500AndIsNotCached(t *testing.T) {
+	// One worker: after the panic the same worker must still serve.
+	s, ts := testServer(t, Config{Workers: 1})
+
+	var runs atomic.Int32
+	lead := make(chan struct{})
+	release := make(chan struct{})
+	run := func(context.Context) (any, error) {
+		if runs.Add(1) == 1 {
+			close(lead)
+			<-release
+		}
+		panic("job exploded")
+	}
+
+	statuses := make(chan int, 2)
+	exec := func() {
+		_, _, status, err := s.execute(context.Background(), "k", run)
+		if err == nil || !strings.Contains(err.Error(), "job exploded") {
+			t.Errorf("err = %v, want the panic value", err)
+		}
+		statuses <- status
+	}
+	go exec()
+	<-lead // leader is running; the follower below must share its outcome
+	go exec()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if st := <-statuses; st != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, st)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("identical concurrent jobs ran %d times, want 1", n)
+	}
+
+	// Never cached: a repeat runs the job again.
+	_, cached, status, _ := s.execute(context.Background(), "k", run)
+	if cached || status != http.StatusInternalServerError || runs.Load() != 2 {
+		t.Fatalf("repeat: cached=%v status=%d runs=%d, want a fresh run answered 500", cached, status, runs.Load())
+	}
+
+	// The worker survived and serves a normal job.
+	resp, body := postJSON(t, ts.URL+"/v1/sim", smallSim)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim after a panicked job: status %d: %s", resp.StatusCode, body)
 	}
 }
 
