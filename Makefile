@@ -13,8 +13,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The benchmark is a module of its own (bench/go.mod), which ./... does not
+# reach, so it is vetted separately.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Formatting gate: fails when any Go file is not gofmt-clean. `gofmt -l .`
 # lists the offenders and `gofmt -w .` fixes them.

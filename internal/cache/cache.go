@@ -69,18 +69,22 @@ type Stats struct {
 
 // Cache is a set-associative cache with LRU replacement within a set.
 //
-// Set storage is allocated lazily, on the first Allocate that touches a
-// set: a machine builds one cache per node, so a 1024-node machine with
-// the default 512x2 geometry would otherwise zero a million Line structs
-// (~100 MB) up front — by far the dominant cost of machine construction —
-// while most workloads touch a handful of sets per node. Untouched sets
-// behave exactly like sets full of invalid lines, so the laziness is
-// invisible to the protocol.
+// A set's lines are built on the first Allocate that touches the set: a
+// machine builds one cache per node, and most workloads touch a handful of
+// sets per node, while the default 512x2 geometry would otherwise zero and
+// hold 1,024 Lines per node up front. Up front the cache builds only its
+// index, one int32 per set naming the set's slot in the list of sets built
+// so far. The index holds no pointers, so the collector never scans it.
+// Each set keeps its own two allocations (lines and their data backing),
+// so a *Line stays valid for the cache's lifetime. A set not yet built
+// behaves exactly like a set full of invalid lines, so the protocols
+// cannot tell the difference.
 type Cache struct {
 	geom  mem.Geometry
 	sets  int
 	ways  int
-	lines [][]Line // indexed by set; nil until the set is first allocated
+	index []int32  // by set: 1 + the set's position in built, or 0
+	built [][]Line // the sets built so far, in the order first allocated
 	tick  uint64
 	stats Stats
 }
@@ -93,7 +97,7 @@ func New(geom mem.Geometry, sets, ways int) *Cache {
 	if ways < 1 {
 		panic(fmt.Sprintf("cache: ways must be >= 1, got %d", ways))
 	}
-	return &Cache{geom: geom, sets: sets, ways: ways, lines: make([][]Line, sets)}
+	return &Cache{geom: geom, sets: sets, ways: ways, index: make([]int32, sets)}
 }
 
 // Sets returns the number of sets.
@@ -108,28 +112,36 @@ func (c *Cache) Capacity() int { return c.sets * c.ways }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// set returns block b's set, or nil if the set has never been allocated
+// set returns block b's set, or nil if the set has not been built
 // (equivalent to a set full of invalid lines).
 func (c *Cache) set(b mem.Block) []Line {
-	return c.lines[int(uint64(b)&uint64(c.sets-1))]
+	if slot := c.index[uint64(b)&uint64(c.sets-1)]; slot != 0 {
+		return c.built[slot-1]
+	}
+	return nil
 }
 
-// setAlloc returns block b's set, materializing it on first touch. One
-// backing array holds all of the set's line data, keeping it to two
-// allocations per set ever touched.
+// setAlloc returns block b's set, building it on first touch.
 func (c *Cache) setAlloc(b mem.Block) []Line {
-	s := int(uint64(b) & uint64(c.sets-1))
-	set := c.lines[s]
-	if set == nil {
-		set = make([]Line, c.ways)
-		backing := make([]mem.Word, c.ways*c.geom.BlockWords)
-		for i := range set {
-			set[i].ResetPointers()
-			set[i].Data = backing[i*c.geom.BlockWords : (i+1)*c.geom.BlockWords : (i+1)*c.geom.BlockWords]
-		}
-		c.lines[s] = set
+	if set := c.set(b); set != nil {
+		return set
 	}
+	set := newLines(c.ways, c.geom.BlockWords)
+	c.built = append(c.built, set)
+	c.index[uint64(b)&uint64(c.sets-1)] = int32(len(c.built))
 	return set
+}
+
+// newLines returns n invalid lines over one backing array of line data,
+// keeping a set or lock cache to two allocations.
+func newLines(n, blockWords int) []Line {
+	lines := make([]Line, n)
+	backing := make([]mem.Word, n*blockWords)
+	for i := range lines {
+		lines[i].ResetPointers()
+		lines[i].Data = backing[i*blockWords : (i+1)*blockWords : (i+1)*blockWords]
+	}
+	return lines
 }
 
 // Lookup returns the line holding block b, counting a hit or miss and
@@ -240,7 +252,11 @@ func (c *Cache) Invalidate(b mem.Block) (Victim, bool) {
 
 // ForEach calls fn for every valid line, in set order.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for _, set := range c.lines {
+	for _, slot := range c.index {
+		if slot == 0 {
+			continue
+		}
+		set := c.built[slot-1]
 		for i := range set {
 			if set[i].Valid {
 				fn(&set[i])
@@ -254,11 +270,17 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // evicted, and allocation fails when every slot is pinned. The paper treats
 // capacity as a compile-time-managed hardware resource; we surface
 // exhaustion as an error so callers can model a conservative mapping.
+//
+// The lines and their data backing are built on the first Allocate, so a
+// node that never takes a lock never builds them. A lock cache with no
+// lines behaves exactly like one whose lines are all invalid, and Capacity
+// reports the configured entries either way.
 type LockCache struct {
-	geom  mem.Geometry
-	lines []Line
-	tick  uint64
-	stats Stats
+	geom    mem.Geometry
+	entries int
+	lines   []Line // nil until the first Allocate
+	tick    uint64
+	stats   Stats
 }
 
 // NewLockCache builds a lock cache with the given number of entries.
@@ -266,17 +288,11 @@ func NewLockCache(geom mem.Geometry, entries int) *LockCache {
 	if entries < 1 {
 		panic(fmt.Sprintf("cache: lock cache entries must be >= 1, got %d", entries))
 	}
-	lc := &LockCache{geom: geom, lines: make([]Line, entries)}
-	backing := make([]mem.Word, entries*geom.BlockWords)
-	for i := range lc.lines {
-		lc.lines[i].ResetPointers()
-		lc.lines[i].Data = backing[i*geom.BlockWords : (i+1)*geom.BlockWords : (i+1)*geom.BlockWords]
-	}
-	return lc
+	return &LockCache{geom: geom, entries: entries}
 }
 
 // Capacity returns the number of entries.
-func (lc *LockCache) Capacity() int { return len(lc.lines) }
+func (lc *LockCache) Capacity() int { return lc.entries }
 
 // InUse returns the number of live entries.
 func (lc *LockCache) InUse() int {
@@ -316,6 +332,9 @@ var ErrLockCacheFull = fmt.Errorf("cache: lock cache full")
 // is by definition participating in a queue (or holding a lock), no eviction
 // is possible: Allocate returns ErrLockCacheFull when all entries are live.
 func (lc *LockCache) Allocate(b mem.Block) (*Line, error) {
+	if lc.lines == nil {
+		lc.lines = newLines(lc.entries, lc.geom.BlockWords)
+	}
 	var pick *Line
 	for i := range lc.lines {
 		if lc.lines[i].Valid {

@@ -168,6 +168,26 @@ func TestForEach(t *testing.T) {
 	if len(seen) != 2 || !seen[1] || !seen[3] {
 		t.Fatalf("ForEach visited %v", seen)
 	}
+
+	// Sets are built in the order they are first allocated; ForEach must
+	// still visit them in set order.
+	c = New(g, 512, 1)
+	for b := mem.Block(511); ; b-- {
+		c.Allocate(b)
+		if b == 0 {
+			break
+		}
+	}
+	var order []mem.Block
+	c.ForEach(func(l *Line) { order = append(order, l.Block) })
+	if len(order) != 512 {
+		t.Fatalf("ForEach visited %d lines, want 512", len(order))
+	}
+	for i, b := range order {
+		if b != mem.Block(i) {
+			t.Fatalf("ForEach visit %d is block %d, want %d (set order)", i, b, i)
+		}
+	}
 }
 
 func TestSetsAreIndependent(t *testing.T) {
@@ -187,38 +207,44 @@ func TestSetsAreIndependent(t *testing.T) {
 }
 
 // Property: a cache never holds two lines for the same block, and never
-// holds more lines than its capacity.
+// holds more lines than its capacity. The wide geometry spreads the blocks
+// over many sets, so sets are built out of set order.
 func TestQuickCacheInvariant(t *testing.T) {
-	f := func(ops []uint16) bool {
-		c := New(g, 4, 2)
-		for _, op := range ops {
-			b := mem.Block(op % 32)
-			switch (op >> 8) % 3 {
-			case 0:
-				if c.Lookup(b) == nil {
-					c.Allocate(b)
+	for _, geo := range []struct{ sets, ways, blocks int }{
+		{4, 2, 32},
+		{256, 2, 2048},
+	} {
+		f := func(ops []uint16) bool {
+			c := New(g, geo.sets, geo.ways)
+			for _, op := range ops {
+				b := mem.Block(int(op) % geo.blocks)
+				switch (op >> 11) % 3 {
+				case 0:
+					if c.Lookup(b) == nil {
+						c.Allocate(b)
+					}
+				case 1:
+					c.Lookup(b)
+				case 2:
+					c.Invalidate(b)
 				}
-			case 1:
-				c.Lookup(b)
-			case 2:
-				c.Invalidate(b)
-			}
-			seen := map[mem.Block]int{}
-			count := 0
-			c.ForEach(func(l *Line) { seen[l.Block]++; count++ })
-			if count > c.Capacity() {
-				return false
-			}
-			for _, n := range seen {
-				if n > 1 {
+				seen := map[mem.Block]int{}
+				count := 0
+				c.ForEach(func(l *Line) { seen[l.Block]++; count++ })
+				if count > c.Capacity() {
 					return false
 				}
+				for _, n := range seen {
+					if n > 1 {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%d sets x %d ways: %v", geo.sets, geo.ways, err)
+		}
 	}
 }
 
@@ -262,9 +288,22 @@ func TestLockCacheLookup(t *testing.T) {
 
 func TestLockCacheReleaseAbsentIsNoop(t *testing.T) {
 	lc := NewLockCache(g, 2)
-	lc.Release(42) // must not panic
+	lc.Release(42) // never allocated: must not panic
 	if lc.InUse() != 0 {
+		t.Fatal("release on a never-allocated lock cache changed occupancy")
+	}
+	if _, err := lc.Allocate(1); err != nil {
+		t.Fatal(err)
+	}
+	lc.Release(42) // absent from a built lock cache
+	if lc.InUse() != 1 {
 		t.Fatal("release of absent block changed occupancy")
+	}
+	if _, err := lc.Allocate(2); err != nil {
+		t.Fatalf("Allocate of the last entry = %v", err)
+	}
+	if _, err := lc.Allocate(3); err != ErrLockCacheFull {
+		t.Fatalf("Allocate on full = %v, want ErrLockCacheFull", err)
 	}
 }
 
@@ -301,9 +340,29 @@ func TestAccessors(t *testing.T) {
 	if c.Sets() != 4 || c.Ways() != 2 || c.Capacity() != 8 {
 		t.Fatal("geometry accessors wrong")
 	}
-	lc := NewLockCache(g, 3)
-	lc.Lookup(1) // miss
+	// A lock cache on which Allocate was never called reports its
+	// configured capacity and behaves as if every entry were invalid.
+	const entries = 3
+	lc := NewLockCache(g, entries)
+	if lc.Capacity() != entries || lc.InUse() != 0 {
+		t.Fatalf("fresh lock cache: Capacity %d InUse %d, want %d and 0", lc.Capacity(), lc.InUse(), entries)
+	}
+	if lc.Lookup(1) != nil {
+		t.Fatal("lookup in a fresh lock cache hit")
+	}
 	if lc.Stats().Misses != 1 {
 		t.Fatal("lock cache stats wrong")
+	}
+	lc.Release(1)
+	for b := mem.Block(1); b <= entries; b++ {
+		if _, err := lc.Allocate(b); err != nil {
+			t.Fatalf("Allocate %d of %d = %v", b, entries, err)
+		}
+	}
+	if _, err := lc.Allocate(entries + 1); err != ErrLockCacheFull {
+		t.Fatalf("Allocate beyond capacity = %v, want ErrLockCacheFull", err)
+	}
+	if lc.Capacity() != entries || lc.InUse() != entries {
+		t.Fatalf("full lock cache: Capacity %d InUse %d, want %d and %d", lc.Capacity(), lc.InUse(), entries, entries)
 	}
 }

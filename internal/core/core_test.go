@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -712,5 +713,27 @@ func TestWBIDeterminism(t *testing.T) {
 	a, b, c := run(), run(), run()
 	if a != b || b != c {
 		t.Fatalf("WBI nondeterministic: %d / %d / %d cycles", a, b, c)
+	}
+}
+
+// TestNewMachineByteBudget bounds what building a 2-node machine
+// allocates. Caches build their sets, and lock caches their lines, on
+// first use, so construction pays for controllers and set indexes only;
+// the litmus replay builds 64 such machines per test. Not parallel:
+// TotalAlloc counts every goroutine's allocations.
+func TestNewMachineByteBudget(t *testing.T) {
+	const builds, budget = 100, 16 << 10
+	for _, proto := range []Protocol{ProtoCBL, ProtoWBI} {
+		cfg := DefaultConfig(2)
+		cfg.Protocol = proto
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < builds; i++ {
+			NewMachine(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= budget {
+			t.Errorf("%v: NewMachine(DefaultConfig(2)) allocates %d B per machine, want < %d", proto, per, budget)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"ssmp/internal/bccheck"
 	"ssmp/internal/core"
+	"ssmp/internal/history"
 	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/network"
@@ -30,8 +31,8 @@ func barAddr(id int) mem.Addr {
 // runSim executes the test once on a fresh machine with the given jitter
 // seed (0 = the canonical deterministic schedule) and fault configuration
 // (zero = a reliable fabric) and returns the outcome in canonical syntax
-// plus the run's fault counters. With trace set, the run records a history
-// and the returned graph renders it.
+// plus the run's fault counters. Only with trace set does the run record a
+// history, which the returned graph renders.
 func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (string, *bccheck.Graph, metrics.FaultCounters, error) {
 	nproc := len(c.prog)
 	nodes := 2
@@ -42,8 +43,10 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 	cfg.Jitter = seed
 	cfg.Faults = faults
 	m := core.NewMachine(cfg)
-	var graph *bccheck.Graph
-	rec := m.EnableHistory()
+	var rec *history.Recorder
+	if trace {
+		rec = m.EnableHistory()
+	}
 	for n, v := range c.t.Init {
 		m.WriteMemory(dataAddr(c.locOf[n]), mem.Word(v))
 	}
@@ -91,6 +94,7 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 	for _, n := range c.t.Observe {
 		o.Mem = append(o.Mem, uint64(m.ReadMemory(dataAddr(c.locOf[n]))))
 	}
+	var graph *bccheck.Graph
 	if trace {
 		graph = rec.Graph(machineBlockWords)
 		graph.Names = c.opts.LocName
