@@ -27,11 +27,12 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# One-iteration benchmark smoke: proves the bench paths (simulator kernel and
-# exploration engine) build and run; used by CI, where timing numbers would be
-# noise anyway.
+# One-iteration benchmark smoke: proves the bench paths (simulator kernel,
+# exploration engine and the reliable transport under faults) build and run;
+# used by CI, where timing numbers would be noise anyway.
 bench-smoke:
 	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
+	$(GO) test -bench=TransportChaos -benchtime=1x -run=^$$ ./internal/fabric/
 
 # Deterministic-counter gate: the whole-system benchmark's own tests
 # (bench/, a separate module) smoke every workload and compare the

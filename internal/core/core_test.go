@@ -716,24 +716,38 @@ func TestWBIDeterminism(t *testing.T) {
 	}
 }
 
-// TestNewMachineByteBudget bounds what building a 2-node machine
-// allocates. Caches build their sets, and lock caches their lines, on
-// first use, so construction pays for controllers and set indexes only;
-// the litmus replay builds 64 such machines per test. Not parallel:
-// TotalAlloc counts every goroutine's allocations.
+// TestNewMachineByteBudget bounds what building a machine allocates.
+// Caches build their sets, and lock caches their lines, on first use, so a
+// 2-node machine pays for controllers and set indexes only; the litmus
+// replay builds 64 such machines per test. A 64-node lane machine under
+// faults gives each node's fabric view its own transport, which builds
+// only that node's sender and receiver rows. Not parallel: TotalAlloc
+// counts every goroutine's allocations.
 func TestNewMachineByteBudget(t *testing.T) {
-	const builds, budget = 100, 16 << 10
-	for _, proto := range []Protocol{ProtoCBL, ProtoWBI} {
-		cfg := DefaultConfig(2)
-		cfg.Protocol = proto
+	lanesUnderFaults := DefaultConfig(64)
+	lanesUnderFaults.SimWorkers = 2
+	// The chaos soak's rates (litmus.DefaultChaosRates; core cannot import
+	// litmus).
+	lanesUnderFaults.Faults = network.FaultConfig{Seed: 3, Rates: network.FaultRates{Drop: 0.03, Dup: 0.03, Delay: 0.1}}
+	wbi := DefaultConfig(2)
+	wbi.Protocol = ProtoWBI
+	for _, c := range []struct {
+		name           string
+		cfg            Config
+		builds, budget uint64
+	}{
+		{"cbl/2", DefaultConfig(2), 100, 16 << 10},
+		{"wbi/2", wbi, 100, 16 << 10},
+		{"cbl/64/lanes/chaos", lanesUnderFaults, 10, 3 << 19},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < builds; i++ {
-			NewMachine(cfg)
+		for i := uint64(0); i < c.builds; i++ {
+			NewMachine(c.cfg)
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= budget {
-			t.Errorf("%v: NewMachine(DefaultConfig(2)) allocates %d B per machine, want < %d", proto, per, budget)
+		if per := (after.TotalAlloc - before.TotalAlloc) / c.builds; per >= c.budget {
+			t.Errorf("%s: NewMachine allocates %d B per machine, want < %d", c.name, per, c.budget)
 		}
 	}
 }

@@ -76,23 +76,43 @@ type pendKey struct {
 	ls   uint64
 }
 
-// outstanding is one transport-tracked message awaiting its ack.
+// outstanding is one slot of the transport's table of unacknowledged
+// messages: the message, its current retransmit timeout and the handle of
+// its armed timer. The slot's index is the argument of that timer's typed
+// event (transport.OnStep), so arming a timer allocates nothing. A freed
+// slot joins the free list threaded through the table, as in completions.
 type outstanding struct {
 	m     *msg.Msg
 	rto   sim.Time
 	timer sim.Handle
+	next  int32 // while the slot is free: 1 + the next free slot, or 0
 }
 
-// transport is the per-fabric reliable-delivery state.
+// rxLink is the receiver's state for one incoming link.
+type rxLink struct {
+	expect uint64              // last sequence delivered
+	hold   map[uint64]*msg.Msg // early arrivals, held until the gap fills
+}
+
+// transport is the per-fabric reliable-delivery state. Per-link state lives
+// in n-wide rows: the sender's sequence counters by source node (tx[src],
+// indexed by destination) and the receiver's reassembly state by
+// destination node (rx[dst], indexed by source), each row built on that
+// node's first send or receipt. A lane view sends from and receives at its
+// own node only, so it builds one row of each. Unacknowledged messages live
+// in a slot table; pending maps (link, sequence) to a slot, so tracking a
+// message allocates nothing once the table has grown to the most messages
+// ever in flight at once.
 type transport struct {
 	f   *Fabric
 	cfg TransportConfig
 	n   int
 
-	nextLS  []uint64 // sender: last sequence issued per link
-	expect  []uint64 // receiver: last sequence delivered per link
-	hold    []map[uint64]*msg.Msg
-	pending map[pendKey]*outstanding
+	tx      [][]uint64 // sender: [src][dst] last sequence issued on the link
+	rx      [][]rxLink // receiver: [dst][src] the link's reassembly state
+	pending map[pendKey]int32
+	slots   []outstanding
+	free    int32 // 1 + index of the first free slot; 0 when none is free
 
 	retries       uint64
 	dupSuppressed uint64
@@ -108,10 +128,9 @@ func (f *Fabric) EnableTransport(cfg TransportConfig) {
 		f:       f,
 		cfg:     cfg.withDefaults(),
 		n:       n,
-		nextLS:  make([]uint64, n*n),
-		expect:  make([]uint64, n*n),
-		hold:    make([]map[uint64]*msg.Msg, n*n),
-		pending: make(map[pendKey]*outstanding),
+		tx:      make([][]uint64, n),
+		rx:      make([][]rxLink, n),
+		pending: make(map[pendKey]int32),
 	}
 }
 
@@ -141,24 +160,32 @@ func (f *Fabric) FaultCounters() metrics.FaultCounters {
 // track assigns m its per-link sequence number and arms the retransmit
 // timer. Node-local bypass messages are exempt: they cannot be faulted.
 func (t *transport) track(m *msg.Msg) {
-	li := m.Src*t.n + m.Dst
-	t.nextLS[li]++
-	m.XSeq = t.nextLS[li]
-	o := &outstanding{m: m, rto: t.cfg.RTO}
-	k := pendKey{li, m.XSeq}
-	t.pending[k] = o
-	o.timer = t.f.Eng.After(o.rto, func() { t.retransmit(k) })
+	row := t.tx[m.Src]
+	if row == nil {
+		row = make([]uint64, t.n)
+		t.tx[m.Src] = row
+	}
+	row[m.Dst]++
+	m.XSeq = row[m.Dst]
+	if t.free == 0 {
+		t.slots = append(t.slots, outstanding{})
+		t.free = int32(len(t.slots))
+	}
+	i := t.free - 1
+	t.free = t.slots[i].next
+	t.pending[pendKey{m.Src*t.n + m.Dst, m.XSeq}] = i
+	t.slots[i] = outstanding{m: m, rto: t.cfg.RTO}
+	t.slots[i].timer = t.f.Eng.AfterStep(t.cfg.RTO, t, uint64(i))
 }
 
-// retransmit fires when a tracked message's ack has not arrived within its
-// RTO: a fresh copy is reinjected and the timer re-armed with doubled
-// (capped) timeout. A spurious retransmission — the original was merely
-// slow, not lost — is harmless: the receiver suppresses it as a duplicate.
-func (t *transport) retransmit(k pendKey) {
-	o, ok := t.pending[k]
-	if !ok {
-		return // acked in the same cycle the timer fired
-	}
+// OnStep implements sim.Stepper as slot i's retransmit timer, which fires
+// when the slot's message has not been acked within its RTO: a fresh copy
+// is reinjected and the timer re-armed with doubled (capped) timeout. A
+// spurious retransmission — the original was merely slow, not lost — is
+// harmless: the receiver suppresses it as a duplicate. An ack cancels the
+// timer before it frees the slot, so the timer never fires for a freed one.
+func (t *transport) OnStep(i uint64) {
+	o := &t.slots[i]
 	t.retries++
 	clone := *o.m
 	if len(o.m.Data) > 0 {
@@ -168,12 +195,9 @@ func (t *transport) retransmit(k pendKey) {
 	}
 	t.f.sendRaw(&clone)
 	if o.rto < t.cfg.RTOMax {
-		o.rto *= 2
-		if o.rto > t.cfg.RTOMax {
-			o.rto = t.cfg.RTOMax
-		}
+		o.rto = min(o.rto*2, t.cfg.RTOMax)
 	}
-	o.timer = t.f.Eng.After(o.rto, func() { t.retransmit(k) })
+	o.timer = t.f.Eng.AfterStep(o.rto, t, i)
 }
 
 // sendAck acknowledges sequence ls on link src->node. Acks are untracked
@@ -185,14 +209,18 @@ func (t *transport) sendAck(node, src int, ls uint64) {
 }
 
 // ack retires the pending entry a NetAck names, cancelling its retransmit
-// timer. Acks for already-retired sequences (duplicated or stale acks) are
-// ignored.
+// timer and freeing its slot. Acks for already-retired sequences
+// (duplicated or stale acks) are ignored.
 func (t *transport) ack(a *msg.Msg) {
 	k := pendKey{a.Dst*t.n + a.Src, a.XSeq}
-	if o, ok := t.pending[k]; ok {
-		o.timer.Cancel()
-		delete(t.pending, k)
+	i, ok := t.pending[k]
+	if !ok {
+		return
 	}
+	delete(t.pending, k)
+	t.slots[i].timer.Cancel()
+	t.slots[i] = outstanding{next: t.free}
+	t.free = i + 1
 }
 
 // receive is the receiver-side transport: ack processing, duplicate
@@ -208,40 +236,45 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 		h(m)
 		return
 	}
-	li := m.Src*t.n + node
+	row := t.rx[node]
+	if row == nil {
+		row = make([]rxLink, t.n)
+		t.rx[node] = row
+	}
+	l := &row[m.Src]
 	ls := m.XSeq
 	t.sendAck(node, m.Src, ls)
 	switch {
-	case ls <= t.expect[li]:
+	case ls <= l.expect:
 		// Already delivered (a fault-plane duplicate, or a
 		// retransmission whose original got through). The re-ack above
 		// stops the sender's timer if the first ack was lost.
 		t.dupSuppressed++
-	case ls == t.expect[li]+1:
-		t.expect[li] = ls
+	case ls == l.expect+1:
+		l.expect = ls
 		h(m)
 		// Drain any held successors the gap was blocking.
 		for {
-			nm, ok := t.hold[li][t.expect[li]+1]
+			nm, ok := l.hold[l.expect+1]
 			if !ok {
 				return
 			}
-			delete(t.hold[li], t.expect[li]+1)
-			t.expect[li]++
+			delete(l.hold, l.expect+1)
+			l.expect++
 			h(nm)
 		}
 	default:
 		// Early: a predecessor is still missing (dropped or delayed).
 		// Hold this message until the sender's retransmission fills the
 		// gap, preserving the link's FIFO order.
-		if t.hold[li] == nil {
-			t.hold[li] = make(map[uint64]*msg.Msg)
+		if l.hold == nil {
+			l.hold = make(map[uint64]*msg.Msg)
 		}
-		if _, dup := t.hold[li][ls]; dup {
+		if _, dup := l.hold[ls]; dup {
 			t.dupSuppressed++
 			return
 		}
-		t.hold[li][ls] = m
+		l.hold[ls] = m
 		t.reordered++
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // mkTransport builds a fabric with the reliable transport over a (possibly
 // faulty) network and attaches a recording handler to every node.
-func mkTransport(t *testing.T, nodes int, faults network.FaultConfig) (*sim.Engine, *Fabric, [][]*msg.Msg) {
-	t.Helper()
+func mkTransport(tb testing.TB, nodes int, faults network.FaultConfig) (*sim.Engine, *Fabric, [][]*msg.Msg) {
+	tb.Helper()
 	eng := sim.NewEngine()
 	cfg := network.DefaultConfig(nodes)
 	cfg.Faults = faults
@@ -161,6 +161,22 @@ func TestTransportFullChaosAllLinks(t *testing.T) {
 	if fc.Dropped == 0 || fc.Retries == 0 {
 		t.Fatalf("chaos run did not exercise the retry path: %+v", fc)
 	}
+	// Drained clean: every message was acked, every slot freed, every
+	// retransmit timer cancelled. An ack path that leaks a slot fails here.
+	xp := f.xp
+	if len(xp.pending) != 0 {
+		t.Fatalf("%d messages still pending after drain", len(xp.pending))
+	}
+	free := 0
+	for i := xp.free; i != 0 && free <= len(xp.slots); i = xp.slots[i-1].next {
+		free++
+	}
+	if free != len(xp.slots) {
+		t.Fatalf("%d of %d slots on the free list after drain", free, len(xp.slots))
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("engine left %d pending events after drain", eng.Pending())
+	}
 }
 
 func TestTransportLocalBypassUntracked(t *testing.T) {
@@ -219,5 +235,54 @@ func TestTransportBackoffIsBounded(t *testing.T) {
 	// not be left with orphan timers extending the run.
 	if eng.Pending() != 0 {
 		t.Fatalf("engine left %d pending events after drain", eng.Pending())
+	}
+}
+
+// chaosRound is one round of BenchmarkTransportChaos's injection: every
+// node sends one tracked message to the node 1 + r mod (nodes-1) places
+// on, so that successive rounds cover every link.
+type chaosRound struct {
+	f     *Fabric
+	nodes int
+}
+
+func (c *chaosRound) OnStep(r uint64) {
+	for src := 0; src < c.nodes; src++ {
+		dst := (src + 1 + int(r)%(c.nodes-1)) % c.nodes
+		c.f.Send(&msg.Msg{Kind: msg.LockReq, Src: src, Dst: dst, Block: mem.Block(int(r)*c.nodes + src)})
+	}
+}
+
+// BenchmarkTransportChaos is the reliable transport's layer benchmark:
+// 1,024 tracked messages spread over every link of a 16-node fabric at the
+// chaos soak's fault rates (litmus.DefaultChaosRates, written out here
+// because fabric cannot import litmus), run until every one is delivered
+// and acked. Each node sends one message every 4 cycles, a load at which
+// retransmissions answer faults rather than queueing. The fabric is built
+// outside the timer.
+func BenchmarkTransportChaos(b *testing.B) {
+	const nodes, count, gap = 16, 1024, 4
+	faults := network.FaultConfig{Seed: 3, Rates: network.FaultRates{Drop: 0.03, Dup: 0.03, Delay: 0.1}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, f, got := mkTransport(b, nodes, faults)
+		b.StartTimer()
+		rounds := &chaosRound{f: f, nodes: nodes}
+		for r := 0; r < count/nodes; r++ {
+			eng.AtStep(sim.Time(r*gap), rounds, uint64(r))
+		}
+		if err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		n := 0
+		for _, g := range got {
+			n += len(g)
+		}
+		if n != count {
+			b.Fatalf("delivered %d messages, want %d", n, count)
+		}
+		b.StartTimer()
 	}
 }

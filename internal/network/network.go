@@ -15,9 +15,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"ssmp/internal/sim"
 )
@@ -130,6 +131,7 @@ type Network struct {
 	shards   []Stats      // per-source-node counters, summed by Stats()
 	pend     [][]pendSend // contended lane mode: per-source deferred sends
 	arbScr   []pendSend   // arbitration scratch (reused across windows)
+	arbIdx   []int32      // arbScr indices in key order (reused likewise)
 }
 
 // pendSend is one deferred contended send: everything the window-barrier
@@ -394,20 +396,26 @@ func (n *Network) arbitrate() {
 		n.arbScr = m
 		return
 	}
-	sort.Slice(m, func(i, j int) bool {
-		a, b := &m[i], &m[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.jit != b.jit {
-			return a.jit < b.jit
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	// Sort indices, not the records: a swap moves 4 bytes instead of a
+	// whole pendSend, and slices.SortFunc needs no reflection.
+	idx := n.arbIdx[:0]
 	for i := range m {
+		idx = append(idx, int32(i))
+	}
+	slices.SortFunc(idx, func(i, j int32) int {
+		a, b := &m[i], &m[j]
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.jit, b.jit); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for _, i := range idx {
 		q := &m[i]
 		src, dst := int(q.src), int(q.dst)
 		var done sim.Time
@@ -438,7 +446,7 @@ func (n *Network) arbitrate() {
 		}
 		q.payload = nil
 	}
-	n.arbScr = m[:0]
+	n.arbScr, n.arbIdx = m[:0], idx[:0]
 }
 
 // postArbitrated posts one arbitrated delivery through the coordinator,

@@ -12,11 +12,12 @@
 //     as posts in a per-source-lane FIFO outbox. Because any cross-lane
 //     effect is at least one link latency away, every post lands at or
 //     beyond the window end — the destination lane cannot have passed it.
-//  3. At the barrier, outboxes are merged into the destination heaps in the
-//     fixed order (time, jitter, source lane, source sequence). The key is
-//     drawn by the source lane at Post time, so it is a pure function of
-//     that lane's own schedule — no interleaving of lane execution, worker
-//     count, or merge order can change it.
+//  3. At the barrier, the outboxes are appended to the destination heaps in
+//     source-lane order, and every heap pops in the order of the key
+//     (time, jitter, source lane, source sequence). The key is drawn by the
+//     source lane at Post time, so it is a pure function of that lane's own
+//     schedule — no interleaving of lane execution, worker count, or merge
+//     order can change it.
 //
 // Models with globally-ordered shared state that lanes must not touch during
 // a window — contended network ports, for this machine — hook the barrier
@@ -36,7 +37,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -66,7 +66,6 @@ type Parallel struct {
 	inter  func() error
 	arb    func()    // window-barrier arbitration hook (SetArbiter)
 	active []*Engine // lanes with work in the current window
-	scr    []post    // merge scratch
 	nt     []Time    // cached per-lane next-event time (see Run)
 
 	idx    atomic.Int64 // next active-lane index to drain
@@ -388,45 +387,27 @@ func (p *Parallel) runLane(e *Engine) {
 	p.nt[e.lane] = e.nextTime()
 }
 
-// merge drains every outbox into the destination heaps in the fixed order
-// (time, jitter, source lane, source sequence). The heap comparator itself
-// orders by exactly this key, so insertion order cannot affect pop order;
-// sorting here additionally fixes arena slot assignment, keeping even
-// internal state identical across worker counts.
+// merge drains every outbox into the destination heaps, appending the
+// outboxes in source-lane order. It needs no sort: the heap comparator
+// orders by the full key (time, jitter, source lane, source sequence),
+// which is unique, so insertion order cannot affect pop order. Each
+// outbox's contents and order are a function of its source lane's schedule
+// and the arbiter's replay alone, so arena slots are assigned identically
+// at any worker count too.
 func (p *Parallel) merge() {
-	m := p.scr[:0]
-	for src := range p.out {
-		m = append(m, p.out[src]...)
-		p.out[src] = p.out[src][:0]
+	for src, out := range p.out {
+		for i := range out {
+			q := &out[i]
+			e := p.lanes[q.dst]
+			_, r := e.scheduleKeyed(q.at, q.jit, q.src, q.seq, evDeliver)
+			r.recv, r.payload = q.rcv, q.payload
+			if q.at < p.nt[q.dst] {
+				p.nt[q.dst] = q.at
+			}
+			q.rcv, q.payload = nil, nil
+		}
+		p.out[src] = out[:0]
 	}
-	if len(m) == 0 {
-		p.scr = m
-		return
-	}
-	sort.Slice(m, func(i, j int) bool {
-		a, b := &m[i], &m[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.jit != b.jit {
-			return a.jit < b.jit
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for i := range m {
-		q := &m[i]
-		e := p.lanes[q.dst]
-		_, r := e.scheduleKeyed(q.at, q.jit, q.src, q.seq, evDeliver)
-		r.recv, r.payload = q.rcv, q.payload
-		if q.at < p.nt[q.dst] {
-			p.nt[q.dst] = q.at
-		}
-		q.rcv, q.payload = nil, nil
-	}
-	p.scr = m[:0]
 }
 
 // nextTime returns the timestamp of the earliest live event, discarding

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -276,6 +277,61 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	_ = p.Run(2)
+}
+
+// recorder logs the payloads delivered to it, in firing order.
+type recorder struct{ got []string }
+
+func (r *recorder) OnDeliver(payload any) { r.got = append(r.got, payload.(string)) }
+
+// TestMergeFiresInKeyOrder pins the ordering contract the window merge rests
+// on: the merge appends the outboxes in source-lane order without sorting,
+// so the destination heap alone must fire cross-lane posts in key order
+// (time, jitter, source lane, source sequence). Three lanes post to a
+// fourth from the arbiter hook; the lowest source lane holds the latest
+// keys and every outbox is filled in descending key order, so append order
+// is key order reversed except where two posts differ by source lane only.
+// Among the equal-time posts, f–d differ by jitter, c–e by source lane and
+// d–c by sequence.
+func TestMergeFiresInKeyOrder(t *testing.T) {
+	type keyed struct {
+		name     string
+		src      int32
+		dt       Time // offset from the first window's end
+		jit, seq uint64
+	}
+	posts := []keyed{
+		{"a", 0, 2, 0, 0},
+		{"b", 0, 1, 9, 1},
+		{"c", 1, 1, 5, 7},
+		{"d", 1, 1, 5, 3},
+		{"e", 2, 1, 5, 0},
+		{"f", 2, 1, 1, 2},
+		{"g", 2, 0, 7, 9},
+	}
+	const want = "g f d c e b a"
+	for _, workers := range []int{1, 4} {
+		p := NewParallel(4)
+		p.SetLookahead(8)
+		rec := &recorder{}
+		p.Lane(3).At(0, func() {})
+		posted := false
+		p.SetArbiter(func() {
+			if posted {
+				return
+			}
+			posted = true
+			for _, q := range posts {
+				p.PostKeyed(q.src, 3, p.wend+q.dt, q.jit, q.seq, rec, q.name)
+			}
+		})
+		if err := p.Run(workers); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(rec.got, " "); got != want {
+			t.Errorf("workers=%d: destination fired %q, want key order %q", workers, got, want)
+		}
+	}
 }
 
 // TestParallelDrainedOutcome checks the drained return: nil error, clock at
