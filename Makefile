@@ -28,11 +28,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # One-iteration benchmark smoke: proves the bench paths (simulator kernel,
-# exploration engine and the reliable transport under faults) build and run;
-# used by CI, where timing numbers would be noise anyway.
+# exploration engine, the reliable transport under faults and the litmus
+# seed sweep) build and run; used by CI, where timing numbers would be
+# noise anyway.
 bench-smoke:
 	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
 	$(GO) test -bench=TransportChaos -benchtime=1x -run=^$$ ./internal/fabric/
+	$(GO) test -bench=Sweep -benchtime=1x -run=^$$ ./internal/litmus/
 
 # Deterministic-counter gate: the whole-system benchmark's own tests
 # (bench/, a separate module) smoke every workload and compare the

@@ -3,7 +3,6 @@ package bccheck
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -218,9 +217,4 @@ func Enumerate(prog Program, opts Options) (*Result, error) {
 func Validate(prog Program, opts Options) error {
 	_, err := compile(prog, opts)
 	return err
-}
-
-// sortOutcomes orders outcomes by canonical key.
-func sortOutcomes(outs []Outcome) {
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Key() < outs[j].Key() })
 }

@@ -11,6 +11,7 @@ package bccheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -163,11 +164,17 @@ func (e *engine) result(out map[string]*Outcome) *Result {
 			}
 		}
 	}
-	res := &Result{States: e.states, Pruned: e.pruned}
-	for _, o := range out {
-		res.Outcomes = append(res.Outcomes, *o)
+	// out is keyed by Outcome.Key, so sorting its keys orders the
+	// outcomes by key without formatting two keys per comparison.
+	keys := make([]string, 0, len(out))
+	for k := range out {
+		keys = append(keys, k)
 	}
-	sortOutcomes(res.Outcomes)
+	slices.Sort(keys)
+	res := &Result{States: e.states, Pruned: e.pruned, Outcomes: make([]Outcome, len(keys))}
+	for i, k := range keys {
+		res.Outcomes[i] = *out[k]
+	}
 	return res
 }
 

@@ -77,7 +77,8 @@ func TestObserveBreaksSymmetry(t *testing.T) {
 }
 
 // TestSymmetryMatrix is the combos net: every DisablePOR ×
-// DisableSymmetry configuration agrees on outcome keys.
+// DisableSymmetry configuration agrees on outcome keys, and lists the
+// outcomes in strictly increasing Key order.
 func TestSymmetryMatrix(t *testing.T) {
 	for name, tc := range symProgs() {
 		var ref []string
@@ -87,6 +88,11 @@ func TestSymmetryMatrix(t *testing.T) {
 				res, err := Enumerate(tc.prog, opts)
 				if err != nil {
 					t.Fatalf("%s por=%v sym=%v: %v", name, por, sym, err)
+				}
+				for i := 1; i < len(res.Outcomes); i++ {
+					if prev, k := res.Outcomes[i-1].Key(), res.Outcomes[i].Key(); prev >= k {
+						t.Errorf("%s por=%v sym=%v: outcome %q sorts after %q", name, por, sym, k, prev)
+					}
 				}
 				if ref == nil {
 					ref = res.Keys()

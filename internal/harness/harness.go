@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"ssmp/internal/core"
+	"ssmp/internal/fan"
 	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/network"
@@ -217,7 +218,7 @@ func (o Options) cacheSchemesFigure(name, title string, grain int) (Figure, erro
 	// assembled serially below, so the series are identical at any
 	// parallelism.
 	ys := make([]float64, len(o.Procs)*len(cells))
-	err := o.fan(len(ys), func(i int) error {
+	err := fan.Run(len(ys), o.Parallelism, func(i int) error {
 		n, c := o.Procs[i/len(cells)], cells[i%len(cells)]
 		var y float64
 		var err error
@@ -277,7 +278,7 @@ func (o Options) consistencyFigure(name, title string, grain int) (Figure, error
 	bc := &metrics.Series{Name: "BC-CBL"}
 	models := []core.Consistency{core.SC, core.BC}
 	ys := make([]float64, len(o.Procs)*len(models))
-	err := o.fan(len(ys), func(i int) error {
+	err := fan.Run(len(ys), o.Parallelism, func(i int) error {
 		n, cons := o.Procs[i/len(models)], models[i%len(models)]
 		y, err := o.runQueue(n, core.ProtoCBL, cons, grain, false)
 		ys[i] = y
@@ -342,7 +343,7 @@ func (o Options) UtilizationFigure(grain int) Figure {
 		{"Q-backoff", core.ProtoWBI, true},
 	}
 	ys := make([]float64, len(rows)*len(o.Procs))
-	o.fan(len(ys), func(i int) error {
+	fan.Run(len(ys), o.Parallelism, func(i int) error {
 		rw, n := rows[i/len(o.Procs)], o.Procs[i%len(o.Procs)]
 		p := o.Params
 		p.Grain = grain

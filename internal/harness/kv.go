@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"ssmp/internal/fan"
 	"ssmp/internal/kvapp"
 	"ssmp/internal/metrics"
 )
@@ -35,7 +36,7 @@ func (o Options) kvSpec(procs int, lock string) kvapp.Spec {
 // throughput figures.
 func (o Options) KVFigures() (p50, p99, thr Figure, err error) {
 	results := make([]*kvapp.Result, len(o.Procs)*len(kvLocks))
-	err = o.fan(len(results), func(i int) error {
+	err = fan.Run(len(results), o.Parallelism, func(i int) error {
 		n, lock := o.Procs[i/len(kvLocks)], kvLocks[i%len(kvLocks)]
 		res, err := kvapp.Run(o.context(), o.kvSpec(n, lock), kvapp.RunOptions{
 			Jitter:       o.Jitter,

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"ssmp/internal/fan"
 	"ssmp/internal/metrics"
 	"ssmp/internal/synczoo"
 )
@@ -23,7 +24,7 @@ import (
 func (o Options) syncZooLockSweep(iters int) ([]synczoo.LockPoint, error) {
 	algos := synczoo.LockAlgos()
 	pts := make([]synczoo.LockPoint, len(o.Procs)*len(algos))
-	err := o.fan(len(pts), func(i int) error {
+	err := fan.Run(len(pts), o.Parallelism, func(i int) error {
 		n, algo := o.Procs[i/len(algos)], algos[i%len(algos)]
 		pt, err := synczoo.RunLockBenchContext(o.context(), algo, synczoo.LockBenchOptions{
 			Procs: n, Iters: iters, Crit: 16, Delay: 32, Faults: o.Faults,
@@ -101,7 +102,7 @@ func (o Options) SyncZooBarrierFigure() (Figure, error) {
 	}
 	algos := synczoo.BarrierAlgos()
 	pts := make([]synczoo.BarrierPoint, len(o.Procs)*len(algos))
-	err := o.fan(len(pts), func(i int) error {
+	err := fan.Run(len(pts), o.Parallelism, func(i int) error {
 		n, algo := o.Procs[i/len(algos)], algos[i%len(algos)]
 		pt, err := synczoo.RunBarrierBenchContext(o.context(), algo, synczoo.BarrierBenchOptions{
 			Procs: n, Episodes: episodes, Work: 40, Faults: o.Faults,

@@ -6,6 +6,7 @@ import (
 
 	"ssmp/internal/analytic"
 	"ssmp/internal/core"
+	"ssmp/internal/fan"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
 	"ssmp/internal/syncprim"
@@ -42,7 +43,7 @@ func (o Options) Table2Sim(procs, iters int) []Table2Measured {
 	costs := analytic.DefaultClassCosts()
 	rows := analytic.Table2(procs, 4)
 	out := make([]Table2Measured, len(schemes))
-	o.fan(len(schemes), func(si int) error {
+	fan.Run(len(schemes), o.Parallelism, func(si int) error {
 		s := schemes[si]
 		cfg := core.DefaultConfig(procs)
 		if !s.readUpdate {
@@ -202,7 +203,7 @@ func (o Options) Table3Sim(procs int) []Table3Measured {
 	measure(analytic.BarrierNotify, "CBL", analytic.CBL(analytic.BarrierNotify, params), barrier(cblBarrier))
 
 	out := make([]Table3Measured, len(jobs))
-	o.fan(len(jobs), func(i int) error {
+	fan.Run(len(jobs), o.Parallelism, func(i int) error {
 		j := jobs[i]
 		cfg := core.DefaultConfig(procs)
 		if j.scheme == "WBI" {

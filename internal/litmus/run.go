@@ -11,6 +11,7 @@ import (
 
 	"ssmp/internal/bccheck"
 	"ssmp/internal/core"
+	"ssmp/internal/fan"
 	"ssmp/internal/history"
 	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
@@ -188,15 +189,24 @@ func Seeds(n int) []uint64 {
 // Run cross-validates the test: it enumerates the axiomatic allowed set,
 // sweeps the simulator across the given jitter seeds, and checks
 // observed ⊆ allowed plus the test's own must_allow/must_forbid
-// assertions.
+// assertions. The enumeration and the seed runs share nothing they write,
+// so they run on up to GOMAXPROCS goroutines; the report is a pure
+// function of the test and the seed list, the same at any worker count.
 func Run(t *Test, seeds []uint64) (*Report, error) {
 	return RunTuned(t, seeds, bccheck.Tuning{})
+}
+
+// RunSerial is Run on the caller's goroutine alone, for callers that give
+// each job one core, such as a daemon whose job workers already fill the
+// CPUs. Its report is identical to Run's but for the wall-clock EnumNS.
+func RunSerial(t *Test, seeds []uint64) (*Report, error) {
+	return runSweep(t, seeds, bccheck.Tuning{}, ChaosConfig{}, 1)
 }
 
 // RunTuned is Run with explicit exploration-engine tuning (POR or
 // symmetry off). Tuning never changes verdicts, only cost.
 func RunTuned(t *Test, seeds []uint64, tune bccheck.Tuning) (*Report, error) {
-	return runSweep(t, seeds, tune, ChaosConfig{})
+	return runSweep(t, seeds, tune, ChaosConfig{}, 0)
 }
 
 // ChaosConfig parameterizes a chaos sweep: the fault rates injected into
@@ -207,6 +217,18 @@ type ChaosConfig struct {
 	Rates network.FaultRates
 	// DelayMax bounds injected extra delays (0 = network.DefaultDelayMax).
 	DelayMax sim.Time
+}
+
+// injecting reports whether the sweep injects faults at all.
+func (ch ChaosConfig) injecting() bool { return ch.Rates != (network.FaultRates{}) }
+
+// faults is the fault configuration of the run under the given seed: the
+// zero (reliable) configuration unless the sweep injects faults.
+func (ch ChaosConfig) faults(seed uint64) network.FaultConfig {
+	if !ch.injecting() {
+		return network.FaultConfig{}
+	}
+	return network.FaultConfig{Seed: seed, Rates: ch.Rates, DelayMax: ch.DelayMax}
 }
 
 // DefaultChaosRates are the soak's standard fault probabilities: frequent
@@ -231,53 +253,101 @@ func ChaosSeeds(n int) []uint64 {
 // seed, so the sweep explores adversarial schedules and an adversarial
 // fabric together. Every observed outcome must still be axiomatically
 // allowed — the reliable transport must make faults invisible to the
-// memory model. A seed of 0 runs the canonical fault-free schedule.
+// memory model. A seed of 0 runs the canonical fault-free schedule. Like
+// Run, it spreads the sweep over up to GOMAXPROCS goroutines.
 func RunChaos(t *Test, seeds []uint64, chaos ChaosConfig) (*Report, error) {
-	return runSweep(t, seeds, bccheck.Tuning{}, chaos)
+	return runSweep(t, seeds, bccheck.Tuning{}, chaos, 0)
 }
 
-func runSweep(t *Test, seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig) (*Report, error) {
+// slots holds a sweep's results, each written by one job: the enumeration,
+// and by seed index each run's outcome and fault counters.
+type slots struct {
+	res    *bccheck.Result
+	enumNS int64
+	outs   []string
+	faults []metrics.FaultCounters // nil without fault injection
+}
+
+// enumerate computes the test's axiomatic allowed set and times it.
+func (c *compiled) enumerate(tune bccheck.Tuning) (*bccheck.Result, int64, error) {
+	opts := c.opts
+	opts.Tuning = tune
+	start := time.Now()
+	res, err := bccheck.Enumerate(c.prog, opts)
+	if err != nil {
+		return nil, 0, fmt.Errorf("litmus %s: %w", c.t.Name, err)
+	}
+	return res, int64(time.Since(start)), nil
+}
+
+// sweep runs the enumeration as job 0 and the simulator under seeds[i-1]
+// as job i, on up to workers goroutines (≤ 0: GOMAXPROCS). The jobs share
+// only the read-only compiled test, and the lowest failing job's error is
+// returned, so the enumeration's error comes first as in a serial loop.
+func (c *compiled) sweep(seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig, workers int) (sw slots, err error) {
+	sw.outs = make([]string, len(seeds))
+	if chaos.injecting() {
+		sw.faults = make([]metrics.FaultCounters, len(seeds))
+	}
+	err = fan.Run(len(seeds)+1, workers, func(i int) error {
+		if i == 0 {
+			var err error
+			sw.res, sw.enumNS, err = c.enumerate(tune)
+			return err
+		}
+		seed := seeds[i-1]
+		out, _, fc, err := c.runSim(seed, chaos.faults(seed), false)
+		if err != nil {
+			return err
+		}
+		sw.outs[i-1] = out
+		if sw.faults != nil {
+			sw.faults[i-1] = fc
+		}
+		return nil
+	})
+	return sw, err
+}
+
+func runSweep(t *Test, seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig, workers int) (*Report, error) {
 	c, err := t.compile()
 	if err != nil {
 		return nil, err
 	}
-	opts := c.opts
-	opts.Tuning = tune
-	enumStart := time.Now()
-	res, err := bccheck.Enumerate(c.prog, opts)
-	if err != nil {
-		return nil, fmt.Errorf("litmus %s: %w", t.Name, err)
+	var sw slots
+	if len(seeds) == 0 {
+		// Nothing to overlap the enumeration with: run it on the caller.
+		sw.res, sw.enumNS, err = c.enumerate(tune)
+	} else {
+		sw, err = c.sweep(seeds, tune, chaos, workers)
 	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Assemble the report from the slots in seed order, so it is the same
+	// whichever goroutine ran which job.
 	allowed := map[string]bool{}
-	r := &Report{Name: t.Name, Observed: map[string][]uint64{}, States: res.States,
-		Pruned: res.Pruned, EnumNS: int64(time.Since(enumStart)), Seeds: len(seeds)}
-	for _, o := range res.Outcomes {
+	r := &Report{Name: t.Name, Observed: map[string][]uint64{}, States: sw.res.States,
+		Pruned: sw.res.Pruned, EnumNS: sw.enumNS, Seeds: len(seeds)}
+	for _, o := range sw.res.Outcomes {
 		key := c.format(o)
 		allowed[key] = true
 		r.Allowed = append(r.Allowed, key)
 	}
 	sort.Strings(r.Allowed)
 
-	injecting := chaos.Rates != (network.FaultRates{})
-	if injecting {
+	if chaos.injecting() {
 		r.Faults = &metrics.FaultCounters{}
 	}
-	for _, seed := range seeds {
-		var faults network.FaultConfig
-		if injecting {
-			faults = network.FaultConfig{Seed: seed, Rates: chaos.Rates, DelayMax: chaos.DelayMax}
-			if r.FaultConfig == "" && seed != 0 {
-				r.FaultConfig = faults.String()
-			}
-		}
-		out, _, fc, err := c.runSim(seed, faults, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, seed := range seeds {
 		if r.Faults != nil {
-			r.Faults.Add(fc)
+			if r.FaultConfig == "" && seed != 0 {
+				r.FaultConfig = chaos.faults(seed).String()
+			}
+			r.Faults.Add(sw.faults[i])
 		}
-		r.Observed[out] = append(r.Observed[out], seed)
+		r.Observed[sw.outs[i]] = append(r.Observed[sw.outs[i]], seed)
 	}
 	covered := 0
 	for out := range r.Observed {

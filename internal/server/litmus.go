@@ -145,7 +145,7 @@ type LitmusBatchReport struct {
 // run cross-validates the test or batch.
 func (s *LitmusSpec) run(ctx context.Context) (any, error) {
 	if s.batch == nil {
-		return litmus.Run(s.parsed, litmus.Seeds(s.Seeds))
+		return litmus.RunSerial(s.parsed, litmus.Seeds(s.Seeds))
 	}
 	out := &LitmusBatchReport{Batch: s.Batch, Total: len(s.batch), Seeds: s.Seeds,
 		AxiomCoverage: map[string]int{}}
@@ -153,7 +153,7 @@ func (s *LitmusSpec) run(ctx context.Context) (any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, err := litmus.Run(t, litmus.Seeds(s.Seeds))
+		rep, err := litmus.RunSerial(t, litmus.Seeds(s.Seeds))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.Name, err)
 		}
