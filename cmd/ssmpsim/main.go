@@ -5,9 +5,9 @@
 //
 //	ssmpsim -procs 16 -proto cbl -consistency bc -workload queue -grain 128
 //
-// The stencil workload plus -workers drives the parallel (PDES) engine,
-// which is lane-safe on the contended omega and mesh networks (only the
-// bus degrades to the serial engine):
+// The stencil workload plus -workers runs one PDES lane per node, which is
+// lane-safe on the contended omega and mesh networks (the bus always runs
+// one lane, the serial run):
 //
 //	ssmpsim -procs 512 -workload stencil -workers 8 -cpuprofile cpu.pb.gz
 package main
@@ -43,7 +43,7 @@ func main() {
 	dirPtrs := flag.Int("dir-pointers", 0, "wbi: limited directory pointer count (0 = full map)")
 	topology := flag.String("topology", "omega", "interconnect: omega | mesh | bus")
 	msgTrace := flag.Bool("msgtrace", false, "dump every message to stderr")
-	workers := flag.Int("workers", 0, "parallel (PDES) engine workers; 0 = serial engine")
+	workers := flag.Int("workers", 0, "parallel (PDES) engine workers; 0 = serial run (one lane)")
 	jitter := flag.Uint64("jitter", 0, "schedule-jitter seed (0 = canonical schedule)")
 	cells := flag.Int("cells", 64, "stencil: cells per processor strip")
 	iters := flag.Int("iters", 20, "stencil: Jacobi iterations")
@@ -85,7 +85,7 @@ func main() {
 		log.Fatalf("unknown topology %q", *topology)
 	}
 	if *workers > 0 && cfg.Topology == network.TopBus {
-		fmt.Fprintln(os.Stderr, "note: the bus is a single shared medium; lane mode degrades to the serial engine")
+		fmt.Fprintln(os.Stderr, "note: the bus is a single shared medium; it runs one lane, the serial run")
 	}
 
 	var progs []ssmp.Program
@@ -145,10 +145,8 @@ func main() {
 
 	fmt.Printf("machine:        %d-node %v (%v), %s workload, %s sync\n",
 		*procs, cfg.Protocol, cfg.Consistency, *wl, kitName)
-	if m.Lanes() > 0 {
+	if m.Lanes() > 1 {
 		fmt.Printf("engine:         parallel, %d lanes, %d workers\n", m.Lanes(), *workers)
-	} else if reason := m.LaneFallback(); reason != "" {
-		fmt.Printf("engine:         serial (lane fallback: %s)\n", reason)
 	} else {
 		fmt.Printf("engine:         serial\n")
 	}

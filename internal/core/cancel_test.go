@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -78,6 +79,31 @@ func TestDeadlockUnwindsCleanly(t *testing.T) {
 		t.Fatal("deadlock error names no stuck processors")
 	}
 	waitGoroutines(t, before)
+}
+
+// TestEventPanicUnwindsCleanly: an event that panics mid-run surfaces on
+// Run's caller — a lane's panic included, so it cannot kill the process —
+// and leaves no program goroutine parked behind it, on one lane and on
+// many.
+func TestEventPanicUnwindsCleanly(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig(4)
+			cfg.SimWorkers = workers
+			m := NewMachine(cfg)
+			m.par.Lane(m.Lanes()-1).At(20, func() { panic("boom") })
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				m.Run(spinProgs(4))
+				return nil
+			}()
+			if got != "boom" {
+				t.Fatalf("Run's caller recovered %v, want the event's panic", got)
+			}
+			waitGoroutines(t, before)
+		})
+	}
 }
 
 // waitGoroutines asserts the goroutine count returns to its pre-run level

@@ -128,24 +128,23 @@ type Config struct {
 	// FaultRTO overrides the transport's retry timing when Faults is
 	// enabled; zero fields take fabric.DefaultTransportConfig.
 	FaultRTO fabric.TransportConfig
-	// SimWorkers opts the run into the parallel (PDES) simulation engine:
-	// the event population is partitioned into one lane per node and run by
-	// a pool of this many worker threads under a conservative time-windowed
-	// loop with a deterministic mailbox merge (internal/sim/pdes.go).
-	// Results are bit-identical at every worker count >= 1 — workers only
-	// size the thread pool; every ordering key is fixed by the config — but
-	// follow the lane-keyed event order, which is its own deterministic
-	// discipline, distinct from the serial engine's global insertion order.
-	// 0 (the default) keeps the classic serial engine and its exact event
-	// order, so existing golden digests are untouched. Contended networks
-	// (Ω and mesh) are lane-safe: switch-port occupancy is resolved by the
-	// coordinator's window-barrier arbiter in global injection-key order
-	// (network.NewParallel), so IdealNetwork is no longer required. The one
-	// configuration that still degrades to the serial engine is the bus
-	// topology — a single shared medium with no lane-parallel structure —
-	// reported via Machine.LaneFallback / Result.LaneFallback. History
-	// recording, message tracing, and OnOp observers are serial-only and
-	// panic under lane mode.
+	// SimWorkers sets how the event population is partitioned into lanes
+	// of the PDES kernel (internal/sim/pdes.go) that every machine runs on.
+	// 0 (the default) is a serial run: one lane holds every node and runs
+	// its own event loop, in the serial engine's exact event order, so the
+	// golden digests hold. >= 1 puts one lane on each node and runs them
+	// with a pool of this many worker threads under a conservative
+	// time-windowed loop with a deterministic mailbox merge. Results are
+	// bit-identical at every worker count >= 1 — workers only size the
+	// thread pool; every ordering key is fixed by the config — but follow
+	// the per-lane key order, a different partition from the one-lane run.
+	// Contended networks (Ω and mesh) are lane-safe: switch-port occupancy
+	// is resolved by the coordinator's window-barrier arbiter in global
+	// injection-key order (network.NewParallel). The bus topology — a
+	// single shared medium with no lane-parallel structure — always runs
+	// one lane, so its result is the serial one at any SimWorkers. History
+	// recording, message tracing, and OnOp observers need one lane and
+	// panic on many.
 	SimWorkers int
 }
 

@@ -464,8 +464,8 @@ func TestMachineAccessors(t *testing.T) {
 	if m.Config().Nodes != 4 {
 		t.Fatal("Config accessor wrong")
 	}
-	if m.Engine() == nil || m.Messages() == nil {
-		t.Fatal("nil accessors")
+	if m.Lanes() != 1 || m.Messages() == nil {
+		t.Fatal("a serial machine must run one lane and expose its messages")
 	}
 	progs := make([]Program, 4)
 	progs[0] = func(p *Proc) {

@@ -45,85 +45,67 @@ type node struct {
 // Machine is a simulated multiprocessor.
 type Machine struct {
 	cfg   Config
-	eng   *sim.Engine   // serial engine; nil under lane mode
-	par   *sim.Parallel // PDES coordinator; nil under the serial engine
+	par   *sim.Parallel
 	net   *network.Network
-	fab   *fabric.Fabric   // root fabric; aggregation target under lane mode
-	views []*fabric.Fabric // per-node fabric views (lane mode only)
+	fab   *fabric.Fabric   // root fabric: every node's on one lane, the aggregation target on many
+	views []*fabric.Fabric // per-node fabric views, one per lane (nil on one lane)
 	geom  mem.Geometry
 	nodes []*node
 
-	running      bool
-	aborting     bool
-	finished     atomic.Int32
-	hist         *history.Recorder
-	onOp         func(OpRecord)
-	laneFallback string // why SimWorkers degraded to serial ("" = it didn't)
+	running  bool
+	aborting bool
+	finished atomic.Int32
+	hist     *history.Recorder
+	onOp     func(OpRecord)
 }
 
 // NewMachine builds a machine; it panics on an invalid configuration.
 //
-// With Config.SimWorkers > 0 the machine is assembled in lane mode: one sim
-// engine per node, per-node fabric views with their own message collectors
-// and transport instances, and a PDES coordinator whose lookahead is the
-// network's minimum cross-node latency. Everything a node's controllers
-// touch — store, cache, lock cache, write buffer, RMR row, per-link fault
-// streams and transport state — is owned by that node's lane; the only
-// cross-lane channels are the network's deterministic window merge and,
-// with contention on, the coordinator's window-barrier port arbiter
-// (network.NewParallel). The bus topology degrades to the serial engine;
-// Lanes and LaneFallback report the decision.
+// Every machine runs on a sim.Parallel coordinator. With SimWorkers == 0,
+// or on the bus topology, it has one lane holding every node: the nodes
+// share the root fabric and its one transport, and the run is the serial
+// engine's — the same events in the same order. The bus is one global
+// serially-reusable resource, so lanes would serialize every message
+// through the barrier arbiter: all coordination cost, no parallelism.
+//
+// Otherwise there is one lane per node, with per-node fabric views that own
+// their message collectors and transport instances, and the coordinator's
+// lookahead is the network's minimum cross-node latency. Everything a
+// node's controllers touch — store, cache, lock cache, write buffer, RMR
+// row, per-link fault streams and transport state — is owned by that
+// node's lane; the only cross-lane channels are the network's
+// deterministic window merge and, with contention on, the coordinator's
+// window-barrier port arbiter (network.NewParallel).
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lanes := cfg.SimWorkers > 0
-	laneFallback := ""
-	if lanes && cfg.Topology == network.TopBus {
-		// The bus is one global serially-reusable resource: every cross-node
-		// message would serialize through the barrier arbiter, so lane mode
-		// offers zero parallelism and pure coordination overhead.
-		lanes, laneFallback = false, LaneFallbackBus
+	lanes := 1
+	if cfg.SimWorkers > 0 && cfg.Topology != network.TopBus {
+		lanes = cfg.Nodes
 	}
-	var eng *sim.Engine
-	var par *sim.Parallel
-	var nw *network.Network
-	if lanes {
-		par = sim.NewParallel(cfg.Nodes)
-		par.SetHorizon(cfg.Horizon)
-		if cfg.Jitter != 0 {
-			par.SetJitter(cfg.Jitter)
-		}
-		nw = network.NewParallel(par, cfg.netConfig())
-	} else {
-		eng = sim.NewEngine()
-		eng.SetHorizon(cfg.Horizon)
-		if cfg.Jitter != 0 {
-			eng.SetJitter(cfg.Jitter)
-		}
-		nw = network.New(eng, cfg.netConfig())
-	}
-	fab := fabric.New(eng, nw, cfg.Timing)
-	if !lanes && nw.FaultsEnabled() {
+	par := sim.NewParallel(lanes)
+	par.SetHorizon(cfg.Horizon)
+	par.SetJitter(cfg.Jitter)
+	nw := network.NewParallel(par, cfg.netConfig())
+	fab := fabric.New(par.Lane(0), nw, cfg.Timing)
+	if nw.FaultsEnabled() {
 		// A faulty fabric needs the reliable transport above it; the two
 		// are enabled together so the protocol controllers always see
-		// exactly-once, per-link-FIFO delivery.
+		// exactly-once, per-link-FIFO delivery. Views inherit it.
 		fab.EnableTransport(cfg.FaultRTO)
 	}
 	geom := mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes}
-	m := &Machine{cfg: cfg, eng: eng, par: par, net: nw, fab: fab, geom: geom, laneFallback: laneFallback}
+	m := &Machine{cfg: cfg, par: par, net: nw, fab: fab, geom: geom}
 
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{id: i, store: mem.NewStore(geom)}
-		nodeEng, nodeFab := eng, fab
-		if lanes {
-			nodeEng = par.Lane(i)
-			nodeFab = fab.View(nodeEng)
-			if nw.FaultsEnabled() {
-				nodeFab.EnableTransport(cfg.FaultRTO)
-			}
+		nodeFab := fab
+		if lanes > 1 {
+			nodeFab = fab.View(par.Lane(i))
 			m.views = append(m.views, nodeFab)
 		}
+		nodeEng := nodeFab.Eng
 		switch cfg.Protocol {
 		case ProtoCBL:
 			n.rucN = ruc.NewNode(nodeFab, i, geom, cache.New(geom, cfg.CacheSets, cfg.CacheWays))
@@ -149,29 +131,9 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// Lanes returns the number of PDES lanes the machine runs on, or 0 when it
-// uses the classic serial engine (SimWorkers == 0, or a configuration that
-// is not lane-safe and degraded to serial — see LaneFallback).
-func (m *Machine) Lanes() int {
-	if m.par == nil {
-		return 0
-	}
-	return m.par.Lanes()
-}
-
-// LaneFallbackBus is the LaneFallback reason reported when SimWorkers was
-// requested on the bus topology: the bus is a single global shared medium,
-// so lane mode would serialize every message through the barrier arbiter —
-// all coordination cost, zero available parallelism — and the machine
-// deliberately runs the serial engine instead.
-const LaneFallbackBus = "bus_topology"
-
-// LaneFallback returns a machine-readable reason when Config.SimWorkers > 0
-// was requested but the machine degraded to the serial engine, or "" when
-// lane mode is active (or was never requested). The same value is surfaced
-// on Result.LaneFallback so callers that only see run output — the ssmpd
-// API among them — can tell a degraded run from a parallel one.
-func (m *Machine) LaneFallback() string { return m.laneFallback }
+// Lanes returns the number of PDES lanes the machine runs on: 1 for a
+// serial run (SimWorkers == 0, or the bus topology), else one per node.
+func (m *Machine) Lanes() int { return m.par.Lanes() }
 
 // dispatch routes an inbound message to the owning controller.
 func (m *Machine) dispatch(nodeID int, mg *msg.Msg) {
@@ -216,20 +178,9 @@ func (m *Machine) Config() Config { return m.cfg }
 // Geometry returns the address-space geometry.
 func (m *Machine) Geometry() mem.Geometry { return m.geom }
 
-// Engine exposes the simulation engine (read-only use recommended). Under
-// lane mode there is no single engine; Engine returns nil and callers
-// needing a clock should use Now.
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
-// Now returns the simulation clock: the serial engine's time, or under
-// lane mode the maximum event time fired so far (meaningful between
-// windows — i.e. after the run).
-func (m *Machine) Now() sim.Time {
-	if m.par != nil {
-		return m.par.Now()
-	}
-	return m.eng.Now()
-}
+// Now returns the simulation clock after the run: the time of the last
+// event fired, or of the event that tripped the horizon.
+func (m *Machine) Now() sim.Time { return m.par.Now() }
 
 // Proc returns processor i's handle, for use inside its program function.
 func (m *Machine) Proc(i int) *Proc { return m.nodes[i].proc }
@@ -246,11 +197,11 @@ func (m *Machine) RMRs() *metrics.RMRAccount { return m.fab.RMR }
 // EnableHistory turns on operation recording for linearizability checking:
 // every Read/Write/ReadGlobal/WriteGlobal/RMW is logged with its real-time
 // interval. Call before Run; check the returned recorder afterwards.
-// Serial-engine only: the recorder is a single append-ordered log, which
-// lane mode would both race on and order nondeterministically.
+// Serial runs only: the recorder is a single append-ordered log, which
+// many lanes would both race on and order nondeterministically.
 func (m *Machine) EnableHistory() *history.Recorder {
-	if m.par != nil {
-		panic("core: EnableHistory requires the serial engine (SimWorkers=0)")
+	if m.Lanes() > 1 {
+		panic("core: EnableHistory requires a serial run (SimWorkers=0)")
 	}
 	m.hist = &history.Recorder{}
 	return m.hist
@@ -258,15 +209,16 @@ func (m *Machine) EnableHistory() *history.Recorder {
 
 // TraceMessages writes one line per injected message to w — a debugging aid
 // showing cycle, kind, endpoints, block and payload size. Call before Run.
-// Serial-engine only: a single trace stream cannot be written from
+// Serial runs only: a single trace stream cannot be written from
 // concurrent lanes.
 func (m *Machine) TraceMessages(w io.Writer) {
-	if m.par != nil {
-		panic("core: TraceMessages requires the serial engine (SimWorkers=0)")
+	if m.Lanes() > 1 {
+		panic("core: TraceMessages requires a serial run (SimWorkers=0)")
 	}
+	eng := m.fab.Eng
 	m.fab.OnSend = func(mg *msg.Msg) {
 		fmt.Fprintf(w, "%10d %-18s %2d -> %2d block %-6d words %d\n",
-			m.eng.Now(), mg.Kind, mg.Src, mg.Dst, mg.Block, mg.Words())
+			eng.Now(), mg.Kind, mg.Src, mg.Dst, mg.Block, mg.Words())
 	}
 }
 
@@ -312,10 +264,6 @@ type Result struct {
 	// RMR totals the remote-memory-reference classification over all
 	// processors; Machine.RMRs has the per-processor breakdown.
 	RMR metrics.RMRCounters
-	// LaneFallback is the machine-readable reason this run degraded to the
-	// serial engine despite Config.SimWorkers > 0 (e.g. LaneFallbackBus).
-	// Empty when lane mode ran, or when SimWorkers was 0.
-	LaneFallback string
 }
 
 // ErrDeadlock is returned when the event queue drains with processors still
@@ -327,9 +275,10 @@ func (e *ErrDeadlock) Error() string {
 }
 
 // drainAborted unwinds every still-parked program goroutine after the event
-// loop has stopped early (cancellation, horizon, deadlock). Each goroutine
-// is parked on its resume channel; resuming with the abort flag set makes
-// it unwind via an abortSignal panic, so no goroutines outlive the run.
+// loop has stopped early (cancellation, horizon, deadlock, a panicking
+// event). Each goroutine is parked on its resume channel; resuming with the
+// abort flag set makes it unwind via an abortSignal panic, so no goroutines
+// outlive the run.
 func (m *Machine) drainAborted() {
 	m.aborting = true
 	for _, n := range m.nodes {
@@ -369,11 +318,7 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 				return nil
 			}
 		}
-		if m.par != nil {
-			m.par.SetInterrupt(poll)
-		} else {
-			m.eng.SetInterrupt(poll)
-		}
+		m.par.SetInterrupt(poll)
 	}
 	active := 0
 	for i, prog := range programs {
@@ -385,14 +330,7 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 		m.nodes[i].proc.start(prog)
 	}
 	m.finished.Store(int32(m.cfg.Nodes - active))
-	var err error
-	if m.par != nil {
-		err = m.par.Run(m.cfg.SimWorkers)
-	} else {
-		err = m.eng.Run()
-	}
-	if err != nil {
-		m.drainAborted()
+	if err := m.runEvents(); err != nil {
 		return Result{}, fmt.Errorf("core: %w at cycle %d", err, m.Now())
 	}
 	if int(m.finished.Load()) < m.cfg.Nodes {
@@ -410,12 +348,10 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 			return Result{}, fmt.Errorf("core: processor %d panicked: %v", n.id, n.proc.err)
 		}
 	}
-	// Under lane mode, fold the per-view message collectors into the root
-	// fabric's, so Messages() and Result.Messages read as in serial mode.
-	// Sums are order-independent: the merged totals are bit-identical at
-	// any worker count.
+	// On many lanes, fold the per-node views' counters into the root
+	// fabric, so Messages() and the Result read as on one lane.
 	for _, v := range m.views {
-		m.fab.Coll.Add(v.Coll)
+		m.fab.Fold(v)
 	}
 	st := m.net.Stats()
 	var utilSum float64
@@ -429,13 +365,12 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 	}
 	res := Result{
 		Cycles:          m.Now(),
-		Events:          m.events(),
+		Events:          m.par.Fired(),
 		Messages:        m.fab.Coll.Total(),
 		MeanNetLatency:  st.MeanLatency(),
 		MeanNetQueueing: st.MeanQueueing(),
-		Faults:          m.faultCounters(),
+		Faults:          m.fab.FaultCounters(),
 		RMR:             m.fab.RMR.Total(),
-		LaneFallback:    m.laneFallback,
 	}
 	if utilN > 0 {
 		res.MeanUtilization = utilSum / float64(utilN)
@@ -443,35 +378,18 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 	return res, nil
 }
 
-// events returns the total number of kernel events executed.
-func (m *Machine) events() uint64 {
-	if m.par != nil {
-		return m.par.Fired()
-	}
-	return m.eng.Fired()
-}
-
-// faultCounters aggregates fault injection and transport recovery counters.
-// Under lane mode the injection counters come from the network's sharded
-// fault plane and the recovery counters are summed over the per-node
-// transport instances.
-func (m *Machine) faultCounters() metrics.FaultCounters {
-	if m.par == nil {
-		return m.fab.FaultCounters()
-	}
-	fs := m.net.Stats().Faults
-	c := metrics.FaultCounters{
-		Dropped:     fs.Dropped,
-		Duplicated:  fs.Duplicated,
-		Delayed:     fs.Delayed,
-		DelayCycles: uint64(fs.DelayCycles),
-	}
-	for _, v := range m.views {
-		r, d, ro, a := v.TransportStats()
-		c.Retries += r
-		c.DupSuppressed += d
-		c.Reordered += ro
-		c.AcksSent += a
-	}
-	return c
+// runEvents runs the event loop and, when it stops early, unwinds the
+// parked program goroutines: after an error (cancellation, horizon) before
+// returning it, and after a panicking event before the panic reaches Run's
+// caller, so neither leaks a goroutine per processor.
+func (m *Machine) runEvents() (err error) {
+	done := false
+	defer func() {
+		if !done || err != nil {
+			m.drainAborted()
+		}
+	}()
+	err = m.par.Run(m.cfg.SimWorkers)
+	done = true
+	return err
 }

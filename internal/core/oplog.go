@@ -46,11 +46,11 @@ type OpRecord struct {
 }
 
 // OnOp registers an observer invoked at the *issue* of every primitive.
-// Call before Run. The observer must not call Proc methods. Serial-engine
+// Call before Run. The observer must not call Proc methods. Serial runs
 // only: a single observer cannot be invoked from concurrent lanes.
 func (m *Machine) OnOp(fn func(OpRecord)) {
-	if m.par != nil {
-		panic("core: OnOp requires the serial engine (SimWorkers=0)")
+	if m.Lanes() > 1 {
+		panic("core: OnOp requires a serial run (SimWorkers=0)")
 	}
 	m.onOp = fn
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -46,6 +47,9 @@ func pdesProgs(proto Protocol, nodes int) []Program {
 	return progs
 }
 
+// runPDES runs pdesProgs on cfg at the given worker count and checks the
+// machine ran the lanes it should: one for a serial run (workers 0, or the
+// bus topology), else one per node.
 func runPDES(t *testing.T, cfg Config, workers int) Result {
 	t.Helper()
 	cfg.SimWorkers = workers
@@ -54,21 +58,65 @@ func runPDES(t *testing.T, cfg Config, workers int) Result {
 	if err != nil {
 		t.Fatalf("workers %d: %v", workers, err)
 	}
-	if workers > 0 && m.Lanes() != cfg.Nodes {
-		t.Fatalf("workers %d: expected %d lanes, got %d", workers, cfg.Nodes, m.Lanes())
+	lanes := cfg.Nodes
+	if workers == 0 || cfg.Topology == network.TopBus {
+		lanes = 1
+	}
+	if m.Lanes() != lanes {
+		t.Fatalf("workers %d: expected %d lanes, got %d", workers, lanes, m.Lanes())
 	}
 	return res
 }
 
-// TestPDESWorkerCountEquality is the machine-level determinism bar: the
-// full Result — cycles, events, messages, latencies, queueing, utilization,
-// fault and RMR totals — is bit-identical at every worker count, across
-// protocols, topologies (contended Ω and mesh included), jitter seeds, and
-// fault seeds.
+// pdesDraw draws one machine configuration for the worker-count sweep:
+// protocol and consistency, topology (Ω, mesh, bus), ideal or contended
+// network, jitter, faults, and 2 to 16 nodes.
+func pdesDraw(r *rand.Rand) (string, Config) {
+	nodes := []int{2, 4, 8, 16}[r.IntN(4)]
+	cfg := DefaultConfig(nodes)
+	name := fmt.Sprintf("n%d", nodes)
+	if r.IntN(2) == 0 {
+		cfg.Protocol = ProtoWBI
+		name += "-wbi"
+	} else {
+		name += "-cbl"
+	}
+	if r.IntN(3) == 0 {
+		cfg.Consistency = SC
+		name += "-sc"
+	}
+	cfg.Topology = []network.Topology{network.TopOmega, network.TopMesh, network.TopBus}[r.IntN(3)]
+	name += "-" + cfg.Topology.String()
+	if r.IntN(2) == 0 {
+		cfg.IdealNetwork = true
+		name += "-ideal"
+	}
+	if r.IntN(2) == 0 {
+		cfg.Jitter = 1 + r.Uint64N(1<<16)
+		name += fmt.Sprintf("-j%d", cfg.Jitter)
+	}
+	if r.IntN(2) == 0 {
+		cfg.Faults = network.FaultConfig{Seed: 1 + r.Uint64N(1<<16), Rates: network.FaultRates{
+			Drop:  0.04 * r.Float64(),
+			Dup:   0.04 * r.Float64(),
+			Delay: 0.08 * r.Float64(),
+		}}
+		name += fmt.Sprintf("-f%d", cfg.Faults.Seed)
+	}
+	return name, cfg
+}
+
+// TestPDESWorkerCountEquality is the machine-level determinism bar, swept
+// over seeded draws of protocol × topology × ideal/contended × jitter ×
+// faults × nodes. For every draw the full Result — cycles, events,
+// messages, latencies, queueing, utilization, fault and RMR totals — is
+// bit-identical at workers 1, 2 and 8, and wherever the machine runs one
+// lane (workers 0, or the bus at any worker count) it equals the workers-0
+// result. The named cases are fixed draws that predate the sweep.
 func TestPDESWorkerCountEquality(t *testing.T) {
 	base := DefaultConfig(8)
 	base.IdealNetwork = true
-	cases := map[string]func(*Config){
+	fixed := map[string]func(*Config){
 		"cbl":    func(c *Config) {},
 		"cbl-sc": func(c *Config) { c.Consistency = SC },
 		"wbi":    func(c *Config) { c.Protocol = ProtoWBI },
@@ -94,21 +142,42 @@ func TestPDESWorkerCountEquality(t *testing.T) {
 			c.Faults = network.FaultConfig{Seed: 21, Rates: network.FaultRates{Drop: 0.02, Dup: 0.02, Delay: 0.05}}
 		},
 	}
-	for name, mod := range cases {
+	for name, mod := range fixed {
+		cfg := base
+		mod(&cfg)
 		t.Run(name, func(t *testing.T) {
-			cfg := base
-			mod(&cfg)
-			ref := runPDES(t, cfg, 1)
+			ref := checkWorkerCountEquality(t, cfg)
 			if !cfg.IdealNetwork && ref.MeanNetQueueing == 0 {
 				t.Fatalf("contended case saw no queueing — contention path not exercised: %+v", ref)
 			}
-			for _, w := range []int{2, 8} {
-				if got := runPDES(t, cfg, w); fmt.Sprint(got) != fmt.Sprint(ref) {
-					t.Fatalf("workers %d diverges:\n got %+v\nwant %+v", w, got, ref)
-				}
-			}
 		})
 	}
+	draws := 96
+	if testing.Short() {
+		draws = 16
+	}
+	r := rand.New(rand.NewPCG(0x5eed, 17))
+	for i := 0; i < draws; i++ {
+		name, cfg := pdesDraw(r)
+		t.Run(fmt.Sprintf("draw%02d-%s", i, name), func(t *testing.T) { checkWorkerCountEquality(t, cfg) })
+	}
+}
+
+// checkWorkerCountEquality asserts the property TestPDESWorkerCountEquality
+// sweeps of one configuration and returns the workers-1 result.
+func checkWorkerCountEquality(t *testing.T, cfg Config) Result {
+	t.Helper()
+	ref := runPDES(t, cfg, 1)
+	for _, w := range []int{2, 8} {
+		if got := runPDES(t, cfg, w); fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("workers %d diverges:\n got %+v\nwant %+v", w, got, ref)
+		}
+	}
+	serial := runPDES(t, cfg, 0)
+	if cfg.Topology == network.TopBus && fmt.Sprint(serial) != fmt.Sprint(ref) {
+		t.Fatalf("bus at workers 1 differs from workers 0:\n got %+v\nwant %+v", ref, serial)
+	}
+	return ref
 }
 
 // TestPDESFaultsRecover checks the per-view reliable transport actually
@@ -128,8 +197,8 @@ func TestPDESFaultsRecover(t *testing.T) {
 }
 
 // TestPDESContendedRunsLanes: contention is lane-safe since the
-// window-barrier arbiter — a contended (non-ideal) network no longer
-// degrades to serial, and no fallback reason is reported.
+// window-barrier arbiter — a contended (non-ideal) network runs one lane
+// per node.
 func TestPDESContendedRunsLanes(t *testing.T) {
 	for _, top := range []network.Topology{network.TopOmega, network.TopMesh} {
 		cfg := DefaultConfig(4)
@@ -139,55 +208,35 @@ func TestPDESContendedRunsLanes(t *testing.T) {
 		if m.Lanes() != 4 {
 			t.Fatalf("%v: contended network must run lane mode, got %d lanes", top, m.Lanes())
 		}
-		if r := m.LaneFallback(); r != "" {
-			t.Fatalf("%v: unexpected fallback reason %q", top, r)
-		}
-		res, err := m.Run(pdesProgs(cfg.Protocol, 4))
-		if err != nil {
+		if _, err := m.Run(pdesProgs(cfg.Protocol, 4)); err != nil {
 			t.Fatal(err)
-		}
-		if res.LaneFallback != "" {
-			t.Fatalf("%v: unexpected Result.LaneFallback %q", top, res.LaneFallback)
 		}
 	}
 }
 
 // TestPDESDegradesToSerial: the bus topology is the one configuration that
-// still degrades — a single shared medium has no lane-parallel structure.
-// The degradation must not be silent (Machine.LaneFallback and
-// Result.LaneFallback carry the machine-readable reason) and, the reason
-// aside, must produce exactly the serial result.
+// runs one lane whatever SimWorkers asks for — a single shared medium has
+// no lane-parallel structure — and so produces exactly the serial result.
 func TestPDESDegradesToSerial(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Topology = network.TopBus
 	cfg.SimWorkers = 8 // requested, but the bus cannot use lanes
 	m := NewMachine(cfg)
-	if m.Lanes() != 0 {
-		t.Fatalf("bus topology must degrade to serial, got %d lanes", m.Lanes())
-	}
-	if r := m.LaneFallback(); r != LaneFallbackBus {
-		t.Fatalf("Machine.LaneFallback = %q, want %q", r, LaneFallbackBus)
+	if m.Lanes() != 1 {
+		t.Fatalf("bus topology must run one lane, got %d lanes", m.Lanes())
 	}
 	res, err := m.Run(pdesProgs(cfg.Protocol, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LaneFallback != LaneFallbackBus {
-		t.Fatalf("Result.LaneFallback = %q, want %q", res.LaneFallback, LaneFallbackBus)
-	}
 	serial := cfg
 	serial.SimWorkers = 0
-	m2 := NewMachine(serial)
-	if r := m2.LaneFallback(); r != "" {
-		t.Fatalf("serial run must not report a fallback reason, got %q", r)
-	}
-	res2, err := m2.Run(pdesProgs(serial.Protocol, 4))
+	res2, err := NewMachine(serial).Run(pdesProgs(serial.Protocol, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.LaneFallback, res2.LaneFallback = "", ""
 	if fmt.Sprint(res) != fmt.Sprint(res2) {
-		t.Fatalf("degraded run differs from serial:\n got %+v\nwant %+v", res, res2)
+		t.Fatalf("bus lane run differs from serial:\n got %+v\nwant %+v", res, res2)
 	}
 }
 

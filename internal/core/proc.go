@@ -21,8 +21,8 @@ type Proc struct {
 	id int
 	m  *Machine
 	n  *node
-	// eng is the engine this processor schedules on: the machine's serial
-	// engine, or under lane mode the node's own lane engine.
+	// eng is the engine this processor schedules on: its node's lane, the
+	// machine's only lane on a serial run.
 	eng     *sim.Engine
 	resume  chan mem.Word
 	yield   chan struct{}

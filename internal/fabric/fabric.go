@@ -61,14 +61,32 @@ func New(eng *sim.Engine, net *network.Network, t Timing) *Fabric {
 // (PDES) run. The view shares the network, the timing parameters, and the
 // RMR account with the root fabric — RMR rows are per-processor and only
 // ever written by the owning node's lane — but owns its message collector
-// and, once EnableTransport is called on it, its own reliable-transport
+// and, when the root's reliable transport is enabled, its own transport
 // instance (a node's transport touches only the sender state of its
 // outgoing links and the receiver state of its incoming ones, and acks
-// always land back on the sending node's view). Per-view collectors are
-// merged into the root after the run; sums are order-independent, so the
-// merged totals are identical at any worker count.
+// always land back on the sending node's view). Fold merges a view's
+// counters into the root after the run.
 func (f *Fabric) View(eng *sim.Engine) *Fabric {
-	return &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR}
+	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR}
+	if f.xp != nil {
+		v.EnableTransport(f.xp.cfg)
+	}
+	return v
+}
+
+// Fold adds view v's message and transport counters to f, the fabric it
+// was viewed from. A root whose nodes all run on views carries no traffic
+// of its own, so once every view is folded its counters are the machine's.
+// Sums are order-independent: the totals are identical at any worker
+// count. Call Fold after the run.
+func (f *Fabric) Fold(v *Fabric) {
+	f.Coll.Add(v.Coll)
+	if v.xp != nil {
+		f.xp.retries += v.xp.retries
+		f.xp.dupSuppressed += v.xp.dupSuppressed
+		f.xp.reordered += v.xp.reordered
+		f.xp.acksSent += v.xp.acksSent
+	}
 }
 
 // Send counts and transmits a message. The message's Words() determine its

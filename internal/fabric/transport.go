@@ -121,7 +121,7 @@ type transport struct {
 }
 
 // EnableTransport activates the reliable transport. It must be called
-// before any Attach or Send. A zero config field takes its default.
+// before any Attach, Send or View. A zero config field takes its default.
 func (f *Fabric) EnableTransport(cfg TransportConfig) {
 	n := f.Net.Nodes()
 	f.xp = &transport{

@@ -51,11 +51,11 @@ type Options struct {
 	// fabric.
 	Faults network.FaultConfig
 	// SimWorkers sets each simulated machine's PDES worker count
-	// (core.Config.SimWorkers): 0 runs the classic serial engine, >= 1
-	// runs the time-windowed parallel engine. Contended Ω and mesh
-	// networks are lane-safe (window-barrier port arbitration); only the
-	// bus topology degrades to the serial engine. The assembled figures
-	// and tables are bit-identical at every worker count >= 1.
+	// (core.Config.SimWorkers): 0 is a serial run, the kernel's one-lane
+	// case; >= 1 runs one lane per node under the time-windowed loop.
+	// Contended Ω and mesh networks are lane-safe (window-barrier port
+	// arbitration); the bus topology always runs one lane. The assembled
+	// figures and tables are bit-identical at every worker count >= 1.
 	SimWorkers int
 	// IdealNetwork removes switch contention (core.Config.IdealNetwork;
 	// ablation — no longer a precondition for SimWorkers).

@@ -153,8 +153,7 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 // and bit-identical at every worker count >= 1, and the contention must
 // actually register (nonzero queueing). The reference is workers=1 — the
 // lane-keyed event order is its own deterministic discipline, distinct from
-// the serial engine's — and workers=1 itself must report lane mode, not a
-// fallback.
+// the serial engine's.
 func TestSimWorkersBitIdenticalContended(t *testing.T) {
 	spec := testSpec(8, "cbl")
 	spec.Seed = 0
@@ -166,9 +165,6 @@ func TestSimWorkersBitIdenticalContended(t *testing.T) {
 		}
 		if err := res.Check(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Sim.LaneFallback != "" {
-			t.Fatalf("workers=%d: unexpected lane fallback %q", workers, res.Sim.LaneFallback)
 		}
 		if base == nil {
 			if res.Sim.MeanNetQueueing == 0 {

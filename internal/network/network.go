@@ -118,7 +118,7 @@ func (s Stats) MeanQueueing() float64 {
 type Network struct {
 	cfg      Config
 	engine   *sim.Engine
-	par      *sim.Parallel // lane mode; nil for the serial engine
+	par      *sim.Parallel // lane mode; nil on one lane (New)
 	laneEng  []*sim.Engine // [node] lane engines (lane mode only)
 	stages   int
 	logN     int
@@ -173,7 +173,14 @@ func New(engine *sim.Engine, cfg Config) *Network {
 // destination, which the lookahead invariant keeps behind the window end —
 // and contention only ever adds to the uncontended latency that
 // MinCrossLatency bounds from below.
+//
+// A one-lane coordinator is the serial engine: NewParallel returns what
+// New builds over that lane, so every send acquires its ports and every
+// delivery is scheduled at once, in the serial order.
 func NewParallel(par *sim.Parallel, cfg Config) *Network {
+	if par.Lanes() == 1 {
+		return New(par.Lane(0), cfg)
+	}
 	if par.Lanes() != cfg.Nodes {
 		panic(fmt.Sprintf("network: %d lanes for %d nodes", par.Lanes(), cfg.Nodes))
 	}

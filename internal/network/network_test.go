@@ -109,7 +109,9 @@ func TestBlockMessagesAreHeavier(t *testing.T) {
 		}
 	}
 	n.Send(0, 1, 0, nil) // control
-	e.RunUntil(1000)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	start := e.Now()
 	n.Send(0, 2, 4, nil) // 4-word block
 	if err := e.Run(); err != nil {

@@ -59,8 +59,9 @@ type KVSpec struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Jitter seeds schedule jitter (core.Config.Jitter).
 	Jitter uint64 `json:"jitter"`
-	// SimWorkers selects the PDES engine (same contract as SimSpec: the
-	// contended network is lane-safe, ideal_network not required).
+	// SimWorkers sets the PDES worker count (same contract as SimSpec: 0
+	// is a serial run; the contended network is lane-safe, ideal_network
+	// not required).
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// IdealNetwork removes switch contention (ablation).
 	IdealNetwork bool `json:"ideal_network"`
@@ -194,9 +195,6 @@ type KVResult struct {
 	// Faults reports fault injection and recovery (present only when the
 	// spec enabled the fault plane).
 	Faults *metrics.FaultCounters `json:"faults,omitempty"`
-	// LaneFallback is the machine-readable reason the run degraded to the
-	// serial engine despite sim_workers > 0 (same contract as SimResult).
-	LaneFallback string `json:"lane_fallback_reason,omitempty"`
 }
 
 // run executes the spec. An oracle violation is an error: a run that broke
@@ -216,15 +214,14 @@ func (k *KVSpec) run(ctx context.Context) (*KVResult, error) {
 	}
 	lat := res.All
 	out := &KVResult{
-		Cycles:       uint64(res.Sim.Cycles),
-		Counters:     res.Counters,
-		P50:          res.P50(),
-		P99:          res.P99(),
-		Mean:         res.Mean(),
-		Throughput:   res.ThroughputOpsPerKCycle(),
-		Latency:      &lat,
-		Oracle:       res.Oracle,
-		LaneFallback: res.Sim.LaneFallback,
+		Cycles:     uint64(res.Sim.Cycles),
+		Counters:   res.Counters,
+		P50:        res.P50(),
+		P99:        res.P99(),
+		Mean:       res.Mean(),
+		Throughput: res.ThroughputOpsPerKCycle(),
+		Latency:    &lat,
+		Oracle:     res.Oracle,
 	}
 	if k.Faults != nil {
 		fc := res.Sim.Faults

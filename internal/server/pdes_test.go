@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -69,18 +68,23 @@ func TestSimWorkersEndToEnd(t *testing.T) {
 	if len(keys) != 3 {
 		t.Fatalf("expected 3 distinct cache keys, got %d", len(keys))
 	}
-	if strings.Contains(string(ref.Result), "lane_fallback_reason") {
-		t.Fatalf("contended lane run should not degrade: %s", ref.Result)
-	}
 
 	// The bus is a single shared medium — zero lane parallelism — so the
-	// machine degrades to the serial engine and says why.
-	resp, body := postJSON(t, ts.URL+"/v1/sim",
-		`{"procs":4,"workload":"queue","tasks":8,"topology":"bus","sim_workers":2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bus lane spec: status %d: %s", resp.StatusCode, body)
+	// machine runs one lane whatever sim_workers asks for, and its result
+	// is the serial one.
+	bus := func(workers int) string {
+		resp, body := postJSON(t, ts.URL+"/v1/sim", fmt.Sprintf(
+			`{"procs":4,"workload":"queue","tasks":8,"topology":"bus","sim_workers":%d}`, workers))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bus spec at sim_workers %d: status %d: %s", workers, resp.StatusCode, body)
+		}
+		var jr reply
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		return string(jr.Result)
 	}
-	if !strings.Contains(string(body), `"lane_fallback_reason": "bus_topology"`) {
-		t.Fatalf("bus lane run should report its fallback reason: %s", body)
+	if lanes, serial := bus(2), bus(0); lanes != serial {
+		t.Fatalf("bus lane run differs from serial:\n got %s\nwant %s", lanes, serial)
 	}
 }

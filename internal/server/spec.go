@@ -49,14 +49,14 @@ type SimSpec struct {
 	// Jitter seeds schedule jitter (core.Config.Jitter); 0 keeps the
 	// canonical deterministic schedule.
 	Jitter uint64 `json:"jitter"`
-	// SimWorkers runs the simulation on the time-windowed parallel engine
-	// with this many workers (core.Config.SimWorkers); 0 is the classic
-	// serial engine. The contended network is lane-safe (window-barrier
-	// port arbitration), so ideal_network is not required; a spec that
-	// still cannot use lanes degrades to the serial engine and reports
-	// lane_fallback_reason in the result. Results are bit-identical for
-	// every value >= 1. omitempty keeps serial specs' cache keys
-	// unchanged.
+	// SimWorkers runs the simulation with one lane per node under the
+	// time-windowed parallel loop, on this many workers
+	// (core.Config.SimWorkers); 0 is a serial run, the kernel's one-lane
+	// case. The contended network is lane-safe (window-barrier port
+	// arbitration), so ideal_network is not required; the bus topology
+	// always runs one lane, so its result is the serial one. Results are
+	// bit-identical for every value >= 1. omitempty keeps serial specs'
+	// cache keys unchanged.
 	SimWorkers int `json:"sim_workers,omitempty"`
 
 	// Ablation toggles (see core.Config).
@@ -257,10 +257,6 @@ type SimResult struct {
 	// reference classified local (served by the issuing node) or remote
 	// (crossed the interconnect), plus writebacks, summed over processors.
 	RMR *metrics.RMRCounters `json:"rmr,omitempty"`
-	// LaneFallback is the machine-readable reason the run degraded to the
-	// serial engine despite sim_workers > 0 (e.g. "bus_topology"); absent
-	// when lane mode ran or was not requested.
-	LaneFallback string `json:"lane_fallback_reason,omitempty"`
 }
 
 // run executes the spec on a fresh machine. The returned collector is the
@@ -296,7 +292,6 @@ func (s *SimSpec) run(ctx context.Context) (*SimResult, *metrics.Collector, erro
 		MeanNetQueueing: res.MeanNetQueueing,
 		MeanUtilization: res.MeanUtilization,
 		ByKind:          m.Messages(),
-		LaneFallback:    res.LaneFallback,
 	}
 	if s.Faults != nil {
 		fc := res.Faults

@@ -33,6 +33,12 @@
 // windowed) flavor of PDES — lanes never execute past the horizon of what
 // other lanes could still affect, so there is no rollback machinery and no
 // state saving, at the cost of requiring a positive lookahead.
+//
+// A serial run is the one-lane case. With one lane the key (time, jitter,
+// lane, sequence) reduces to the standalone engine's (time, jitter,
+// sequence), there is no other lane to wait for, and Run runs the lane's
+// own event loop to completion with no windows — the same events in the
+// same order as Engine.Run.
 package sim
 
 import (
@@ -57,6 +63,8 @@ type post struct {
 // Parallel coordinates a set of lane engines through the window loop. The
 // zero value is not usable; call NewParallel.
 type Parallel struct {
+	lane0  Engine     // lane 0, held inline
+	solo   [1]*Engine // backing array of lanes on a one-lane run
 	lanes  []*Engine
 	out    [][]post // outboxes, indexed by source lane
 	la     Time     // lookahead (window width); at least 1
@@ -76,20 +84,25 @@ type Parallel struct {
 
 // NewParallel returns a coordinator over n lane engines with the clock at
 // zero and a lookahead of 1 cycle (the degenerate lockstep window; callers
-// should install the real model lookahead with SetLookahead).
+// should install the real model lookahead with SetLookahead). A one-lane
+// coordinator is a single allocation, like NewEngine: lane 0 lives inside
+// it, and it builds no window state.
 func NewParallel(n int) *Parallel {
 	if n < 1 {
 		panic("sim: parallel run needs at least one lane")
 	}
-	p := &Parallel{
-		lanes:  make([]*Engine, n),
-		out:    make([][]post, n),
-		la:     1,
-		limit:  Infinity,
-		panics: make([]any, n),
-		nt:     make([]Time, n),
+	p := &Parallel{lane0: Engine{limit: Infinity}, la: 1, limit: Infinity}
+	if n == 1 {
+		p.solo[0] = &p.lane0
+		p.lanes = p.solo[:]
+		return p
 	}
-	for i := range p.lanes {
+	p.lanes = make([]*Engine, n)
+	p.out = make([][]post, n)
+	p.panics = make([]any, n)
+	p.nt = make([]Time, n)
+	p.lanes[0] = &p.lane0
+	for i := 1; i < n; i++ {
 		e := NewEngine()
 		e.lane = int32(i)
 		p.lanes[i] = e
@@ -125,19 +138,24 @@ func (p *Parallel) Lookahead() Time { return p.la }
 func (p *Parallel) SetHorizon(t Time) { p.limit = t }
 
 // SetInterrupt installs a poll function consulted once per window during
-// Run; a non-nil return stops the loop, which returns that error. As with
-// the serial engine, interrupts only end a run early — they never reorder
-// events.
+// Run (on one lane, every 1024 events, as Engine.SetInterrupt); a non-nil
+// return stops the loop, which returns that error. Interrupts only end a
+// run early — they never reorder events.
 func (p *Parallel) SetInterrupt(fn func() error) { p.inter = fn }
 
-// SetJitter enables seeded schedule jitter on every lane. Each lane derives
-// its own splitmix64 stream from (seed, lane), so the jitter key a lane
-// assigns to an event is a pure function of that lane's schedule — the same
-// property that makes the rest of the ordering worker-count-independent.
-// Seed 0 disables jitter. Note the streams intentionally differ from the
-// single global stream a serial Engine draws from: a Parallel run explores
-// its own (deterministic) schedule permutation per seed.
+// SetJitter enables seeded schedule jitter on every lane. A one-lane run
+// seeds its lane exactly as Engine.SetJitter does, so it draws the serial
+// engine's stream. With more lanes, each lane derives its own splitmix64
+// stream from (seed, lane), so the jitter key a lane assigns to an event
+// is a pure function of that lane's schedule — the same property that
+// makes the rest of the ordering worker-count-independent — and the run
+// explores its own (deterministic) schedule permutation per seed. Seed 0
+// disables jitter.
 func (p *Parallel) SetJitter(seed uint64) {
+	if len(p.lanes) == 1 {
+		p.lane0.SetJitter(seed)
+		return
+	}
 	for i, e := range p.lanes {
 		if seed == 0 {
 			e.SetJitter(0)
@@ -162,7 +180,7 @@ func splitmix(z uint64) uint64 {
 
 // Now returns the maximum event time fired so far, or the GVT that tripped
 // the horizon after Run returned ErrHorizon. It is only meaningful between
-// windows (after Run returns or from an interrupt poll).
+// windows (after Run returns, or from an interrupt poll on many lanes).
 func (p *Parallel) Now() Time { return p.clock }
 
 // Fired returns the total number of events executed across all lanes.
@@ -185,9 +203,11 @@ func (p *Parallel) Pending() int {
 
 // Post buffers a cross-lane event delivery: rcv.OnDeliver(payload) on lane
 // dst at absolute time at. It must be called from lane src while that lane
-// is executing a window (i.e. from inside one of its events). The ordering
-// key — jitter draw and sequence number — comes from the source lane's own
-// schedule, making it independent of how lanes interleave in wall time.
+// is executing a window (i.e. from inside one of its events), so a
+// one-lane run, which has no window and no other lane, never posts. The
+// ordering key — jitter draw and sequence number — comes from the source
+// lane's own schedule, making it independent of how lanes interleave in
+// wall time.
 //
 // Post panics if at lies inside the current window: that is a lookahead
 // violation, meaning the model has a cross-lane interaction faster than the
@@ -204,15 +224,7 @@ func (p *Parallel) Post(src, dst int32, at Time, rcv Receiver, payload any) {
 // it when the delivery time is not yet known (it will be fixed by the
 // barrier arbiter) but the injection order must be pinned at send time;
 // pass the key to PostKeyed once the time is resolved.
-func (p *Parallel) DrawKey(src int32) (jit, seq uint64) {
-	e := p.lanes[src]
-	if e.jitterOn {
-		jit = e.nextJit()
-	}
-	seq = e.seq
-	e.seq++
-	return jit, seq
-}
+func (p *Parallel) DrawKey(src int32) (jit, seq uint64) { return p.lanes[src].drawKey() }
 
 // PostKeyed buffers a cross-lane delivery whose ordering key was already
 // drawn with DrawKey. Unlike Post it may also be called from the barrier
@@ -249,7 +261,19 @@ func (p *Parallel) SetArbiter(fn func()) { p.arb = fn }
 // completes (every lane fires its remaining in-window events) before Run
 // returns nil. A panic on any lane is re-raised on the caller, from the
 // lowest panicking lane for determinism.
+//
+// One lane runs Engine.Run's loop on the calling goroutine, under the
+// coordinator's horizon and interrupt: Stop returns after the current
+// event, and a panic propagates as it is raised.
 func (p *Parallel) Run(workers int) error {
+	if len(p.lanes) == 1 {
+		e := &p.lane0
+		e.stopped = false
+		e.limit, e.interrupt = p.limit, p.inter
+		err := e.run(Infinity)
+		p.clock = e.now
+		return err
+	}
 	if workers < 1 {
 		workers = 1
 	}
@@ -383,7 +407,7 @@ func (p *Parallel) runLane(e *Engine) {
 			p.panics[e.lane] = v
 		}
 	}()
-	e.runWindow(p.wend)
+	e.run(p.wend)
 	p.nt[e.lane] = e.nextTime()
 }
 
@@ -424,51 +448,4 @@ func (e *Engine) nextTime() Time {
 		e.release(top)
 	}
 	return Infinity
-}
-
-// runWindow fires every live event with at < end, in key order. Horizon
-// and interrupt handling belong to the coordinator; Stop is honored at
-// event granularity as in Run, and ends the whole Parallel run at the
-// next window boundary.
-func (e *Engine) runWindow(end Time) {
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		r := &e.pool[top]
-		if r.dead {
-			e.pop()
-			e.dead--
-			e.release(top)
-			continue
-		}
-		if r.at >= end {
-			return
-		}
-		e.pop()
-		e.now = r.at
-		e.fire(top)
-	}
-}
-
-// scheduleKeyed inserts an event carrying an explicit (jitter, lane, seq)
-// ordering key instead of drawing one from this engine — the cross-lane
-// merge path, where the key was assigned by the source lane at Post time.
-func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind eventKind) (int32, *record) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.pool = append(e.pool, record{})
-		id = int32(len(e.pool) - 1)
-	}
-	r := &e.pool[id]
-	r.at, r.seq, r.kind, r.dead = t, seq, kind, false
-	r.lane = lane
-	r.jit = jit
-	e.heap = append(e.heap, id)
-	e.siftUp(len(e.heap) - 1)
-	return id, r
 }

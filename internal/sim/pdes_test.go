@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -349,36 +350,152 @@ func TestParallelDrainedOutcome(t *testing.T) {
 	}
 }
 
-// TestRunUntilHorizonIdleAdvance pins the documented Engine behavior the
-// doc-drift fix clarified: the horizon bounds event execution, not idle
-// time, so RunUntil past the horizon with no out-of-horizon events returns
-// nil with the clock at the target — while an actual event beyond the
-// horizon yields ErrHorizon.
-func TestRunUntilHorizonIdleAdvance(t *testing.T) {
-	e := NewEngine()
-	e.SetHorizon(100)
-	fired := false
-	e.At(50, func() { fired = true })
-	n, err := e.RunUntil(200)
-	if err != nil || n != 1 || !fired {
-		t.Fatalf("idle advance: n=%d err=%v fired=%v", n, err, fired)
-	}
-	if e.Now() != 200 {
-		t.Fatalf("clock should idle-advance to 200, got %d", e.Now())
-	}
+// firing is one entry of a kernel's fire log: when, which shape, which
+// event.
+type firing struct {
+	at   Time
+	kind int
+	id   uint64
+}
 
-	e2 := NewEngine()
-	e2.SetHorizon(100)
-	e2.At(150, func() {})
-	if _, err := e2.RunUntil(200); !errors.Is(err, ErrHorizon) {
-		t.Fatalf("event beyond horizon: want ErrHorizon, got %v", err)
+// firingLog implements Stepper and Receiver and logs each typed event it
+// receives against its engine's clock.
+type firingLog struct {
+	e   *Engine
+	log []firing
+}
+
+func (f *firingLog) OnStep(id uint64) { f.log = append(f.log, firing{f.e.Now(), 1, id}) }
+func (f *firingLog) OnDeliver(v any)  { f.log = append(f.log, firing{f.e.Now(), 2, v.(uint64)}) }
+func (f *firingLog) note(id uint64)   { f.log = append(f.log, firing{f.e.Now(), 0, id}) }
+
+// seededSchedule queues one seeded schedule on e: closure, step and deliver
+// events spread over few cycles so most share theirs, a fifth of them
+// cancelled up front, closures that schedule same-cycle and later
+// follow-ups, and closures that cancel a still-pending event mid-run. With
+// stop set, the first closure numbered 1500 or more to fire calls Stop.
+func seededSchedule(e *Engine, seed uint64, stop bool) *firingLog {
+	f := &firingLog{e: e}
+	r := rand.New(rand.NewPCG(seed, 3))
+	var hs []Handle
+	for i := uint64(0); i < 3000; i++ {
+		at := Time(r.IntN(300))
+		switch r.IntN(3) {
+		case 0:
+			id := i
+			hs = append(hs, e.At(at, func() {
+				f.note(id)
+				if stop && id >= 1500 {
+					e.Stop()
+				}
+				switch id % 4 {
+				case 0:
+					e.AfterStep(0, f, id+1<<32)
+				case 1:
+					e.After(Time(id%7), func() { f.note(id + 2<<32) })
+				case 2:
+					hs[(id*7919)%uint64(len(hs))].Cancel()
+				}
+			}))
+		case 1:
+			hs = append(hs, e.AtStep(at, f, i))
+		default:
+			hs = append(hs, e.AtDeliver(at, f, i))
+		}
 	}
-	// Events at exactly the horizon still fire (inclusive limit).
-	e3 := NewEngine()
-	e3.SetHorizon(100)
-	atLimit := false
-	e3.At(100, func() { atLimit = true })
-	if err := e3.Run(); err != nil || !atLimit {
-		t.Fatalf("event at horizon: err=%v fired=%v", err, atLimit)
+	for _, h := range hs {
+		if r.IntN(5) == 0 {
+			h.Cancel()
+		}
+	}
+	return f
+}
+
+// TestOneLaneMatchesEngine: a one-lane Parallel run is the serial engine.
+// The same seeded schedule — typed and closure events, cancellations,
+// same-cycle ties — fires in the same order, with the same Fired and Now,
+// on NewEngine and on NewParallel(1), at jitter 0 and 7; and the two agree
+// on the horizon (error and clock), on the interrupt's error, and on Stop.
+func TestOneLaneMatchesEngine(t *testing.T) {
+	stopErr := errors.New("interrupted")
+	type outcome struct {
+		log     []firing
+		fired   uint64
+		now     Time
+		pending int
+		err     error
+	}
+	type limits struct {
+		horizon   Time
+		interrupt bool
+		stop      bool
+	}
+	// interrupt fails on its third poll: at 2048 fired events, as both
+	// kernels poll every 1024.
+	interrupt := func() func() error {
+		polls := 0
+		return func() error {
+			if polls++; polls == 3 {
+				return stopErr
+			}
+			return nil
+		}
+	}
+	serial := func(seed, jitter uint64, l limits) outcome {
+		e := NewEngine()
+		e.SetJitter(jitter)
+		if l.horizon != 0 {
+			e.SetHorizon(l.horizon)
+		}
+		if l.interrupt {
+			e.SetInterrupt(interrupt())
+		}
+		f := seededSchedule(e, seed, l.stop)
+		err := e.Run()
+		return outcome{f.log, e.Fired(), e.Now(), e.Pending(), err}
+	}
+	oneLane := func(seed, jitter uint64, l limits, workers int) outcome {
+		p := NewParallel(1)
+		p.SetJitter(jitter)
+		if l.horizon != 0 {
+			p.SetHorizon(l.horizon)
+		}
+		if l.interrupt {
+			p.SetInterrupt(interrupt())
+		}
+		f := seededSchedule(p.Lane(0), seed, l.stop)
+		err := p.Run(workers)
+		return outcome{f.log, p.Fired(), p.Now(), p.Pending(), err}
+	}
+	for _, jitter := range []uint64{0, 7} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			drained := serial(seed, jitter, limits{})
+			if drained.fired < 2048 || drained.pending != 0 {
+				t.Fatalf("the schedule fired %d events and left %d pending", drained.fired, drained.pending)
+			}
+			for name, l := range map[string]limits{
+				"drain":     {},
+				"horizon":   {horizon: 150},
+				"interrupt": {interrupt: true},
+				"stop":      {stop: true},
+			} {
+				want := serial(seed, jitter, l)
+				if name != "drain" && want.fired >= drained.fired {
+					t.Fatalf("%s did not end the run early: %d events fired", name, want.fired)
+				}
+				for _, workers := range []int{1, 4} {
+					got := oneLane(seed, jitter, l, workers)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("jitter %d seed %d %s workers %d: one lane diverges from the engine: fired/now/pending/err %d/%d/%d/%v, want %d/%d/%d/%v",
+							jitter, seed, name, workers, got.fired, got.now, got.pending, got.err,
+							want.fired, want.now, want.pending, want.err)
+					}
+				}
+				wantErr := map[string]error{"horizon": ErrHorizon, "interrupt": stopErr}[name]
+				if want.err != wantErr {
+					t.Fatalf("%s: err %v, want %v", name, want.err, wantErr)
+				}
+			}
+		}
 	}
 }

@@ -153,14 +153,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // SetHorizon establishes a hard time limit. The horizon is inclusive:
-// events with timestamps <= t still fire, and Run or RunUntil return
-// ErrHorizon only when the next live *event* lies strictly beyond it.
-// RunUntil's trailing idle advance (moving the clock to its target time
-// when the queue empties early) is not horizon-checked — a horizon bounds
-// event execution, not the passage of idle time — so RunUntil(u) with
-// u > t can leave the clock past the horizon without an error if no event
-// beyond t was actually scheduled. A horizon of Infinity (the default)
-// disables the limit.
+// events with timestamps <= t still fire, and Run returns ErrHorizon only
+// when the next live *event* lies strictly beyond it. A horizon of Infinity
+// (the default) disables the limit.
 func (e *Engine) SetHorizon(t Time) { e.limit = t }
 
 // ErrHorizon is returned when the simulation horizon is exceeded, which
@@ -175,8 +170,8 @@ var ErrHorizon = errors.New("sim: horizon exceeded")
 // well under a millisecond of wall time.
 const interruptEvery = 1024
 
-// SetInterrupt installs a poll function consulted periodically during Run
-// and RunUntil; a non-nil return stops the loop, which returns that error.
+// SetInterrupt installs a poll function consulted periodically during Run;
+// a non-nil return stops the loop, which returns that error.
 // The poll is deliberately coarse (every 1024 events) so it stays off the
 // hot path. Pass nil to remove the interrupt. Interrupts do not affect
 // determinism: they can only end a run early, never reorder events.
@@ -275,10 +270,29 @@ func (e *Engine) pop() int32 {
 	return id
 }
 
-// schedule allocates a record (recycling a free slot when one exists),
-// stamps it, and pushes it onto the heap. The returned pointer is valid
-// until the next arena append; callers fill the payload immediately.
+// drawKey draws the next ordering key from this engine's own schedule:
+// a jitter draw (0 with jitter off), then a sequence number.
+func (e *Engine) drawKey() (jit, seq uint64) {
+	if e.jitterOn {
+		jit = e.nextJit()
+	}
+	seq = e.seq
+	e.seq++
+	return jit, seq
+}
+
+// schedule inserts an event under the next key this engine draws.
 func (e *Engine) schedule(t Time, kind eventKind) (int32, *record) {
+	jit, seq := e.drawKey()
+	return e.scheduleKeyed(t, jit, e.lane, seq, kind)
+}
+
+// scheduleKeyed allocates a record (recycling a free slot when one exists),
+// stamps it with the ordering key (at, jit, lane, seq), and pushes it onto
+// the heap. A Parallel run's merge calls it directly with the key the
+// source lane drew at Post time. The returned pointer is valid until the
+// next arena append; callers fill the payload immediately.
+func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind eventKind) (int32, *record) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
@@ -291,13 +305,7 @@ func (e *Engine) schedule(t Time, kind eventKind) (int32, *record) {
 		id = int32(len(e.pool) - 1)
 	}
 	r := &e.pool[id]
-	r.at, r.seq, r.kind, r.dead = t, e.seq, kind, false
-	r.lane = e.lane
-	r.jit = 0
-	if e.jitterOn {
-		r.jit = e.nextJit()
-	}
-	e.seq++
+	r.at, r.jit, r.lane, r.seq, r.kind, r.dead = t, jit, lane, seq, kind, false
 	e.heap = append(e.heap, id)
 	e.siftUp(len(e.heap) - 1)
 	return id, r
@@ -377,7 +385,7 @@ func (e *Engine) AtDeliver(t Time, rcv Receiver, payload any) Handle {
 	return Handle{e, id, r.gen}
 }
 
-// Stop makes Run (or RunUntil) return after the current event completes.
+// Stop makes Run return after the current event completes.
 // Intended for use from inside event callbacks (for example when a workload
 // detects completion).
 func (e *Engine) Stop() { e.stopped = true }
@@ -403,73 +411,44 @@ func (e *Engine) fire(id int32) {
 
 // Run executes events until the queue drains, Stop is called, the horizon
 // is exceeded, or an installed interrupt reports an error. It returns nil
-// on a drained queue or explicit Stop.
+// on a drained queue or explicit Stop. Infinity is never reached: an event
+// scheduled there stays queued.
 func (e *Engine) Run() error {
 	e.stopped = false
+	return e.run(Infinity)
+}
+
+// run is the event loop. It fires live events in key order until the next
+// one lies at or beyond end, the queue drains, Stop is called, the horizon
+// is exceeded, or the interrupt reports an error. Run and a one-lane
+// Parallel run pass Infinity; a lane of a many-lane run passes its window
+// end and leaves the horizon and the interrupt to the coordinator.
+func (e *Engine) run(end Time) error {
 	for len(e.heap) > 0 && !e.stopped {
 		if e.interrupt != nil && e.fired%interruptEvery == 0 {
 			if err := e.interrupt(); err != nil {
 				return err
 			}
 		}
-		id := e.pop()
+		id := e.heap[0]
 		r := &e.pool[id]
 		if r.dead {
+			e.pop()
 			e.dead--
 			e.release(id)
 			continue
 		}
-		if r.at > e.limit {
-			e.now = r.at
+		at := r.at
+		if at >= end {
+			return nil
+		}
+		e.pop()
+		e.now = at
+		if at > e.limit {
 			e.release(id)
 			return ErrHorizon
 		}
-		e.now = r.at
 		e.fire(id)
 	}
 	return nil
-}
-
-// RunUntil executes events with timestamps <= t, leaving later events queued
-// and advancing the clock to exactly t if the queue empties earlier. It
-// returns the number of events fired. RunUntil stops on Stop, polls any
-// installed interrupt, and returns ErrHorizon when the next event within its
-// window lies strictly beyond the horizon. The final idle advance to t is
-// exempt from the horizon check (see SetHorizon): only firing an event past
-// the limit is an error, so RunUntil(t) with t beyond the horizon returns
-// nil as long as every queued event up to t is within it.
-func (e *Engine) RunUntil(t Time) (uint64, error) {
-	e.stopped = false
-	start := e.fired
-	for len(e.heap) > 0 && !e.stopped {
-		if e.interrupt != nil && e.fired%interruptEvery == 0 {
-			if err := e.interrupt(); err != nil {
-				return e.fired - start, err
-			}
-		}
-		top := e.heap[0]
-		r := &e.pool[top]
-		if r.dead {
-			e.pop()
-			e.dead--
-			e.release(top)
-			continue
-		}
-		if r.at > t {
-			break
-		}
-		if r.at > e.limit {
-			e.pop()
-			e.now = r.at
-			e.release(top)
-			return e.fired - start, ErrHorizon
-		}
-		e.pop()
-		e.now = r.at
-		e.fire(top)
-	}
-	if e.now < t && t != Infinity && !e.stopped {
-		e.now = t
-	}
-	return e.fired - start, nil
 }

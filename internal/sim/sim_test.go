@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -148,81 +147,15 @@ func TestStop(t *testing.T) {
 func TestHorizon(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(100)
-	e.At(50, func() {})
-	e.At(101, func() {})
+	fired := 0
+	e.At(50, func() { fired++ })
+	e.At(100, func() { fired++ }) // the horizon is inclusive
+	e.At(101, func() { fired++ })
 	if err := e.Run(); err != ErrHorizon {
 		t.Fatalf("Run() = %v, want ErrHorizon", err)
 	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{1, 5, 10, 15} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	n, err := e.RunUntil(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("RunUntil(10) fired %d, want 3", n)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	// Clock advances to the target even when the queue empties early.
-	e2 := NewEngine()
-	e2.RunUntil(42)
-	if e2.Now() != 42 {
-		t.Fatalf("empty RunUntil: Now() = %d, want 42", e2.Now())
-	}
-}
-
-// RunUntil must enforce the same limits as Run: the horizon and the
-// interrupt poll. Regression test — it used to honor neither.
-func TestRunUntilHonorsHorizon(t *testing.T) {
-	e := NewEngine()
-	e.SetHorizon(100)
-	fired := 0
-	e.At(50, func() { fired++ })
-	e.At(101, func() { fired++ })
-	n, err := e.RunUntil(200)
-	if err != ErrHorizon {
-		t.Fatalf("RunUntil(200) err = %v, want ErrHorizon", err)
-	}
-	if n != 1 || fired != 1 {
-		t.Fatalf("fired %d/%d events, want 1 (the beyond-horizon event must not run)", n, fired)
-	}
-}
-
-func TestRunUntilHonorsInterrupt(t *testing.T) {
-	e := NewEngine()
-	stop := errors.New("stop")
-	e.SetInterrupt(func() error { return stop })
-	e.At(1, func() { t.Fatal("event fired past a failing interrupt") })
-	if _, err := e.RunUntil(10); err != stop {
-		t.Fatalf("RunUntil err = %v, want the interrupt error", err)
-	}
-}
-
-func TestRunUntilHonorsStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	if _, err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("fired %d events, want 1 (Stop should halt RunUntil)", count)
-	}
-	if e.Now() != 1 {
-		t.Fatalf("Now() = %d, want 1 (no clamp to target after Stop)", e.Now())
+	if fired != 2 || e.Now() != 101 {
+		t.Fatalf("fired %d events, clock %d; want 2 and the clock at the event beyond the horizon (101)", fired, e.Now())
 	}
 }
 
