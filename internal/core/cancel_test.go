@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -106,9 +107,10 @@ func TestEventPanicUnwindsCleanly(t *testing.T) {
 	}
 }
 
-// waitGoroutines asserts the goroutine count returns to its pre-run level
-// (allowing scheduler slack: aborted program goroutines finish their
-// deferred unwind asynchronously).
+// waitGoroutines asserts the goroutine count returns to its pre-run level:
+// each program's coroutine runs on a goroutine of its own until it
+// finishes or is unwound. The wait allows scheduler slack for goroutines
+// that exit after Run returns.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -119,4 +121,50 @@ func waitGoroutines(t *testing.T, before int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestProgramPanicUnwindsCleanly: two programs panic, one inline and one at
+// issue on the event loop (a full lock cache, issued by the last hop of its
+// local-time replay and handed back to the program). On many lanes a lane
+// worker resumes the programs. Either way Run reports the lowest panicking
+// processor, the other panic is kept as its processor's error, and every
+// program's coroutine is gone when Run returns.
+func TestProgramPanicUnwindsCleanly(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig(4)
+			cfg.SimWorkers = workers
+			cfg.LockEntries = 1
+			m := NewMachine(cfg)
+			if many := m.Lanes() > 1; many != (workers > 0) {
+				t.Fatalf("%d lanes at %d workers", m.Lanes(), workers)
+			}
+			progs := make([]Program, 4)
+			progs[0] = func(p *Proc) {
+				for i := 0; i < 8; i++ {
+					p.SharedWrite(0, p.SharedRead(0)+1)
+				}
+			}
+			progs[1] = func(p *Proc) {
+				p.WriteLock(32)
+				p.Think(5)
+				p.WriteLock(64) // exceeds the 1-entry lock cache
+			}
+			progs[2] = func(p *Proc) {
+				p.SharedRead(96)
+				panic("inline")
+			}
+			progs[3] = progs[0]
+			_, err := m.Run(progs)
+			if err == nil || !strings.Contains(err.Error(), "processor 1 panicked") ||
+				!strings.Contains(err.Error(), "lock cache full") {
+				t.Fatalf("err = %v, want lock cache full as processor 1's panic", err)
+			}
+			if got := m.Proc(2).err; got != "inline" {
+				t.Fatalf("processor 2 error = %v, want its inline panic", got)
+			}
+			waitGoroutines(t, before)
+		})
+	}
 }

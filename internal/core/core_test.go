@@ -300,7 +300,8 @@ func TestWBIRMWCounter(t *testing.T) {
 	// The final owner's dirty line holds the current value; fall back to
 	// memory if no owner remains.
 	got := m.ReadMemory(100)
-	for _, n := range m.nodes {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		if l := n.wbiN.Cache().Peek(m.geom.BlockOf(100)); l != nil && l.Excl {
 			got = l.Data[m.geom.WordIndex(100)]
 		}
@@ -643,7 +644,8 @@ func TestWBIOverMeshAndBus(t *testing.T) {
 			t.Fatalf("%v: %v", top, err)
 		}
 		got := m.ReadMemory(100)
-		for _, n := range m.nodes {
+		for i := range m.nodes {
+			n := &m.nodes[i]
 			if l := n.wbiN.Cache().Peek(m.geom.BlockOf(100)); l != nil && l.Excl {
 				got = l.Data[m.geom.WordIndex(100)]
 			}

@@ -72,7 +72,8 @@ func TestChaosRMWCounterWBI(t *testing.T) {
 	// The final owner's dirty line holds the current value; fall back to
 	// memory if no owner remains.
 	got := m.ReadMemory(a)
-	for _, n := range m.nodes {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		if l := n.wbiN.Cache().Peek(m.geom.BlockOf(a)); l != nil && l.Excl {
 			got = l.Data[m.geom.WordIndex(a)]
 		}

@@ -26,7 +26,7 @@ import (
 type node struct {
 	id    int
 	store *mem.Store
-	proc  *Proc
+	proc  Proc
 
 	// CBL machine
 	rucN *ruc.Node
@@ -50,7 +50,7 @@ type Machine struct {
 	fab   *fabric.Fabric   // root fabric: every node's on one lane, the aggregation target on many
 	views []*fabric.Fabric // per-node fabric views, one per lane (nil on one lane)
 	geom  mem.Geometry
-	nodes []*node
+	nodes []node // one allocation for every node and its processor
 
 	running  bool
 	aborting bool
@@ -96,10 +96,11 @@ func NewMachine(cfg Config) *Machine {
 		fab.EnableTransport(cfg.FaultRTO)
 	}
 	geom := mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes}
-	m := &Machine{cfg: cfg, par: par, net: nw, fab: fab, geom: geom}
+	m := &Machine{cfg: cfg, par: par, net: nw, fab: fab, geom: geom, nodes: make([]node, cfg.Nodes)}
 
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{id: i, store: mem.NewStore(geom)}
+	for i := range m.nodes {
+		n := &m.nodes[i]
+		n.id, n.store = i, mem.NewStore(geom)
 		nodeFab := fab
 		if lanes > 1 {
 			nodeFab = fab.View(par.Lane(i))
@@ -123,8 +124,7 @@ func NewMachine(cfg Config) *Machine {
 			n.wbiH = wbi.NewHome(nodeFab, i, geom, n.store)
 			n.wbiH.MaxPointers = cfg.DirMaxPointers
 		}
-		n.proc = newProc(m, n, nodeEng)
-		m.nodes = append(m.nodes, n)
+		n.proc.init(m, n, nodeEng)
 		i := i
 		nodeFab.Attach(i, func(mg *msg.Msg) { m.dispatch(i, mg) })
 	}
@@ -137,7 +137,7 @@ func (m *Machine) Lanes() int { return m.par.Lanes() }
 
 // dispatch routes an inbound message to the owning controller.
 func (m *Machine) dispatch(nodeID int, mg *msg.Msg) {
-	n := m.nodes[nodeID]
+	n := &m.nodes[nodeID]
 	if m.cfg.Protocol == ProtoWBI {
 		if n.wbiH.Handles(mg.Kind) {
 			n.wbiH.Handle(mg)
@@ -183,7 +183,7 @@ func (m *Machine) Geometry() mem.Geometry { return m.geom }
 func (m *Machine) Now() sim.Time { return m.par.Now() }
 
 // Proc returns processor i's handle, for use inside its program function.
-func (m *Machine) Proc(i int) *Proc { return m.nodes[i].proc }
+func (m *Machine) Proc(i int) *Proc { return &m.nodes[i].proc }
 
 // Messages returns the global message collector.
 func (m *Machine) Messages() *metrics.Collector { return m.fab.Coll }
@@ -237,10 +237,14 @@ func (m *Machine) WriteMemory(a mem.Addr, w mem.Word) {
 	m.nodes[m.geom.Home(m.geom.BlockOf(a))].store.WriteWord(a, w)
 }
 
-// Program is the code executed by one simulated processor. It runs on a
-// dedicated goroutine interlocked with the event loop: at most one
-// goroutine is ever runnable, so programs may use ordinary Go control flow
-// and the Proc's blocking primitives without data races.
+// Program is the code executed by one simulated processor. It runs as a
+// coroutine of the event loop: each blocking primitive switches back to the
+// loop, which switches into the program again when the primitive completes,
+// so the program and the loop never run at once and programs may use
+// ordinary Go control flow and the Proc's blocking primitives without data
+// races. A program must not call runtime.Goexit, nor t.FailNow or t.Fatal,
+// which call it: the coroutine hands a Goexit on to the goroutine that
+// resumed the program, which is the event loop or a lane worker.
 type Program func(p *Proc)
 
 // Result summarizes a completed run.
@@ -274,19 +278,17 @@ func (e *ErrDeadlock) Error() string {
 	return fmt.Sprintf("core: deadlock — processors %v blocked with no pending events", e.Stuck)
 }
 
-// drainAborted unwinds every still-parked program goroutine after the event
-// loop has stopped early (cancellation, horizon, deadlock, a panicking
-// event). Each goroutine is parked on its resume channel; resuming with the
-// abort flag set makes it unwind via an abortSignal panic, so no goroutines
-// outlive the run.
+// drainAborted unwinds every still-parked program after the event loop has
+// stopped early (cancellation, horizon, deadlock, a panicking event). Each
+// program is parked in its coroutine; a step with the abort flag set makes
+// it unwind via an abortSignal panic and finish, so no coroutine outlives
+// the run.
 func (m *Machine) drainAborted() {
 	m.aborting = true
-	for _, n := range m.nodes {
-		if n.proc.done {
-			continue
+	for i := range m.nodes {
+		if p := &m.nodes[i].proc; !p.done {
+			p.step(0)
 		}
-		n.proc.resume <- 0
-		<-n.proc.yield
 	}
 }
 
@@ -299,8 +301,14 @@ func (m *Machine) Run(programs []Program) (Result, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled (or its
 // deadline passes) the event loop stops at the next interrupt poll, every
-// program goroutine is unwound, and the ctx error is returned. Cancellation
+// parked program is unwound, and the ctx error is returned. Cancellation
 // cannot perturb a completed run's determinism — it only ends a run early.
+//
+// On many lanes, do not call RunContext from a goroutine locked to its OS
+// thread (runtime.LockOSThread): the programs' coroutines are made on the
+// caller's goroutine, the runtime resumes a coroutine made on a locked
+// thread only on that thread, and lane workers resume them on others (the
+// process dies with a fatal error).
 func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, error) {
 	if m.running {
 		panic("core: Machine.Run called twice")
@@ -335,17 +343,17 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 	}
 	if int(m.finished.Load()) < m.cfg.Nodes {
 		var stuck []int
-		for _, n := range m.nodes {
-			if !n.proc.done {
-				stuck = append(stuck, n.id)
+		for i := range m.nodes {
+			if !m.nodes[i].proc.done {
+				stuck = append(stuck, i)
 			}
 		}
 		m.drainAborted()
 		return Result{}, &ErrDeadlock{Stuck: stuck}
 	}
-	for _, n := range m.nodes {
-		if n.proc.err != nil {
-			return Result{}, fmt.Errorf("core: processor %d panicked: %v", n.id, n.proc.err)
+	for i := range m.nodes {
+		if err := m.nodes[i].proc.err; err != nil {
+			return Result{}, fmt.Errorf("core: processor %d panicked: %v", i, err)
 		}
 	}
 	// On many lanes, fold the per-node views' counters into the root
@@ -379,9 +387,9 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 }
 
 // runEvents runs the event loop and, when it stops early, unwinds the
-// parked program goroutines: after an error (cancellation, horizon) before
-// returning it, and after a panicking event before the panic reaches Run's
-// caller, so neither leaks a goroutine per processor.
+// parked programs: after an error (cancellation, horizon) before returning
+// it, and after a panicking event before the panic reaches Run's caller, so
+// neither leaks a coroutine per processor.
 func (m *Machine) runEvents() (err error) {
 	done := false
 	defer func() {

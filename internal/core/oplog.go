@@ -58,14 +58,14 @@ func (m *Machine) OnOp(fn func(OpRecord)) {
 // beginOp reports a primitive to the observer at issue time and suppresses
 // reports from the primitives it calls internally (a cache hit's Think, an
 // unlock's flush), so a captured trace replays each top-level primitive
-// exactly once. Use as: defer p.beginOp(rec)(). The returned func is the
-// processor's preallocated endOp, not a fresh closure: this runs on every
-// primitive issued.
-func (p *Proc) beginOp(r OpRecord) func() {
+// exactly once. Use as: p.beginOp(rec); defer p.endOp().
+func (p *Proc) beginOp(r OpRecord) {
 	if p.m.onOp != nil && p.opDepth == 0 {
 		r.Proc = p.id
 		p.m.onOp(r)
 	}
 	p.opDepth++
-	return p.endOp
 }
+
+// endOp closes the primitive that beginOp opened.
+func (p *Proc) endOp() { p.opDepth-- }

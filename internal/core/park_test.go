@@ -173,3 +173,48 @@ func TestUnlockNotHeldSurfacesAsError(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineAllocs pins the heap allocations of building and running a
+// 2-node machine, the shape of a litmus replay. Most of them are per node:
+// its controllers, and its processor's coroutine and completion callbacks.
+func TestMachineAllocs(t *testing.T) {
+	progs := []Program{
+		func(p *Proc) { p.WriteGlobal(0, 1); p.FlushBuffer(); p.ReadGlobal(32) },
+		func(p *Proc) { p.WriteGlobal(32, 1); p.FlushBuffer(); p.ReadGlobal(0) },
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := NewMachine(DefaultConfig(2)).Run(progs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 133
+	if got != want {
+		t.Errorf("2-node build+run made %v allocations, want %v", got, want)
+	}
+}
+
+// BenchmarkProcPark measures the handoff between a program and the event
+// loop: one processor issues back-to-back blocking reads that hit in its
+// WBI cache, so each read parks the program once and its completion event
+// resumes it. ns/park is the run's wall time, machine build excluded, over
+// its parks.
+func BenchmarkProcPark(b *testing.B) {
+	const reads = 4096
+	prog := func(p *Proc) {
+		for i := 0; i < reads; i++ {
+			p.Read(100)
+		}
+	}
+	b.ReportAllocs()
+	var parks uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := NewMachine(wbiConfig(2))
+		b.StartTimer()
+		if _, err := m.Run([]Program{prog, nil}); err != nil {
+			b.Fatal(err)
+		}
+		parks += m.Proc(0).parks
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(parks), "ns/park")
+}

@@ -13,19 +13,23 @@ import (
 // the program until the modeled operation completes, advancing the
 // simulation clock underneath.
 //
-// Programs run on dedicated goroutines interlocked with the event loop:
-// exactly one goroutine is runnable at any instant, so programs need no
-// synchronization of their own. Proc methods must only be called from
-// within the processor's own Program.
+// Each program runs as a coroutine (iter.Pull) that the event loop switches
+// into and out of: the program runs only between a step and its next park,
+// while the loop that resumed it waits, so programs need no synchronization
+// of their own. Proc methods must only be called from within the
+// processor's own Program.
 type Proc struct {
 	id int
 	m  *Machine
 	n  *node
 	// eng is the engine this processor schedules on: its node's lane, the
 	// machine's only lane on a serial run.
-	eng     *sim.Engine
-	resume  chan mem.Word
-	yield   chan struct{}
+	eng *sim.Engine
+	// next resumes the program's coroutine and yield parks it; w is the
+	// word the resuming step hands to the parked program.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	w       mem.Word
 	done    bool
 	err     any
 	opDepth int
@@ -36,8 +40,8 @@ type Proc struct {
 	// as a chain of typed events when the program reaches an operation
 	// that touches shared state. The replay schedules exactly the events
 	// the unbatched kernel would have — same times, same insertion
-	// sequence — so results are bit-identical, but the two goroutine
-	// handshakes per local operation collapse into one per batch.
+	// sequence — so results are bit-identical, but the park and resume
+	// per local operation collapse into one per batch.
 	hops   []sim.Time
 	hopIdx int
 	lag    sim.Time
@@ -56,11 +60,10 @@ type Proc struct {
 	// parks counts the times the program yielded to the event loop.
 	parks uint64
 
-	// cb0 and cbW are the controller completion callbacks, and endOp the
-	// beginOp closer, allocated once instead of once per operation.
-	cb0   func()
-	cbW   func(mem.Word)
-	endOp func()
+	// cb0 and cbW are the controller completion callbacks, allocated once
+	// instead of once per operation.
+	cb0 func()
+	cbW func(mem.Word)
 
 	// Ops counts primitive operations issued.
 	Ops uint64
@@ -124,8 +127,9 @@ func (p *Proc) record(write, rmw bool, a mem.Addr, value, prev mem.Word, start s
 	})
 }
 
-func newProc(m *Machine, n *node, eng *sim.Engine) *Proc {
-	p := &Proc{id: n.id, m: m, n: n, eng: eng, resume: make(chan mem.Word), yield: make(chan struct{})}
+// init readies the processor of node n, which schedules on eng.
+func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
+	p.id, p.m, p.n, p.eng = n.id, m, n, eng
 	p.cb0 = func() {
 		if p.flushing {
 			// A CP-Synch operation's write buffer has drained:
@@ -137,8 +141,6 @@ func newProc(m *Machine, n *node, eng *sim.Engine) *Proc {
 		p.step(0)
 	}
 	p.cbW = func(w mem.Word) { p.step(w) }
-	p.endOp = func() { p.opDepth-- }
-	return p
 }
 
 // now returns the processor's logical time: the engine clock plus any local
@@ -329,59 +331,11 @@ func (p *Proc) tryIssue() (pending bool) {
 	return p.issue()
 }
 
-// abortSignal is the panic value used to unwind a program goroutine when
-// its machine's run is abandoned (cancelled, horizon, deadlock). It is
-// absorbed by the recover in start and never reported as a program error.
+// abortSignal is the panic value used to unwind a program when its
+// machine's run is abandoned (cancelled, horizon, deadlock, a panicking
+// event). It is absorbed by the recover in start and never reported as a
+// program error.
 type abortSignal struct{}
-
-// start launches the program goroutine and schedules its first step.
-func (p *Proc) start(prog Program) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, aborted := r.(abortSignal); !aborted {
-					p.err = r
-				}
-			}
-			p.done = true
-			p.stats.Finished = p.eng.Now()
-			p.m.finished.Add(1)
-			p.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.m.aborting {
-			return
-		}
-		prog(p)
-		// Replay any trailing local time so the completion cycle (and
-		// Result.Cycles) includes it.
-		p.sync()
-	}()
-	p.eng.AtStep(0, p, 0)
-}
-
-// step hands control to the program goroutine and waits for it to block on
-// its next operation (or finish). Called from the event loop only.
-func (p *Proc) step(w mem.Word) {
-	if p.done {
-		panic(fmt.Sprintf("core: step on finished processor %d", p.id))
-	}
-	p.resume <- w
-	<-p.yield
-}
-
-// wait parks the program until the event loop resumes it. Called from the
-// program goroutine only. A resume issued by an abort drain unwinds the
-// program instead of returning to it.
-func (p *Proc) wait() mem.Word {
-	p.parks++
-	p.yield <- struct{}{}
-	w := <-p.resume
-	if p.m.aborting {
-		panic(abortSignal{})
-	}
-	return w
-}
 
 // waitAs parks the program and charges the elapsed cycles to a stall
 // category.
@@ -416,12 +370,13 @@ func (p *Proc) Machine() *Machine { return p.m }
 
 // Think models c cycles of local computation. The delay is batched: it
 // accumulates locally and is replayed into the event loop at the next
-// shared-state operation, costing no goroutine handshake of its own.
+// shared-state operation, costing no coroutine switch of its own.
 func (p *Proc) Think(c sim.Time) {
 	if c == 0 {
 		return
 	}
-	defer p.beginOp(OpRecord{Kind: OpThink, Cycles: c})()
+	p.beginOp(OpRecord{Kind: OpThink, Cycles: c})
+	defer p.endOp()
 	p.local(c)
 }
 
@@ -432,7 +387,8 @@ func (p *Proc) Think(c sim.Time) {
 // traversal).
 func (p *Proc) PrivateRef(write, hit bool) {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpPrivate, Write: write, Hit: hit})()
+	p.beginOp(OpRecord{Kind: OpPrivate, Write: write, Hit: hit})
+	defer p.endOp()
 	t := p.m.cfg.Timing
 	if hit {
 		p.PrivHits++
@@ -466,7 +422,8 @@ func (p *Proc) requireWBI(op string) {
 // lock on the block; on the WBI machine it is a coherent read.
 func (p *Proc) Read(a mem.Addr) mem.Word {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpRead, Addr: a})()
+	p.beginOp(OpRecord{Kind: OpRead, Addr: a})
+	defer p.endOp()
 	start := p.now()
 	if p.HoldsLock(a) {
 		// Lock-cache hit: the block's contents are unobservable remotely
@@ -492,7 +449,8 @@ func (p *Proc) Read(a mem.Addr) mem.Word {
 // on the WBI machine it is a strongly consistent coherent write.
 func (p *Proc) Write(a mem.Addr, w mem.Word) {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpWrite, Addr: a, Value: w})()
+	p.beginOp(OpRecord{Kind: OpWrite, Addr: a, Value: w})
+	defer p.endOp()
 	start := p.now()
 	if p.HoldsLock(a) {
 		if err := p.n.cblU.WriteLocked(a, w); err != nil {
@@ -512,7 +470,8 @@ func (p *Proc) Write(a mem.Addr, w mem.Word) {
 // globally fresh and is used instead.
 func (p *Proc) ReadGlobal(a mem.Addr) mem.Word {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpReadGlobal, Addr: a})()
+	p.beginOp(OpRecord{Kind: OpReadGlobal, Addr: a})
+	defer p.endOp()
 	start := p.now()
 	p.op = pendingOp{kind: OpReadGlobal, addr: a}
 	if p.m.cfg.Protocol == ProtoWBI {
@@ -531,7 +490,8 @@ func (p *Proc) ReadGlobal(a mem.Addr) mem.Word {
 // lock line: the data is secured by the lock and travels home on unlock.
 func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpWriteGlobal, Addr: a, Value: w})()
+	p.beginOp(OpRecord{Kind: OpWriteGlobal, Addr: a, Value: w})
+	defer p.endOp()
 	start := p.now()
 	if p.m.cfg.Protocol == ProtoWBI {
 		p.op = pendingOp{kind: OpWrite, addr: a, word: w}
@@ -578,7 +538,8 @@ func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
 // writes are already strongly consistent.
 func (p *Proc) FlushBuffer() {
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpFlush})()
+	p.beginOp(OpRecord{Kind: OpFlush})
+	defer p.endOp()
 	if p.m.cfg.Protocol == ProtoWBI {
 		return
 	}
@@ -595,7 +556,8 @@ func (p *Proc) FlushBuffer() {
 func (p *Proc) ReadUpdate(a mem.Addr) mem.Word {
 	p.requireCBL("READ-UPDATE")
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpReadUpdate, Addr: a})()
+	p.beginOp(OpRecord{Kind: OpReadUpdate, Addr: a})
+	defer p.endOp()
 	p.op = pendingOp{kind: OpReadUpdate, addr: a}
 	return p.block(catMem)
 }
@@ -605,7 +567,8 @@ func (p *Proc) ReadUpdate(a mem.Addr) mem.Word {
 func (p *Proc) ResetUpdate(a mem.Addr) {
 	p.requireCBL("RESET-UPDATE")
 	p.Ops++
-	defer p.beginOp(OpRecord{Kind: OpResetUpdate, Addr: a})()
+	p.beginOp(OpRecord{Kind: OpResetUpdate, Addr: a})
+	defer p.endOp()
 	p.op = pendingOp{kind: OpResetUpdate, addr: a}
 	p.block(catMem)
 }
@@ -617,7 +580,8 @@ func (p *Proc) lock(a mem.Addr, mode msg.LockMode) {
 	if mode == msg.LockWrite {
 		k = OpWriteLock
 	}
-	defer p.beginOp(OpRecord{Kind: k, Addr: a})()
+	p.beginOp(OpRecord{Kind: k, Addr: a})
+	defer p.endOp()
 	p.op = pendingOp{kind: k, addr: a}
 	p.block(catSync)
 	p.LockAcquires++
@@ -639,7 +603,8 @@ func (p *Proc) WriteLock(a mem.Addr) { p.lock(a, msg.LockWrite) }
 func (p *Proc) Unlock(a mem.Addr) {
 	p.requireCBL("UNLOCK")
 	p.Ops += 2 // the UNLOCK and the FLUSH-BUFFER it performs first
-	defer p.beginOp(OpRecord{Kind: OpUnlock, Addr: a})()
+	p.beginOp(OpRecord{Kind: OpUnlock, Addr: a})
+	defer p.endOp()
 	p.op = pendingOp{kind: OpUnlock, addr: a}
 	p.block(catSync)
 }
@@ -650,7 +615,8 @@ func (p *Proc) Unlock(a mem.Addr) {
 func (p *Proc) Barrier(a mem.Addr, participants int) {
 	p.requireCBL("BARRIER")
 	p.Ops += 2 // the BARRIER and the FLUSH-BUFFER it performs first
-	defer p.beginOp(OpRecord{Kind: OpBarrier, Addr: a, Participants: participants})()
+	p.beginOp(OpRecord{Kind: OpBarrier, Addr: a, Participants: participants})
+	defer p.endOp()
 	p.op = pendingOp{kind: OpBarrier, addr: a, parts: participants}
 	p.block(catSync)
 }
@@ -663,7 +629,8 @@ func (p *Proc) RMW(a mem.Addr, op func(mem.Word) mem.Word) mem.Word {
 	// Capture normalizes the RMW to fetch-and-add by probing the function
 	// at zero (exact for fetch-and-add and test-and-set-from-free; an
 	// approximation for exotic ops, which the trace format cannot carry).
-	defer p.beginOp(OpRecord{Kind: OpRMW, Addr: a, Delta: op(0)})()
+	p.beginOp(OpRecord{Kind: OpRMW, Addr: a, Delta: op(0)})
+	defer p.endOp()
 	start := p.now()
 	p.op = pendingOp{kind: OpRMW, addr: a, rmw: op}
 	old := p.block(catSync)

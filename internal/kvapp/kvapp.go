@@ -252,7 +252,7 @@ func (c *Counters) add(o Counters) {
 }
 
 // procResult is one processor's slice of the run, filled in by its own
-// program goroutine only (lane-safe).
+// program only (lane-safe).
 type procResult struct {
 	counters Counters
 	lat      [numOpKinds]metrics.Histogram
@@ -296,7 +296,7 @@ func (r *Result) Check() error {
 }
 
 // client is one processor's store-facing state. Everything here is local to
-// the owning program goroutine.
+// the owning program.
 type client struct {
 	spec *Spec
 	lay  *layout

@@ -16,8 +16,8 @@ import (
 // barrier is reusable without reset traffic.
 //
 // Participants are processors 0..P-1. The per-processor generation counters
-// are host-side bookkeeping (the simulator runs one processor goroutine at
-// a time, so no synchronization is needed); the signalled state itself
+// are host-side bookkeeping (the simulator runs one processor program at a
+// time, so no synchronization is needed); the signalled state itself
 // lives entirely in simulated memory.
 type DisseminationBarrier struct {
 	flags        mem.Addr

@@ -20,10 +20,9 @@
 //	}
 //	res, err := m.Run(progs)
 //
-// Each processor program runs on its own goroutine, interlocked with the
-// deterministic event loop: primitives block until the modeled operation
-// completes, and two runs with the same configuration and seed are
-// bit-identical.
+// Each processor program runs as a coroutine of the deterministic event
+// loop: primitives block until the modeled operation completes, and two
+// runs with the same configuration and seed are bit-identical.
 //
 // The subpackage layout mirrors the machine: the simulation kernel, the Ω
 // network, caches with per-word dirty bits, the write buffer, the
