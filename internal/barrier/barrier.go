@@ -30,7 +30,7 @@ type Home struct {
 	f       *fabric.Fabric
 	id      int
 	geom    mem.Geometry
-	station *fabric.Station
+	station fabric.Station
 	eps     map[mem.Addr]*episode
 
 	// Episodes counts completed barrier episodes.
@@ -47,8 +47,16 @@ func (h *Home) Handles(k msg.Kind) bool { return k == msg.BarrierArrive }
 
 // Handle processes an arrival after the directory check plus the memory
 // update (the barrier counter lives in memory).
-func (h *Home) Handle(m *msg.Msg) {
-	h.station.ProcessAfter(h.f.Time.TMem, func() { h.process(m) })
+func (h *Home) Handle(m *msg.Msg) { h.station.ProcessAfter(h.f.Time.TMem, h, m) }
+
+// OnDeliver implements sim.Receiver: an arrival has passed the station, or
+// a release built by process has had its directory check and goes out.
+func (h *Home) OnDeliver(p any) {
+	if m := p.(*msg.Msg); m.Kind == msg.BarrierRelease {
+		h.f.Send(m)
+	} else {
+		h.process(m)
+	}
 }
 
 func (h *Home) process(m *msg.Msg) {
@@ -77,10 +85,7 @@ func (h *Home) process(m *msg.Msg) {
 	delete(h.eps, a)
 	h.Episodes++
 	for _, n := range ep.arrived {
-		n := n
-		h.station.Process(func() {
-			h.f.Send(&msg.Msg{Kind: msg.BarrierRelease, Src: h.id, Dst: n, Aux: uint64(a)})
-		})
+		h.station.Process(h, &msg.Msg{Kind: msg.BarrierRelease, Src: h.id, Dst: n, Aux: uint64(a)})
 	}
 }
 

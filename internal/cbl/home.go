@@ -29,7 +29,7 @@ type Home struct {
 	id      int
 	geom    mem.Geometry
 	store   *mem.Store
-	station *fabric.Station
+	station fabric.Station
 	queues  map[mem.Block][]waiter
 	// deferred holds releases that arrived before the direct-handoff
 	// notification that makes their sender a holder in the home's view
@@ -91,9 +91,10 @@ func (h *Home) Handles(k msg.Kind) bool {
 
 // Handle processes an inbound lock message after the central-directory
 // check.
-func (h *Home) Handle(m *msg.Msg) {
-	h.station.Process(func() { h.process(m) })
-}
+func (h *Home) Handle(m *msg.Msg) { h.station.Process(h, m) }
+
+// OnDeliver implements sim.Receiver: the station's check is done.
+func (h *Home) OnDeliver(m any) { h.process(m.(*msg.Msg)) }
 
 func (h *Home) process(m *msg.Msg) {
 	if h.geom.Home(m.Block) != h.id {

@@ -35,7 +35,7 @@ type Unit struct {
 	id      int
 	geom    mem.Geometry
 	lc      *cache.LockCache
-	station *fabric.Station
+	station fabric.Station
 
 	// DirectHandoff enables the paper's structural fast path: a write
 	// holder that knows its queue successor passes the grant (with the
@@ -206,9 +206,10 @@ func (u *Unit) Handles(k msg.Kind) bool {
 }
 
 // Handle processes an inbound lock message after the cache-directory check.
-func (u *Unit) Handle(m *msg.Msg) {
-	u.station.Process(func() { u.process(m) })
-}
+func (u *Unit) Handle(m *msg.Msg) { u.station.Process(u, m) }
+
+// OnDeliver implements sim.Receiver: the station's check is done.
+func (u *Unit) OnDeliver(m any) { u.process(m.(*msg.Msg)) }
 
 func (u *Unit) process(m *msg.Msg) {
 	switch m.Kind {

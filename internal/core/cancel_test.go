@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ssmp/internal/sim"
 )
 
 // spinProgs returns programs that never finish: each processor ping-pongs a
@@ -104,6 +106,58 @@ func TestEventPanicUnwindsCleanly(t *testing.T) {
 			}
 			waitGoroutines(t, before)
 		})
+	}
+}
+
+// TestRunOnLockedThread: Run's caller may be locked to its OS thread. On
+// one lane the programs' coroutines are made and resumed on the caller's
+// thread; on many, Run makes them on a goroutine of its own, so lane
+// workers may resume them. Either way a run that finishes, a program that
+// panics and a run cut at its horizon come back as Run's error, not as a
+// fatal error, and leave no goroutine behind.
+func TestRunOnLockedThread(t *testing.T) {
+	count := func(p *Proc) {
+		for i := 0; i < 8; i++ {
+			p.SharedWrite(0, p.SharedRead(0)+1)
+		}
+	}
+	kaput := func(p *Proc) { p.Think(5); panic("kaput") }
+	for _, workers := range []int{0, 2} {
+		for _, c := range []struct {
+			name    string
+			progs   []Program
+			horizon sim.Time // 0 keeps the default
+			want    string   // in Run's error; empty when Run succeeds
+		}{
+			{"finishes", []Program{count, count, count, count}, 0, ""},
+			{"program-panics", []Program{count, kaput, count, count}, 0, "processor 1 panicked: kaput"},
+			{"horizon", spinProgs(4), 10_000, "horizon exceeded"},
+		} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				cfg := DefaultConfig(4)
+				cfg.SimWorkers = workers
+				if c.horizon != 0 {
+					cfg.Horizon = c.horizon
+				}
+				m := NewMachine(cfg)
+				if many := m.Lanes() > 1; many != (workers > 0) {
+					t.Fatalf("%d lanes at %d workers", m.Lanes(), workers)
+				}
+				errc := make(chan error)
+				go func() {
+					runtime.LockOSThread()
+					defer runtime.UnlockOSThread()
+					_, err := m.Run(c.progs)
+					errc <- err
+				}()
+				err := <-errc
+				if ok := c.want == "" && err == nil || c.want != "" && err != nil && strings.Contains(err.Error(), c.want); !ok {
+					t.Fatalf("Run = %v, want %q", err, c.want)
+				}
+				waitGoroutines(t, before)
+			})
+		}
 	}
 }
 

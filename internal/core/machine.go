@@ -303,12 +303,6 @@ func (m *Machine) Run(programs []Program) (Result, error) {
 // deadline passes) the event loop stops at the next interrupt poll, every
 // parked program is unwound, and the ctx error is returned. Cancellation
 // cannot perturb a completed run's determinism — it only ends a run early.
-//
-// On many lanes, do not call RunContext from a goroutine locked to its OS
-// thread (runtime.LockOSThread): the programs' coroutines are made on the
-// caller's goroutine, the runtime resumes a coroutine made on a locked
-// thread only on that thread, and lane workers resume them on others (the
-// process dies with a fatal error).
 func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, error) {
 	if m.running {
 		panic("core: Machine.Run called twice")
@@ -328,28 +322,14 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 		}
 		m.par.SetInterrupt(poll)
 	}
-	active := 0
-	for i, prog := range programs {
-		if prog == nil {
-			m.nodes[i].proc.done = true
-			continue
-		}
-		active++
-		m.nodes[i].proc.start(prog)
+	var err error
+	if m.par.Lanes() > 1 {
+		err = m.executeApart(programs)
+	} else {
+		err = m.execute(programs)
 	}
-	m.finished.Store(int32(m.cfg.Nodes - active))
-	if err := m.runEvents(); err != nil {
-		return Result{}, fmt.Errorf("core: %w at cycle %d", err, m.Now())
-	}
-	if int(m.finished.Load()) < m.cfg.Nodes {
-		var stuck []int
-		for i := range m.nodes {
-			if !m.nodes[i].proc.done {
-				stuck = append(stuck, i)
-			}
-		}
-		m.drainAborted()
-		return Result{}, &ErrDeadlock{Stuck: stuck}
+	if err != nil {
+		return Result{}, err
 	}
 	for i := range m.nodes {
 		if err := m.nodes[i].proc.err; err != nil {
@@ -384,6 +364,61 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 		res.MeanUtilization = utilSum / float64(utilN)
 	}
 	return res, nil
+}
+
+// execute starts the programs' coroutines and runs the event loop. When the
+// loop stops early or the queue drains with programs still parked, it
+// unwinds them and returns the loop's error or an *ErrDeadlock.
+func (m *Machine) execute(programs []Program) error {
+	active := 0
+	for i, prog := range programs {
+		if prog == nil {
+			m.nodes[i].proc.done = true
+			continue
+		}
+		active++
+		m.nodes[i].proc.start(prog)
+	}
+	m.finished.Store(int32(m.cfg.Nodes - active))
+	if err := m.runEvents(); err != nil {
+		return fmt.Errorf("core: %w at cycle %d", err, m.Now())
+	}
+	if int(m.finished.Load()) < m.cfg.Nodes {
+		var stuck []int
+		for i := range m.nodes {
+			if !m.nodes[i].proc.done {
+				stuck = append(stuck, i)
+			}
+		}
+		m.drainAborted()
+		return &ErrDeadlock{Stuck: stuck}
+	}
+	return nil
+}
+
+// executeApart is execute on a fresh goroutine, for a run on many lanes.
+// The runtime resumes a coroutine only under the OS-thread locking it was
+// made under, and lane workers resume the programs on threads of their
+// own, so the coroutines must not be made on a caller that may be locked
+// to its thread (runtime.LockOSThread). The caller waits, and a panic
+// raised on the goroutine is re-raised on the caller once execute has
+// unwound the programs.
+func (m *Machine) executeApart(programs []Program) error {
+	var (
+		err   error
+		fault any
+		done  = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		defer func() { fault = recover() }()
+		err = m.execute(programs)
+	}()
+	<-done
+	if fault != nil {
+		panic(fault)
+	}
+	return err
 }
 
 // runEvents runs the event loop and, when it stops early, unwinds the

@@ -165,29 +165,32 @@ func (f *Fabric) Attach(node int, h func(*msg.Msg)) {
 
 // Station is a per-node message-processing front end: incoming messages are
 // serialized through a directory-check resource (t_D each) before their
-// handler runs. Both cache directories and the central directory use one.
+// handler runs. Both cache directories and the central directory use one,
+// held by value in the controller.
 type Station struct {
 	f   *Fabric
 	res sim.Resource
 }
 
 // NewStation returns a station on the fabric.
-func NewStation(f *Fabric) *Station { return &Station{f: f} }
+func NewStation(f *Fabric) Station { return Station{f: f} }
 
-// Process schedules fn after the station's directory-check delay, honoring
-// queueing at the directory.
-func (s *Station) Process(fn func()) {
+// Process schedules rcv.OnDeliver(m) after the station's directory-check
+// delay, honoring queueing at the directory. It is a typed event, so a
+// message's processing allocates no closure, and it draws the same time,
+// sequence number and jitter key as the closure form eng.At would.
+func (s *Station) Process(rcv sim.Receiver, m *msg.Msg) {
 	done := s.res.Acquire(s.f.Eng.Now(), s.f.Time.TDir)
-	s.f.Eng.At(done, fn)
+	s.f.Eng.AtDeliver(done, rcv, m)
 }
 
-// ProcessAfter schedules fn after the directory check plus an extra delay
+// ProcessAfter is Process after the directory check plus an extra delay
 // (e.g. t_m for a memory block read). The station is occupied for the whole
 // duration: the directory and its memory module service one transaction at
 // a time.
-func (s *Station) ProcessAfter(extra sim.Time, fn func()) {
+func (s *Station) ProcessAfter(extra sim.Time, rcv sim.Receiver, m *msg.Msg) {
 	done := s.res.Acquire(s.f.Eng.Now(), s.f.Time.TDir+extra)
-	s.f.Eng.At(done, fn)
+	s.f.Eng.AtDeliver(done, rcv, m)
 }
 
 // Busy returns the cycles the station has been occupied.

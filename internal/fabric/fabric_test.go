@@ -60,24 +60,33 @@ func TestAfterWordOverlapping(t *testing.T) {
 	}
 }
 
+// stationLog is a sim.Receiver that logs which message each delivery
+// carried and when it came.
+type stationLog struct {
+	eng *sim.Engine
+	got []string
+}
+
+func (l *stationLog) OnDeliver(p any) {
+	l.got = append(l.got, fmt.Sprintf("%d@%d", p.(*msg.Msg).Aux, l.eng.Now()))
+}
+
 func TestStationSerializes(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := network.New(eng, network.DefaultConfig(2))
 	f := New(eng, nw, Timing{CacheHit: 1, TDir: 3, TMem: 4})
 	s := NewStation(f)
-	var times []sim.Time
-	s.Process(func() { times = append(times, eng.Now()) })
-	s.Process(func() { times = append(times, eng.Now()) })
-	s.ProcessAfter(4, func() { times = append(times, eng.Now()) })
+	l := &stationLog{eng: eng}
+	s.Process(l, &msg.Msg{Aux: 1})
+	s.Process(l, &msg.Msg{Aux: 2})
+	s.ProcessAfter(4, l, &msg.Msg{Aux: 3})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// t_D = 3: first at 3, second queued to 6, third at 9+4=13.
-	want := []sim.Time{3, 6, 13}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("times = %v, want %v", times, want)
-		}
+	// t_D = 3: the first message at 3, the second queued to 6, the third
+	// at 9+4=13, each delivered to the receiver with its own message.
+	if want := "[1@3 2@6 3@13]"; fmt.Sprint(l.got) != want {
+		t.Fatalf("deliveries %v, want %s", l.got, want)
 	}
 	// Occupancy: 3 + 3 + (3+4): the memory read holds the station.
 	if s.Busy() != 13 {

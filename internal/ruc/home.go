@@ -16,7 +16,7 @@ type Home struct {
 	id      int
 	geom    mem.Geometry
 	store   *mem.Store
-	station *fabric.Station
+	station fabric.Station
 
 	// WriteUpdateMode switches the home to classic sender-initiated
 	// write-update (Firefly/Dragon style, the scheme §4.1 contrasts
@@ -66,11 +66,14 @@ func (h *Home) Handle(m *msg.Msg) {
 	switch m.Kind {
 	case msg.ReadMiss, msg.ReadUpdateReq, msg.ReadGlobalReq:
 		// These read memory.
-		h.station.ProcessAfter(h.f.Time.TMem, func() { h.process(m) })
+		h.station.ProcessAfter(h.f.Time.TMem, h, m)
 	default:
-		h.station.Process(func() { h.process(m) })
+		h.station.Process(h, m)
 	}
 }
+
+// OnDeliver implements sim.Receiver: the station's check is done.
+func (h *Home) OnDeliver(m any) { h.process(m.(*msg.Msg)) }
 
 func (h *Home) checkHome(b mem.Block) {
 	if h.geom.Home(b) != h.id {

@@ -19,7 +19,7 @@ type Node struct {
 	id      int
 	geom    mem.Geometry
 	cache   *cache.Cache
-	station *fabric.Station
+	station fabric.Station
 
 	// pendBlock/pendDone hold the single outstanding demand request.
 	pendBlock mem.Block
@@ -216,9 +216,10 @@ func (n *Node) Handles(k msg.Kind) bool {
 
 // Handle processes an inbound message after the cache-directory check
 // delay.
-func (n *Node) Handle(m *msg.Msg) {
-	n.station.Process(func() { n.process(m) })
-}
+func (n *Node) Handle(m *msg.Msg) { n.station.Process(n, m) }
+
+// OnDeliver implements sim.Receiver: the station's check is done.
+func (n *Node) OnDeliver(m any) { n.process(m.(*msg.Msg)) }
 
 func (n *Node) process(m *msg.Msg) {
 	switch m.Kind {

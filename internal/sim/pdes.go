@@ -12,8 +12,8 @@
 //     as posts in a per-source-lane FIFO outbox. Because any cross-lane
 //     effect is at least one link latency away, every post lands at or
 //     beyond the window end — the destination lane cannot have passed it.
-//  3. At the barrier, the outboxes are appended to the destination heaps in
-//     source-lane order, and every heap pops in the order of the key
+//  3. At the barrier, the outboxes are appended to the destination queues in
+//     source-lane order, and every queue pops in the order of the key
 //     (time, jitter, source lane, source sequence). The key is drawn by the
 //     source lane at Post time, so it is a pure function of that lane's own
 //     schedule — no interleaving of lane execution, worker count, or merge
@@ -302,7 +302,7 @@ func (p *Parallel) Run(workers int) error {
 
 	// nt caches every lane's next-event time between windows, so the
 	// per-window GVT reduction and active-lane selection scan a flat Time
-	// array instead of probing each lane's heap top through the record
+	// array instead of probing each lane's queue front through the record
 	// pool (two pointer-chasing nextTime calls per lane per window — the
 	// dominant coordinator cost at 512-1024 lanes). The cache is refreshed
 	// where it can change: by the worker that ran the lane's window, and
@@ -411,13 +411,14 @@ func (p *Parallel) runLane(e *Engine) {
 	p.nt[e.lane] = e.nextTime()
 }
 
-// merge drains every outbox into the destination heaps, appending the
-// outboxes in source-lane order. It needs no sort: the heap comparator
-// orders by the full key (time, jitter, source lane, source sequence),
-// which is unique, so insertion order cannot affect pop order. Each
-// outbox's contents and order are a function of its source lane's schedule
-// and the arbiter's replay alone, so arena slots are assigned identically
-// at any worker count too.
+// merge drains every outbox into the destination queues, appending the
+// outboxes in source-lane order. It needs no sort: each queue orders by the
+// full key (time, jitter, source lane, source sequence), which is unique,
+// so insertion order cannot affect pop order — a post due inside the
+// wheel's span links into its slot's list ahead of, between or behind the
+// lane's own events. Each outbox's contents and order are a function of
+// its source lane's schedule and the arbiter's replay alone, so arena
+// slots are assigned identically at any worker count too.
 func (p *Parallel) merge() {
 	for src, out := range p.out {
 		for i := range out {
@@ -434,18 +435,17 @@ func (p *Parallel) merge() {
 	}
 }
 
-// nextTime returns the timestamp of the earliest live event, discarding
-// cancelled entries from the top of the heap, or Infinity when drained.
+// nextTime returns the timestamp of the earliest live event, dropping
+// cancelled entries from the front of the queue, or Infinity when drained.
 func (e *Engine) nextTime() Time {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		r := &e.pool[top]
-		if !r.dead {
+	for {
+		id, slot := e.peek()
+		if id < 0 {
+			return Infinity
+		}
+		if r := &e.pool[id]; !r.dead {
 			return r.at
 		}
-		e.pop()
-		e.dead--
-		e.release(top)
+		e.drop(id, slot)
 	}
-	return Infinity
 }

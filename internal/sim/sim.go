@@ -2,26 +2,47 @@
 // multiprocessor model.
 //
 // The kernel is deliberately minimal and deterministic: a single logical
-// clock measured in machine cycles, a binary-heap event queue ordered by
-// (time, insertion sequence), and no goroutines. All simulated components
-// (processors, caches, directories, network switches) are passive state
-// machines that interact exclusively by scheduling events. Two runs with the
-// same seed and configuration produce bit-identical results, which the test
-// suite verifies.
+// clock measured in machine cycles, an event queue that pops in the order
+// of a unique key (time, jitter, lane, insertion sequence), and no
+// goroutines. All simulated components (processors, caches, directories,
+// network switches) are passive state machines that interact exclusively
+// by scheduling events. Two runs with the same seed and configuration
+// produce bit-identical results, which the test suite verifies.
+//
+// The queue is a 64-slot timing wheel (Varghese & Lauck, SOSP 1987; a
+// calendar queue in Brown's terms, CACM 1988) in front of a binary heap. An
+// event due less than 64 cycles after now goes into wheel slot at%64, a
+// list kept sorted by (jitter, lane, sequence); an event due later goes
+// onto the far heap. Every wheel event lies in [now, now+64), so a slot
+// holds events of one time only, and the next wheel event heads the first
+// occupied slot at or after now: one rotate and one trailing-zero count
+// over a one-word occupancy set. The next event overall is that one or the
+// far heap's top, whichever the key puts first — a far event whose time
+// has come inside the wheel's span competes on the same key — so the pop
+// order is the key order whatever the queue's internal arrangement. Model
+// events are near: the serial Figure 4–7 sweep (7.24 M events) schedules
+// 70.6% of its events 1 cycle ahead and 98.7% less than 64 cycles ahead,
+// with 33 pending on average, so nearly every event is inserted and popped
+// in O(1) and never touches the heap. At that shape (BenchmarkEngineQueue,
+// jitter off, on a 2-CPU Intel Xeon with go1.24.0) 1,000 events take
+// 56.5 µs against the binary heap's 108.5.
 //
 // The queue is built for throughput: event records live in a pooled arena
-// and are recycled through a free list, the heap itself is a slice of arena
-// indices (no per-event allocation, no interface boxing), and the two event
-// shapes that dominate a simulation — resuming a processor and delivering a
-// network message — are typed (Stepper, Receiver) so the hot path allocates
-// no closures. Cancelled entries are dropped lazily at pop time, with an
-// eager sweep once they outnumber live ones.
+// and are recycled through a free list, the wheel lists and the heap hold
+// arena indices (no per-event allocation, no interface boxing), and the
+// two event shapes that dominate a simulation — resuming a processor and
+// delivering a network message — are typed (Stepper, Receiver) so the hot
+// path allocates no closures. Cancelled entries are dropped lazily when
+// they reach the front; on the far heap an eager sweep runs once they
+// outnumber live ones, while a cancelled wheel entry drains within 64
+// cycles.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is the simulation clock, measured in processor cycles.
@@ -57,6 +78,11 @@ const (
 	evDeliver
 )
 
+// wheelSlots is the timing wheel's span in cycles: an event due less than
+// wheelSlots cycles after now goes on the wheel, a later one on the far
+// heap. 64 slots make the occupancy set one machine word.
+const wheelSlots = 64
+
 // record is one pooled event. Records live in the engine's arena and are
 // recycled through a free list; gen invalidates Handles to recycled slots.
 // seq breaks (at) ties so that events scheduled for the same cycle fire in
@@ -74,8 +100,10 @@ type record struct {
 	arg     uint64
 	lane    int32
 	gen     uint32
+	next    int32 // the next record in this one's wheel slot; -1 ends the list
 	kind    eventKind
 	dead    bool
+	far     bool // queued on the far heap, not on the wheel
 }
 
 // Handle identifies a scheduled event so it can be cancelled.
@@ -88,7 +116,7 @@ type Handle struct {
 // Cancel removes the event from the schedule. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancel reports whether the event was
 // still pending. The entry is dropped lazily; once dead entries outnumber
-// live ones the queue is swept eagerly.
+// live ones on the far heap it is swept eagerly.
 func (h Handle) Cancel() bool {
 	if h.e == nil {
 		return false
@@ -99,8 +127,10 @@ func (h Handle) Cancel() bool {
 	}
 	r.dead = true
 	r.fn, r.step, r.recv, r.payload = nil, nil, nil, nil
-	h.e.dead++
-	h.e.maybeSweep()
+	if r.far {
+		h.e.dead++
+		h.e.maybeSweep()
+	}
 	return true
 }
 
@@ -117,10 +147,20 @@ func (h Handle) Pending() bool {
 type Engine struct {
 	now  Time
 	seq  uint64
-	pool []record // event arena; heap and free hold indices into it
-	heap []int32  // binary min-heap ordered by (at, seq)
-	free []int32  // recycled arena slots
-	dead int      // cancelled entries still in heap
+	pool []record // event arena; the queue and free hold indices into it
+
+	// The event queue. Wheel slot s lists the events due at the one time in
+	// [now, now+wheelSlots) congruent to s modulo wheelSlots, in
+	// (jit, lane, seq) order through record.next, from head[s] to tail[s];
+	// bit s of occ is set while the list is non-empty. far is a binary
+	// min-heap, ordered by less, of the events that were wheelSlots or more
+	// cycles ahead when scheduled.
+	occ  uint64
+	head [wheelSlots]int32
+	tail [wheelSlots]int32
+	far  []int32
+	free []int32 // recycled arena slots
+	dead int     // cancelled entries still in far
 
 	fired     uint64
 	stopped   bool
@@ -149,8 +189,16 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled (including cancelled
-// entries not yet swept).
-func (e *Engine) Pending() int { return len(e.heap) }
+// entries not yet dropped).
+func (e *Engine) Pending() int {
+	n := len(e.far)
+	for occ := e.occ; occ != 0; occ &= occ - 1 {
+		for id := e.head[bits.TrailingZeros64(occ)]; id >= 0; id = e.pool[id].next {
+			n++
+		}
+	}
+	return n
+}
 
 // SetHorizon establishes a hard time limit. The horizon is inclusive:
 // events with timestamps <= t still fire, and Run returns ErrHorizon only
@@ -201,13 +249,13 @@ func (e *Engine) nextJit() uint64 {
 	return z ^ (z >> 31)
 }
 
-// less orders heap entries by (time, jitter, lane, sequence). With jitter
+// less orders queue entries by (time, jitter, lane, sequence). With jitter
 // off every jit is zero, and in a standalone engine every lane is zero, so
 // the order degenerates to the legacy (time, seq). Under a Parallel run the
 // (lane, seq) pair is the scheduling lane and that lane's local sequence
 // counter, which makes the key a total order that no interleaving of lane
 // execution can perturb. seq keeps the key unique within a lane, so the pop
-// order is independent of the heap's internal arrangement.
+// order is independent of the queue's internal arrangement.
 func (e *Engine) less(a, b int32) bool {
 	ra, rb := &e.pool[a], &e.pool[b]
 	if ra.at != rb.at {
@@ -223,7 +271,7 @@ func (e *Engine) less(a, b int32) bool {
 }
 
 func (e *Engine) siftUp(i int) {
-	h := e.heap
+	h := e.far
 	id := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -237,7 +285,7 @@ func (e *Engine) siftUp(i int) {
 }
 
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h := e.far
 	n := len(h)
 	id := h[i]
 	for {
@@ -257,17 +305,50 @@ func (e *Engine) siftDown(i int) {
 	h[i] = id
 }
 
-// pop removes and returns the earliest entry's arena index.
-func (e *Engine) pop() int32 {
-	h := e.heap
+// popFar removes the far heap's top.
+func (e *Engine) popFar() {
+	h := e.far
 	n := len(h) - 1
-	id := h[0]
 	h[0] = h[n]
-	e.heap = h[:n]
+	e.far = h[:n]
 	if n > 0 {
 		e.siftDown(0)
 	}
-	return id
+}
+
+// peek returns the queue's first entry, live or cancelled, and the wheel
+// slot that holds it: the head of the first occupied slot at or after now,
+// or the far heap's top if the key puts it first, with slot -1. id is -1
+// when the queue is empty.
+func (e *Engine) peek() (id int32, slot int) {
+	id, slot = -1, -1
+	if e.occ != 0 {
+		n := int(e.now % wheelSlots)
+		slot = (n + bits.TrailingZeros64(bits.RotateLeft64(e.occ, -n))) % wheelSlots
+		id = e.head[slot]
+	}
+	if len(e.far) > 0 && (id < 0 || e.less(e.far[0], id)) {
+		return e.far[0], -1
+	}
+	return id, slot
+}
+
+// unlink takes peek's entry, record r, off the queue.
+func (e *Engine) unlink(r *record, slot int) {
+	if slot < 0 {
+		e.popFar()
+	} else if e.head[slot] = r.next; r.next < 0 {
+		e.occ &^= 1 << slot
+	}
+}
+
+// drop takes peek's entry, a cancelled one, off the queue and recycles it.
+func (e *Engine) drop(id int32, slot int) {
+	e.unlink(&e.pool[id], slot)
+	if slot < 0 {
+		e.dead--
+	}
+	e.release(id)
 }
 
 // drawKey draws the next ordering key from this engine's own schedule:
@@ -288,8 +369,9 @@ func (e *Engine) schedule(t Time, kind eventKind) (int32, *record) {
 }
 
 // scheduleKeyed allocates a record (recycling a free slot when one exists),
-// stamps it with the ordering key (at, jit, lane, seq), and pushes it onto
-// the heap. A Parallel run's merge calls it directly with the key the
+// stamps it with the ordering key (at, jit, lane, seq), and queues it: on
+// the wheel when it is due less than wheelSlots cycles from now, else on the
+// far heap. A Parallel run's merge calls it directly with the key the
 // source lane drew at Post time. The returned pointer is valid until the
 // next arena append; callers fill the payload immediately.
 func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind eventKind) (int32, *record) {
@@ -306,9 +388,43 @@ func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind 
 	}
 	r := &e.pool[id]
 	r.at, r.jit, r.lane, r.seq, r.kind, r.dead = t, jit, lane, seq, kind, false
-	e.heap = append(e.heap, id)
-	e.siftUp(len(e.heap) - 1)
+	r.far = t-e.now >= wheelSlots
+	if r.far {
+		e.far = append(e.far, id)
+		e.siftUp(len(e.far) - 1)
+		return id, r
+	}
+	s := t % wheelSlots
+	if bit := uint64(1) << s; e.occ&bit == 0 {
+		e.occ |= bit
+		e.head[s], e.tail[s], r.next = id, id, -1
+	} else {
+		e.link(id, r, s)
+	}
 	return id, r
+}
+
+// link inserts record id, r, into occupied wheel slot s in key order. Every
+// entry of a slot is due at the same time, so the key reduces to
+// (jit, lane, seq): with jitter off, an engine's own events come in
+// sequence order and append at the tail unless a post from a higher lane
+// is due with them; jittered events and cross-lane posts walk the list to
+// their place.
+func (e *Engine) link(id int32, r *record, s Time) {
+	if last := e.tail[s]; e.less(last, id) {
+		e.pool[last].next, r.next, e.tail[s] = id, -1, id
+		return
+	}
+	prev, cur := int32(-1), e.head[s]
+	for e.less(cur, id) {
+		prev, cur = cur, e.pool[cur].next
+	}
+	r.next = cur
+	if prev < 0 {
+		e.head[s] = id
+	} else {
+		e.pool[prev].next = id
+	}
 }
 
 // release recycles a record's arena slot and invalidates its handles.
@@ -319,23 +435,24 @@ func (e *Engine) release(id int32) {
 	e.free = append(e.free, id)
 }
 
-// maybeSweep eagerly drops cancelled entries once they outnumber live ones,
-// so a cancel-heavy workload cannot grow the heap without bound. The sweep
-// filters the index slice and re-heapifies; (at, seq) keys are unique, so
-// the pop order is unchanged.
+// maybeSweep eagerly drops cancelled far-heap entries once they outnumber
+// live ones, so a cancel-heavy workload cannot grow the heap without bound.
+// The sweep filters the index slice and re-heapifies; keys are unique, so
+// the pop order is unchanged. The wheel needs no sweep: its cancelled
+// entries reach the front, and are dropped, within wheelSlots cycles.
 func (e *Engine) maybeSweep() {
-	if e.dead <= len(e.heap)/2 || e.dead < 64 {
+	if e.dead <= len(e.far)/2 || e.dead < 64 {
 		return
 	}
-	live := e.heap[:0]
-	for _, id := range e.heap {
+	live := e.far[:0]
+	for _, id := range e.far {
 		if e.pool[id].dead {
 			e.release(id)
 			continue
 		}
 		live = append(live, id)
 	}
-	e.heap = live
+	e.far = live
 	for i := len(live)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
@@ -424,25 +541,28 @@ func (e *Engine) Run() error {
 // Parallel run pass Infinity; a lane of a many-lane run passes its window
 // end and leaves the horizon and the interrupt to the coordinator.
 func (e *Engine) run(end Time) error {
-	for len(e.heap) > 0 && !e.stopped {
+	for (e.occ != 0 || len(e.far) > 0) && !e.stopped {
 		if e.interrupt != nil && e.fired%interruptEvery == 0 {
 			if err := e.interrupt(); err != nil {
 				return err
 			}
 		}
-		id := e.heap[0]
+		id, slot := e.peek()
 		r := &e.pool[id]
 		if r.dead {
-			e.pop()
-			e.dead--
-			e.release(id)
+			e.drop(id, slot)
 			continue
 		}
 		at := r.at
 		if at >= end {
 			return nil
 		}
-		e.pop()
+		// unlink, written out: it does not inline, and this is the hot path.
+		if slot < 0 {
+			e.popFar()
+		} else if e.head[slot] = r.next; r.next < 0 {
+			e.occ &^= 1 << slot
+		}
 		e.now = at
 		if at > e.limit {
 			e.release(id)

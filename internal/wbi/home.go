@@ -30,7 +30,7 @@ type Home struct {
 	id      int
 	geom    mem.Geometry
 	store   *mem.Store
-	station *fabric.Station
+	station fabric.Station
 	dir     map[mem.Block]*dirEntry
 
 	// MaxPointers caps the per-block sharer pointer count (the Dir-i-B
@@ -89,9 +89,10 @@ func (h *Home) Handles(k msg.Kind) bool {
 }
 
 // Handle processes an inbound message after the central-directory check.
-func (h *Home) Handle(m *msg.Msg) {
-	h.station.Process(func() { h.process(m) })
-}
+func (h *Home) Handle(m *msg.Msg) { h.station.Process(h, m) }
+
+// OnDeliver implements sim.Receiver: the station's check is done.
+func (h *Home) OnDeliver(m any) { h.process(m.(*msg.Msg)) }
 
 // addSharer records a sharer pointer, degrading to the broadcast bit on
 // limited-directory overflow.
