@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-smoke bench-check pdes litmus farm farm-grow synczoo chaos kv cover serve clean
+.PHONY: build test race vet fmt-check bench bench-smoke bench-check pdes litmus farm farm-grow synczoo chaos kv results cover serve clean
 
 build:
 	$(GO) build ./...
@@ -63,14 +63,14 @@ pdes:
 # race detector, then across fault seeds on a misbehaving interconnect.
 synczoo:
 	$(GO) test -race ./internal/synczoo/
-	$(GO) run ./cmd/ssmpsync litmus -seeds 8
-	$(GO) run ./cmd/ssmpsync litmus -seeds 8 -faults
+	$(GO) run ./cmd/ssmp sync litmus -seeds 8
+	$(GO) run ./cmd/ssmp sync litmus -seeds 8 -faults
 
 # Litmus cross-validation: the embedded corpus under the race detector,
 # then a bounded fuzz of random programs against the axiomatic model.
 litmus:
 	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink' ./internal/litmus/
-	$(GO) run ./cmd/ssmplitmus fuzz -budget 30s
+	$(GO) run ./cmd/ssmp litmus fuzz -budget 30s
 
 # Farm-corpus gate: the committed generated corpus (300+ canonical tests,
 # every §2 axiom family covered) replayed end to end under the race
@@ -85,7 +85,7 @@ farm:
 # output is a pure function of the campaign parameters, so this is a
 # no-op unless the generator, model, or canonicalization changed).
 farm-grow:
-	$(GO) run ./cmd/ssmplitmus farm -n 7000 -rng 1 -report \
+	$(GO) run ./cmd/ssmp litmus farm -n 7000 -rng 1 -report \
 		-out internal/litmus/testdata/generated
 
 # Chaos soak: fault-plane and reliable-transport unit tests under the race
@@ -95,17 +95,25 @@ farm-grow:
 chaos:
 	$(GO) test -race -run 'TestFault|TestTransport|TestChaos' \
 		./internal/network/ ./internal/fabric/ ./internal/core/ ./internal/litmus/ ./internal/server/
-	$(GO) run ./cmd/ssmplitmus run -faults -seeds 32
+	$(GO) run ./cmd/ssmp litmus run -faults -seeds 32
 
 # Key-value service gate: the kvapp unit tests and sequential-consistency
 # oracle under the race detector (including the chaos soak in -short form
 # and the lane-safety bit-identical check), the harness/server/CLI surface,
-# then a short chaos soak through the CLI across both protocols.
+# then a short chaos soak through `ssmp kv` across both protocols.
 kv:
 	$(GO) test -race -short ./internal/kvapp/
 	$(GO) test -race -run 'KV|MetricsLatency' ./internal/harness/ ./internal/server/
-	$(GO) run ./cmd/ssmpkv soak -seeds 4
+	$(GO) run ./cmd/ssmp kv soak -seeds 4
 	$(GO) test '-bench=KVStore/lock=(cbl|mcs)/procs=4$$' -benchtime=1x -run=^$$ .
+
+# Regenerate the committed evaluation in results/: the Markdown report and
+# the Figure 4-7 tables, CSVs and SVGs over the full sweep. Every run is
+# deterministic, so CI fails when the committed files differ from what the
+# code prints (git diff --exit-code -- results/).
+results:
+	$(GO) run ./cmd/ssmp report -procs 2,4,8,16,32,64 > results/report.md
+	$(GO) run ./cmd/ssmp figures -procs 2,4,8,16,32,64 -csv results/ -svg results/ -logy -util > results/figures.txt
 
 # Per-package statement coverage, with a hard floor on the checker
 # packages the litmus farm rests on (override: COVER_FLOOR=90 make cover).

@@ -41,6 +41,18 @@ func (p Protocol) String() string {
 	return "proto?"
 }
 
+// ParseProtocol returns the protocol named "cbl" or "wbi", the lower-case
+// form of String.
+func ParseProtocol(s string) (Protocol, error) {
+	switch s {
+	case "cbl":
+		return ProtoCBL, nil
+	case "wbi":
+		return ProtoWBI, nil
+	}
+	return ProtoCBL, fmt.Errorf("unknown protocol %q (want cbl or wbi)", s)
+}
+
 // Consistency selects the memory model for global writes on the CBL
 // machine.
 type Consistency uint8
@@ -64,6 +76,18 @@ func (c Consistency) String() string {
 		return "SC"
 	}
 	return "consistency?"
+}
+
+// ParseConsistency returns the memory model named "bc" or "sc", the
+// lower-case form of String.
+func ParseConsistency(s string) (Consistency, error) {
+	switch s {
+	case "bc":
+		return BC, nil
+	case "sc":
+		return SC, nil
+	}
+	return BC, fmt.Errorf("unknown consistency %q (want bc or sc)", s)
 }
 
 // Config parameterizes a Machine. DefaultConfig supplies the paper's

@@ -311,6 +311,26 @@ func TestWBIRMWCounter(t *testing.T) {
 	}
 }
 
+// TestRMWCallsOpOnceUnobserved pins that with neither an OnOp observer nor
+// a history recorder installed, the cache is the only caller of an RMW's
+// function: the values those records carry are computed only for them.
+func TestRMWCallsOpOnceUnobserved(t *testing.T) {
+	m := NewMachine(wbiConfig(2))
+	const k = 10
+	calls := 0
+	progs := []Program{func(p *Proc) {
+		for n := 0; n < k; n++ {
+			p.RMW(100, func(w mem.Word) mem.Word { calls++; return w + 1 })
+		}
+	}, nil}
+	if _, err := m.Run(progs); err != nil {
+		t.Fatal(err)
+	}
+	if calls != k {
+		t.Fatalf("op called %d times over %d RMWs, want %d", calls, k, k)
+	}
+}
+
 func TestWBIMachineRejectsCBLPrimitives(t *testing.T) {
 	m := NewMachine(wbiConfig(4))
 	progs := make([]Program, 4)
@@ -457,6 +477,31 @@ func TestProtocolAndConsistencyStrings(t *testing.T) {
 	}
 	if Protocol(9).String() != "proto?" || Consistency(9).String() != "consistency?" {
 		t.Fatal("out-of-range names wrong")
+	}
+}
+
+// TestParseNames pins that each parser inverts the lower-case String and
+// refuses any other spelling.
+func TestParseNames(t *testing.T) {
+	for _, p := range []Protocol{ProtoCBL, ProtoWBI} {
+		if got, err := ParseProtocol(strings.ToLower(p.String())); err != nil || got != p {
+			t.Errorf("ParseProtocol(%q) = %v, %v", strings.ToLower(p.String()), got, err)
+		}
+	}
+	for _, c := range []Consistency{BC, SC} {
+		if got, err := ParseConsistency(strings.ToLower(c.String())); err != nil || got != c {
+			t.Errorf("ParseConsistency(%q) = %v, %v", strings.ToLower(c.String()), got, err)
+		}
+	}
+	for _, bad := range []string{"", "CBL", "wbx", "cbl ", "bc"} {
+		if _, err := ParseProtocol(bad); err == nil {
+			t.Errorf("ParseProtocol(%q) accepted", bad)
+		}
+	}
+	for _, bad := range []string{"", "SC", "zz", "tso", "cbl"} {
+		if _, err := ParseConsistency(bad); err == nil {
+			t.Errorf("ParseConsistency(%q) accepted", bad)
+		}
 	}
 }
 

@@ -70,8 +70,6 @@ type Proc struct {
 	// PrivHits and PrivMisses count modeled private references.
 	PrivHits   uint64
 	PrivMisses uint64
-	// LockAcquires counts lock grants received (either machine).
-	LockAcquires uint64
 
 	stats ProcStats
 }
@@ -584,7 +582,6 @@ func (p *Proc) lock(a mem.Addr, mode msg.LockMode) {
 	defer p.endOp()
 	p.op = pendingOp{kind: k, addr: a}
 	p.block(catSync)
-	p.LockAcquires++
 }
 
 // ReadLock performs READ-LOCK: acquires a shared lock on the block
@@ -629,12 +626,21 @@ func (p *Proc) RMW(a mem.Addr, op func(mem.Word) mem.Word) mem.Word {
 	// Capture normalizes the RMW to fetch-and-add by probing the function
 	// at zero (exact for fetch-and-add and test-and-set-from-free; an
 	// approximation for exotic ops, which the trace format cannot carry).
-	p.beginOp(OpRecord{Kind: OpRMW, Addr: a, Delta: op(0)})
+	// The probe, and the history record's new value below, run only for a
+	// consumer that is installed, so an unobserved RMW calls op once, at
+	// the cache.
+	rec := OpRecord{Kind: OpRMW, Addr: a}
+	if p.m.onOp != nil {
+		rec.Delta = op(0)
+	}
+	p.beginOp(rec)
 	defer p.endOp()
 	start := p.now()
 	p.op = pendingOp{kind: OpRMW, addr: a, rmw: op}
 	old := p.block(catSync)
-	p.record(true, true, a, op(old), old, start)
+	if p.m.hist != nil {
+		p.record(true, true, a, op(old), old, start)
+	}
 	return old
 }
 

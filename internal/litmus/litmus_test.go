@@ -40,7 +40,7 @@ func TestCorpus(t *testing.T) {
 
 // TestCorpusNamesMatchFiles makes sure the name field inside each JSON
 // file, hand-written and generated, agrees with its file name: Load reads
-// only <name>.json, so ssmplitmus run <name> and ssmpd depend on it.
+// only <name>.json, so ssmp litmus run <name> and ssmpd depend on it.
 func TestCorpusNamesMatchFiles(t *testing.T) {
 	n := 0
 	for _, dir := range []struct {

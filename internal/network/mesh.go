@@ -8,7 +8,11 @@ package network
 // dimension-ordered (X then Y), and every directed link is a contended
 // resource, as the Ω switch ports are.
 
-import "ssmp/internal/sim"
+import (
+	"fmt"
+
+	"ssmp/internal/sim"
+)
 
 // Topology selects the interconnect.
 type Topology uint8
@@ -35,6 +39,17 @@ func (t Topology) String() string {
 		return "bus"
 	}
 	return "topology?"
+}
+
+// ParseTopology returns the topology String names: "omega", "mesh" or
+// "bus".
+func ParseTopology(s string) (Topology, error) {
+	for t := TopOmega; t <= TopBus; t++ {
+		if t.String() == s {
+			return t, nil
+		}
+	}
+	return TopOmega, fmt.Errorf("unknown topology %q (want omega, mesh or bus)", s)
 }
 
 // mesh holds the mesh-specific state.

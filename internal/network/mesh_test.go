@@ -340,3 +340,18 @@ func TestBusTopologyName(t *testing.T) {
 		t.Fatal("bus name wrong")
 	}
 }
+
+// TestParseTopology pins that ParseTopology inverts String and refuses any
+// other spelling.
+func TestParseTopology(t *testing.T) {
+	for _, top := range []Topology{TopOmega, TopMesh, TopBus} {
+		if got, err := ParseTopology(top.String()); err != nil || got != top {
+			t.Errorf("ParseTopology(%q) = %v, %v", top.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Omega", "ring", "topology?", "bus "} {
+		if _, err := ParseTopology(bad); err == nil {
+			t.Errorf("ParseTopology(%q) accepted", bad)
+		}
+	}
+}

@@ -147,22 +147,18 @@ func (s *SimSpec) Normalize() error {
 	if s.Procs < 2 || s.Procs > maxSpecProcs || s.Procs&(s.Procs-1) != 0 {
 		return fmt.Errorf("procs must be a power of two in [2,%d], got %d", maxSpecProcs, s.Procs)
 	}
-	switch s.Protocol {
-	case "cbl", "wbi":
-	default:
+	proto, err := core.ParseProtocol(s.Protocol)
+	if err != nil {
 		return fmt.Errorf("protocol must be cbl or wbi, got %q", s.Protocol)
 	}
-	switch s.Consistency {
-	case "bc", "sc":
-	default:
+	cons, err := core.ParseConsistency(s.Consistency)
+	if err != nil {
 		return fmt.Errorf("consistency must be bc or sc, got %q", s.Consistency)
 	}
-	if s.Protocol == "wbi" && s.Consistency != "sc" {
+	if proto == core.ProtoWBI && cons != core.SC {
 		return fmt.Errorf("the wbi machine is always sequentially consistent")
 	}
-	switch s.Topology {
-	case "omega", "mesh", "bus":
-	default:
+	if _, err := network.ParseTopology(s.Topology); err != nil {
 		return fmt.Errorf("topology must be omega, mesh, or bus, got %q", s.Topology)
 	}
 	switch s.Workload {
@@ -208,21 +204,13 @@ func (s *SimSpec) Normalize() error {
 // Key returns the spec's content address. Call Normalize first.
 func (s *SimSpec) Key() string { return specKey("sim", s) }
 
-// config builds the machine configuration the spec names.
+// config builds the machine configuration the spec names. Call Normalize
+// first: it has checked every name.
 func (s *SimSpec) config() core.Config {
 	cfg := core.DefaultConfig(s.Procs)
-	if s.Protocol == "wbi" {
-		cfg.Protocol = core.ProtoWBI
-	}
-	if s.Consistency == "sc" {
-		cfg.Consistency = core.SC
-	}
-	switch s.Topology {
-	case "mesh":
-		cfg.Topology = network.TopMesh
-	case "bus":
-		cfg.Topology = network.TopBus
-	}
+	cfg.Protocol, _ = core.ParseProtocol(s.Protocol)
+	cfg.Consistency, _ = core.ParseConsistency(s.Consistency)
+	cfg.Topology, _ = network.ParseTopology(s.Topology)
 	cfg.DirectHandoff = s.DirectHandoff
 	cfg.WriteUpdate = s.WriteUpdate
 	cfg.IdealNetwork = s.IdealNetwork

@@ -271,7 +271,7 @@ func TestMergeLinksIntoOccupiedSlot(t *testing.T) {
 }
 
 // delayMix is the distribution of scheduling distances in the serial
-// Figure 4–7 sweep (ssmpfigures at its defaults, 7.24 M events): 70.6% of
+// Figure 4–7 sweep (ssmp figures at its defaults, 7.24 M events): 70.6% of
 // events 1 cycle ahead, 16.0% 8–15, 7.4% 4–7, 4.0% 16–63, 0.6% 2–3 and
 // 1.3% 64 or more (the far heap).
 func delayMix(r *rand.Rand) Time {

@@ -3,8 +3,8 @@
 // for per-processor memory-reference traces, a writer and parser for it,
 // and a replayer that turns traces into machine programs.
 //
-// Format: line-oriented, '#' comments, a `proc <id>` header starting each
-// processor's section, then one event per line:
+// Format: line-oriented, '#' comments, a `proc <id>` header (0 <= id <
+// MaxProcs) starting each processor's section, then one event per line:
 //
 //	r <addr>          private read
 //	w <addr> <val>    private write
@@ -84,6 +84,11 @@ type Event struct {
 	Write, Hit bool
 }
 
+// MaxProcs bounds the processor ids a trace may name. Parse keeps one
+// section for every id up to the largest it has seen, so without a bound a
+// single header line could ask for any amount of memory.
+const MaxProcs = 1 << 16
+
 // Trace is a per-processor event list.
 type Trace struct {
 	// Procs[i] is processor i's event sequence.
@@ -144,8 +149,8 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace:%d: malformed proc header", lineNo)
 			}
 			id, err := strconv.Atoi(fields[1])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("trace:%d: bad proc id %q", lineNo, fields[1])
+			if err != nil || id < 0 || id >= MaxProcs {
+				return nil, fmt.Errorf("trace:%d: bad proc id %q (want 0 to %d)", lineNo, fields[1], MaxProcs-1)
 			}
 			for len(t.Procs) <= id {
 				t.Procs = append(t.Procs, nil)

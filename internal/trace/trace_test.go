@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,8 +57,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseCommentsAndBlanks(t *testing.T) {
-	in := `
+// commentedTrace, sparseTrace and badTraces are the hand-written inputs of
+// the parser tests; FuzzParse starts from them too.
+const (
+	commentedTrace = `
 # a trace
 proc 0
 
@@ -64,7 +68,26 @@ proc 0
 r 40
 think 3
 `
-	tr, err := Parse(strings.NewReader(in))
+	sparseTrace = "proc 2\nr 40\n"
+)
+
+var badTraces = []string{
+	"r 40",              // event before proc header
+	"proc x",            // bad id
+	"proc 65536",        // id at MaxProcs
+	"proc 4000000000",   // id far past MaxProcs
+	"proc 0\nzz 1",      // unknown op
+	"proc 0\nw 1",       // missing value
+	"proc 0\npriv r",    // missing hit/miss
+	"proc 0\npriv q h",  // bad mode
+	"proc 0\npriv r q",  // bad outcome
+	"proc 0\nbar 300",   // missing count
+	"proc 0\nr abc",     // bad addr
+	"proc 0\nthink abc", // bad cycles
+}
+
+func TestParseCommentsAndBlanks(t *testing.T) {
+	tr, err := Parse(strings.NewReader(commentedTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,28 +97,30 @@ think 3
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"r 40",              // event before proc header
-		"proc x",            // bad id
-		"proc 0\nzz 1",      // unknown op
-		"proc 0\nw 1",       // missing value
-		"proc 0\npriv r",    // missing hit/miss
-		"proc 0\npriv q h",  // bad mode
-		"proc 0\npriv r q",  // bad outcome
-		"proc 0\nbar 300",   // missing count
-		"proc 0\nr abc",     // bad addr
-		"proc 0\nthink abc", // bad cycles
-	}
-	for _, in := range cases {
+	for _, in := range badTraces {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("Parse(%q) accepted", in)
 		}
 	}
 }
 
+// TestParseProcIDBound pins the largest id a header may name: one below
+// MaxProcs parses into MaxProcs sections, and MaxProcs itself is refused.
+func TestParseProcIDBound(t *testing.T) {
+	tr, err := Parse(strings.NewReader(fmt.Sprintf("proc %d\nfl\n", MaxProcs-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Procs) != MaxProcs {
+		t.Fatalf("%d sections, want %d", len(tr.Procs), MaxProcs)
+	}
+	if _, err := Parse(strings.NewReader(fmt.Sprintf("proc %d\n", MaxProcs))); err == nil {
+		t.Fatalf("proc %d accepted", MaxProcs)
+	}
+}
+
 func TestSparseProcSections(t *testing.T) {
-	in := "proc 2\nr 40\n"
-	tr, err := Parse(strings.NewReader(in))
+	tr, err := Parse(strings.NewReader(sparseTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,4 +226,43 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse feeds Parse arbitrary text, starting from the inputs above and
+// a synthesized trace. Parse must never panic, and a trace it accepts must
+// come back unchanged from Write and a second Parse.
+func FuzzParse(f *testing.F) {
+	p := DefaultSynthParams(4)
+	p.Events = 20
+	syn, err := Synthesize(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tr := range []*Trace{sample(), syn} {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	for _, in := range append([]string{commentedTrace, sparseTrace}, badTraces...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		back, err := Parse(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("Parse of Write's output: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
+		}
+	})
 }
