@@ -28,12 +28,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # One-iteration benchmark smoke: proves the bench paths (simulator kernel,
-# the event kernel's own loop and its queue at the figure sweep's shape,
-# the program/event-loop handoff, exploration engine, the reliable
-# transport under faults and the litmus seed sweep) build and run; used by
-# CI, where timing numbers would be noise anyway.
+# the Figure 4-7 sweeps, the event kernel's own loop and its queue at the
+# figure sweep's shape, the program/event-loop handoff, exploration engine,
+# the reliable transport under faults and the litmus seed sweep) build and
+# run; used by CI, where timing numbers would be noise anyway.
 bench-smoke:
 	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='Figure[4-7]$$' -benchtime=1x -run=^$$ .
 	$(GO) test '-bench=EngineScheduleRun|EngineQueue' -benchtime=1x -run=^$$ ./internal/sim/
 	$(GO) test -bench=ProcPark -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench=TransportChaos -benchtime=1x -run=^$$ ./internal/fabric/

@@ -164,7 +164,15 @@ func BenchmarkTable3Barrier(b *testing.B) {
 
 // --- Figures 4-7 ---------------------------------------------------------
 
-func reportFigure(b *testing.B, f harness.Figure) {
+// benchFigure runs figure n at benchOptions and reports its every point.
+func benchFigure(b *testing.B, n int) {
+	var f harness.Figure
+	for i := 0; i < b.N; i++ {
+		var err error
+		if f, err = benchOptions().FigureByNumber(n); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, s := range f.Series {
 		for _, pt := range s.Points {
 			b.ReportMetric(pt.Y, fmt.Sprintf("cycles-%s-p%g", s.Name, pt.X))
@@ -172,37 +180,13 @@ func reportFigure(b *testing.B, f harness.Figure) {
 	}
 }
 
-func BenchmarkFigure4(b *testing.B) {
-	var f harness.Figure
-	for i := 0; i < b.N; i++ {
-		f = benchOptions().Figure4()
-	}
-	reportFigure(b, f)
-}
+func BenchmarkFigure4(b *testing.B) { benchFigure(b, 4) }
 
-func BenchmarkFigure5(b *testing.B) {
-	var f harness.Figure
-	for i := 0; i < b.N; i++ {
-		f = benchOptions().Figure5()
-	}
-	reportFigure(b, f)
-}
+func BenchmarkFigure5(b *testing.B) { benchFigure(b, 5) }
 
-func BenchmarkFigure6(b *testing.B) {
-	var f harness.Figure
-	for i := 0; i < b.N; i++ {
-		f = benchOptions().Figure6()
-	}
-	reportFigure(b, f)
-}
+func BenchmarkFigure6(b *testing.B) { benchFigure(b, 6) }
 
-func BenchmarkFigure7(b *testing.B) {
-	var f harness.Figure
-	for i := 0; i < b.N; i++ {
-		f = benchOptions().Figure7()
-	}
-	reportFigure(b, f)
-}
+func BenchmarkFigure7(b *testing.B) { benchFigure(b, 7) }
 
 // --- Ablations ------------------------------------------------------------
 

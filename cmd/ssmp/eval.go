@@ -47,6 +47,10 @@ func (c *cli) tables(args []string) error {
 	sim := fs.Bool("sim", false, "also measure the scenarios on the simulator")
 	iters := fs.Int("iters", 20, "solver iterations for -sim Table 2")
 	fs.Parse(args)
+	// Without -sim no machine is built, so any n has analytic tables.
+	if err := checkProcs(*n); err != nil && *sim {
+		return err
+	}
 
 	fmt.Fprintln(c.out, analytic.FormatTable2(*n, *b, analytic.DefaultClassCosts()))
 	fmt.Fprintln(c.out, analytic.FormatTable3(analytic.DefaultSyncParams(*n)))
@@ -56,8 +60,16 @@ func (c *cli) tables(args []string) error {
 	}
 	opt := harness.DefaultOptions()
 	opt.Log = c.log
-	fmt.Fprintln(c.out, harness.FormatTable2Sim(*n, *iters, opt.Table2Sim(*n, *iters)))
-	fmt.Fprintln(c.out, harness.FormatTable3Sim(*n, opt.Table3Sim(*n)))
+	t2, err := opt.Table2Sim(*n, *iters)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(c.out, harness.FormatTable2Sim(*n, *iters, t2))
+	t3, err := opt.Table3Sim(*n)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(c.out, harness.FormatTable3Sim(*n, t3))
 	fmt.Fprint(c.out, `Notes: simulated WBI costs differ from the paper's closed-form model in
 absolute terms (our baseline caches the lock line exclusively, so the
 serial case is cheap); the claims that reproduce are the asymptotics —
@@ -85,18 +97,20 @@ func (c *cli) figures(args []string) error {
 		return err
 	}
 
-	var figures []harness.Figure
-	if *fig == 0 {
-		figures = opt.Figures()
-	} else {
-		f, err := opt.FigureByNumber(*fig)
+	nums := []int{4, 5, 6, 7}
+	if *fig != 0 {
+		nums = []int{*fig}
+	}
+	figures, err := runFigures(opt, nums...)
+	if err != nil {
+		return err
+	}
+	if *util {
+		f, err := opt.UtilizationFigure(128)
 		if err != nil {
 			return err
 		}
-		figures = []harness.Figure{f}
-	}
-	if *util {
-		figures = append(figures, opt.UtilizationFigure(128))
+		figures = append(figures, f)
 	}
 
 	// write puts one figure file into dir and reports its path.
@@ -146,6 +160,9 @@ func (c *cli) report(args []string) error {
 		return err
 	}
 	n := *tableN
+	if err := checkProcs(n); err != nil {
+		return err
+	}
 	block := func(s string) { fmt.Fprintf(c.out, "```\n%s```\n\n", s) }
 
 	fmt.Fprintf(c.out, "# ssmp evaluation report\n\n"+
@@ -156,18 +173,41 @@ func (c *cli) report(args []string) error {
 	block(analytic.FormatTable3(analytic.DefaultSyncParams(n)))
 
 	fmt.Fprint(c.out, "## Simulated cross-checks\n\n")
-	block(harness.FormatTable2Sim(n, 20, opt.Table2Sim(n, 20)))
-	t3 := opt.Table3Sim(n)
+	t2, err := opt.Table2Sim(n, 20)
+	if err != nil {
+		return err
+	}
+	block(harness.FormatTable2Sim(n, 20, t2))
+	t3, err := opt.Table3Sim(n)
+	if err != nil {
+		return err
+	}
 	block(harness.FormatTable3Sim(n, t3))
 	checkTable3(c.out, t3, n)
 
+	figs, err := runFigures(opt, 4, 5, 6, 7)
+	if err != nil {
+		return err
+	}
 	fmt.Fprint(c.out, "\n## Figures\n")
-	for _, f := range opt.Figures() {
+	for _, f := range figs {
 		fmt.Fprintf(c.out, "\n### %s\n\n```\n%s```\n", f.Name, f.Table())
 	}
 	fmt.Fprintln(c.out)
-	checkFigures(c.out, opt)
+	checkFigures(c.out, opt.Procs, figs[0], figs[2])
 	return nil
+}
+
+// runFigures runs the paper's figures nums names, in order.
+func runFigures(opt harness.Options, nums ...int) ([]harness.Figure, error) {
+	figs := make([]harness.Figure, len(nums))
+	for i, n := range nums {
+		var err error
+		if figs[i], err = opt.FigureByNumber(n); err != nil {
+			return nil, err
+		}
+	}
+	return figs, nil
 }
 
 // claim prints one shape claim's verdict as a Markdown list item.
@@ -203,10 +243,10 @@ func checkTable3(w io.Writer, rows []harness.Table3Measured, n int) {
 		get(analytic.BarrierNotify, "CBL").Messages < get(analytic.BarrierNotify, "WBI").Messages)
 }
 
-// checkFigures prints the verdicts of the figure shape claims at the
-// sweep's largest processor count.
-func checkFigures(w io.Writer, opt harness.Options) {
-	nMax := float64(opt.Procs[len(opt.Procs)-1])
+// checkFigures prints the verdicts of the shape claims on Figures 4 and 6
+// at the sweep's largest processor count.
+func checkFigures(w io.Writer, procs []int, f4, f6 harness.Figure) {
+	nMax := float64(procs[len(procs)-1])
 	y := func(f harness.Figure, name string, x float64) float64 {
 		for _, s := range f.Series {
 			if s.Name == name {
@@ -218,7 +258,6 @@ func checkFigures(w io.Writer, opt harness.Options) {
 		panic(fmt.Sprintf("report: %s has no %s point at %g", f.Name, name, x))
 	}
 	fmt.Fprint(w, "## Shape claims (largest sweep point)\n\n")
-	f4 := opt.Figure4()
 	claim(w, "Figure 4: Q-CBL beats Q-WBI under contention",
 		y(f4, "Q-CBL", nMax) < y(f4, "Q-WBI", nMax))
 	claim(w, "Figure 4: backoff helps WBI but does not beat CBL",
@@ -226,9 +265,8 @@ func checkFigures(w io.Writer, opt harness.Options) {
 			y(f4, "Q-CBL", nMax) < y(f4, "Q-backoff", nMax))
 	claim(w, "Figure 4: sync-model CBL <= sync-model WBI",
 		y(f4, "CBL", nMax) <= y(f4, "WBI", nMax))
-	f6 := opt.Figure6()
 	bcWins := true
-	for _, p := range opt.Procs {
+	for _, p := range procs {
 		if y(f6, "BC-CBL", float64(p)) > y(f6, "SC-CBL", float64(p)) {
 			bcWins = false
 		}

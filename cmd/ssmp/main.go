@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ssmp/internal/core"
 	"ssmp/internal/litmus"
 	"ssmp/internal/network"
 )
@@ -107,10 +108,16 @@ func parseProcs(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad processor count %q", part)
 		}
+		if err := checkProcs(n); err != nil {
+			return nil, err
+		}
 		out = append(out, n)
 	}
 	return out, nil
 }
+
+// checkProcs reports whether n is a machine size: a power of two >= 2.
+func checkProcs(n int) error { return core.DefaultConfig(n).Validate() }
 
 // faultFlags registers -drop, -dup and -delay, the per-message fault
 // probabilities, defaulting to the chaos soak's rates.

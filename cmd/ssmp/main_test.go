@@ -105,7 +105,9 @@ func TestMachineNamesParsed(t *testing.T) {
 }
 
 // TestExitStatus pins the one error path: a missing or unknown tool or
-// subcommand prints usage and exits 2, a failing tool exits 1.
+// subcommand prints usage and exits 2, a failing tool prints one line and
+// exits 1. A processor count that is not a power of two >= 2 fails where a
+// machine would be built, and only there.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -119,9 +121,22 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"kv"}, 2, "ssmp kv soak"},
 		{[]string{"litmus", "show", "nosuch"}, 1, "ssmp litmus: "},
 		{[]string{"figures", "-procs", "2,x"}, 1, `ssmp figures: bad processor count "x"`},
+		{[]string{"sim", "-procs", "3"}, 1, "ssmp sim: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"trace", "-procs", "3"}, 1, "ssmp trace: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"trace", "-capture", "queue", "-procs", "3"}, 1, "ssmp trace: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"sync", "locks", "-procs", "3"}, 1, "ssmp sync: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"sync", "barriers", "-procs", "3"}, 1, "ssmp sync: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"sync", "litmus", "-procs", "3"}, 1, "ssmp sync: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"figures", "-procs", "1", "-fig", "4"}, 1, "ssmp figures: core: Nodes must be a power of two >= 2, got 1"},
+		{[]string{"report", "-procs", "3"}, 1, "ssmp report: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"report", "-procs", "2", "-table-n", "3"}, 1, "ssmp report: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"tables", "-sim", "-n", "3"}, 1, "ssmp tables: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"kv", "sweep", "-procs", "0"}, 1, "ssmp kv: core: Nodes must be a power of two >= 2, got 0"},
+		{[]string{"tables", "-n", "3"}, 0, ""},
+		{[]string{"trace", "-gen", "-procs", "3", "-events", "4"}, 0, ""},
 	} {
 		code, _, log := runCmd("", tc.args...)
-		if code != tc.code || !strings.Contains(log, tc.log) {
+		if code != tc.code || !strings.Contains(log, tc.log) || code == 1 && strings.Count(log, "\n") != 1 {
 			t.Errorf("ssmp %s: exit %d, want %d; stderr %q lacks %q",
 				strings.Join(tc.args, " "), code, tc.code, log, tc.log)
 		}

@@ -12,6 +12,7 @@ import (
 	"ssmp/internal/mem"
 	"ssmp/internal/network"
 	"ssmp/internal/trace"
+	"ssmp/internal/workload"
 )
 
 // machineConfig returns the default configuration of a procs-node machine
@@ -24,15 +25,6 @@ func machineConfig(procs int, proto, cons string) (ssmp.Config, error) {
 	}
 	cfg.Consistency, err = core.ParseConsistency(cons)
 	return cfg, err
-}
-
-// syncKit returns the workloads' synchronization for cfg's machine: the
-// hardware CBL lock and barrier, or WBI software locks built on RMW.
-func syncKit(cfg ssmp.Config, layout ssmp.Layout, backoff bool) ssmp.SyncKit {
-	if cfg.Protocol == ssmp.ProtoCBL {
-		return ssmp.CBLKit(layout, cfg.Nodes)
-	}
-	return ssmp.WBIKit(layout, cfg.Nodes, backoff)
 }
 
 // sim runs one simulation of the paper's machine (or the WBI baseline)
@@ -67,6 +59,9 @@ func (c *cli) sim(args []string) (err error) {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	fs.Parse(args)
 
+	if err := checkProcs(*procs); err != nil {
+		return err
+	}
 	cfg, err := machineConfig(*procs, *proto, *cons)
 	if err != nil {
 		return err
@@ -91,16 +86,12 @@ func (c *cli) sim(args []string) (err error) {
 	kitName := "none"
 	switch *wl {
 	case "sync", "queue":
-		p := ssmp.DefaultWorkloadParams()
-		p.Grain = *grain
-		layout := ssmp.NewLayout(cfg, p)
-		kit := syncKit(cfg, layout, *backoff)
+		job := workload.Job{Queue: *wl == "queue", Params: ssmp.DefaultWorkloadParams(), Episodes: *episodes,
+			Tasks: *tasks, SpawnProb: *spawn, Backoff: *backoff, Seed: *seed}
+		job.Params.Grain = *grain
+		var kit ssmp.SyncKit
+		progs, kit = job.Programs(cfg)
 		kitName = kit.Name
-		if *wl == "sync" {
-			progs = ssmp.SyncModel(*procs, *episodes, p, layout, kit, *seed)
-		} else {
-			progs, _ = ssmp.WorkQueue(*procs, *tasks, *spawn, p, layout, kit, *seed)
-		}
 	case "stencil":
 		if cfg.Protocol != ssmp.ProtoCBL {
 			return errors.New("the stencil workload is CBL-only")
@@ -200,24 +191,22 @@ func (c *cli) trace(args []string) error {
 	seed := fs.Uint64("seed", 42, "with -gen or -capture: generator or workload seed")
 	fs.Parse(args)
 
+	// -gen builds no machine, so it writes a trace for any processor count.
+	if err := checkProcs(*procs); err != nil && !*gen {
+		return err
+	}
 	cfg, err := machineConfig(*procs, *proto, *cons)
 	if err != nil {
 		return err
 	}
 	switch {
 	case *capture != "":
-		wp := ssmp.DefaultWorkloadParams()
-		layout := ssmp.NewLayout(cfg, wp)
-		kit := syncKit(cfg, layout, false)
-		var progs []ssmp.Program
-		switch *capture {
-		case "sync":
-			progs = ssmp.SyncModel(*procs, 4, wp, layout, kit, *seed)
-		case "queue":
-			progs, _ = ssmp.WorkQueue(*procs, 32, 0.2, wp, layout, kit, *seed)
-		default:
+		if *capture != "sync" && *capture != "queue" {
 			return fmt.Errorf("unknown workload %q", *capture)
 		}
+		job := workload.Job{Queue: *capture == "queue", Params: ssmp.DefaultWorkloadParams(),
+			Episodes: 4, Tasks: 32, SpawnProb: 0.2, Seed: *seed}
+		progs, _ := job.Programs(cfg)
 		m := ssmp.NewMachine(cfg)
 		b := trace.Capture(m)
 		if _, err := m.Run(progs); err != nil {

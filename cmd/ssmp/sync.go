@@ -167,6 +167,9 @@ func (c *cli) syncLitmus(args []string) error {
 	faults := fs.Bool("faults", false, "inject interconnect faults")
 	faultRates := faultFlags(fs)
 	fs.Parse(args)
+	if err := checkProcs(*procs); err != nil {
+		return err
+	}
 
 	var rates network.FaultRates
 	if *faults {

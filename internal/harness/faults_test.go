@@ -6,6 +6,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -77,5 +78,26 @@ func TestSweepErrorFaultsOff(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "faults=off") {
 		t.Fatalf("fault-free sweep error should say faults=off: %q", err)
+	}
+}
+
+// TestCancelledSweepsFail pins that every sweep, the tables and the
+// extension figures too, stops with the context's error under a cancelled
+// context instead of panicking or running to completion.
+func TestCancelledSweepsFail(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := smallOptions().WithContext(ctx)
+	for name, run := range map[string]func() error{
+		"utilization": func() error { _, err := o.UtilizationFigure(64); return err },
+		"table 2":     func() error { _, err := o.Table2Sim(8, 10); return err },
+		"table 3":     func() error { _, err := o.Table3Sim(8); return err },
+		"lock zoo":    func() error { _, _, err := o.SyncZooLockFigures(); return err },
+		"barrier zoo": func() error { _, err := o.SyncZooBarrierFigure(); return err },
+		"kv":          func() error { _, _, _, err := o.KVFigures(); return err },
+	} {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }

@@ -59,11 +59,20 @@ func goldenDigests(t *testing.T, o Options) map[string]string {
 		}
 		out[fmt.Sprintf("figure%d", n)] = digest(f.Table() + "\n" + f.CSV())
 	}
-	util := o.UtilizationFigure(workload.MediumGrain)
+	util, err := o.UtilizationFigure(workload.MediumGrain)
+	if err != nil {
+		t.Fatalf("utilization figure: %v", err)
+	}
 	out["utilization"] = digest(util.Table() + "\n" + util.CSV())
-	t2 := o.Table2Sim(8, 10)
+	t2, err := o.Table2Sim(8, 10)
+	if err != nil {
+		t.Fatalf("table 2: %v", err)
+	}
 	out["table2"] = digest(FormatTable2Sim(8, 10, t2))
-	t3 := o.Table3Sim(8)
+	t3, err := o.Table3Sim(8)
+	if err != nil {
+		t.Fatalf("table 3: %v", err)
+	}
 	out["table3"] = digest(FormatTable3Sim(8, t3))
 	rmr, thr, err := o.SyncZooLockFigures()
 	if err != nil {

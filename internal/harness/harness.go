@@ -13,6 +13,10 @@
 //     solver on the simulated machines next to the closed-form model.
 //   - Table 3: synchronization scenario costs, measured by running the
 //     scenarios on the simulated machines next to the closed-form model.
+//
+// Every figure, the paper's and the extensions', is one grid of
+// independent simulations, a cell per (series, processor count) pair, and
+// every sync- or work-queue-model run is built by workload.Job.
 package harness
 
 import (
@@ -23,7 +27,6 @@ import (
 
 	"ssmp/internal/core"
 	"ssmp/internal/fan"
-	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/network"
 	"ssmp/internal/workload"
@@ -79,9 +82,9 @@ type Options struct {
 }
 
 // WithContext returns a copy of the options whose sweeps stop early when
-// ctx is cancelled: the error-returning entry points (FigureByNumber)
-// propagate the context error, and the simulated machine itself aborts
-// mid-run, so even a single long simulation honors the deadline.
+// ctx is cancelled: every figure and table returns the context error, and
+// the simulated machine itself aborts mid-run, so even a single long
+// simulation honors the deadline.
 func (o Options) WithContext(ctx context.Context) Options {
 	o.ctx = ctx
 	return o
@@ -135,264 +138,150 @@ func (f Figure) Table() string {
 // CSV renders the figure as CSV.
 func (f Figure) CSV() string { return metrics.FormatCSV(f.XLabel, f.Series) }
 
-func (o Options) config(procs int, proto core.Protocol, cons core.Consistency) core.Config {
+// grid runs one cell per (processor count, row) pair and builds k series
+// per row from the k values each cell returns: the result's j-th entry
+// holds every row's series of value j, in row order. The cells fan out
+// across the worker pool; each is an independent simulation whose values
+// land in a fixed slot, and the series are built serially in slot order,
+// so they are identical at any parallelism.
+func (o Options) grid(rows []string, k int, cell func(row, procs int) ([]float64, error)) ([][]*metrics.Series, error) {
+	ys := make([][]float64, len(o.Procs)*len(rows))
+	err := fan.Run(len(ys), o.Parallelism, func(i int) error {
+		var err error
+		ys[i], err = cell(i%len(rows), o.Procs[i/len(rows)])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	series := make([][]*metrics.Series, k)
+	for j := range series {
+		series[j] = make([]*metrics.Series, len(rows))
+		for r, name := range rows {
+			series[j][r] = &metrics.Series{Name: name}
+		}
+	}
+	for i, y := range ys {
+		for j := range series {
+			series[j][i%len(rows)].Add(float64(o.Procs[i/len(rows)]), y[j])
+		}
+	}
+	return series, nil
+}
+
+// model is one series of a model figure: the sync or work-queue model on
+// one machine.
+type model struct {
+	name    string
+	queue   bool // the work-queue model; otherwise the sync model
+	proto   core.Protocol
+	cons    core.Consistency
+	backoff bool // WBI: exponential backoff on locks
+}
+
+var (
+	// cacheSchemes are Figures 4 and 5: WBI against CBL on both workload
+	// models, under sequential consistency as in the paper.
+	cacheSchemes = []model{
+		{"WBI", false, core.ProtoWBI, core.SC, false},
+		{"CBL", false, core.ProtoCBL, core.SC, false},
+		{"Q-WBI", true, core.ProtoWBI, core.SC, false},
+		{"Q-backoff", true, core.ProtoWBI, core.SC, true},
+		{"Q-CBL", true, core.ProtoCBL, core.SC, false},
+	}
+	// consistencyModels are Figures 6 and 7: sequential against buffered
+	// consistency on the CBL machine's work queue.
+	consistencyModels = []model{
+		{"SC-CBL", true, core.ProtoCBL, core.SC, false},
+		{"BC-CBL", true, core.ProtoCBL, core.BC, false},
+	}
+	// utilizationModels are the utilization figure: Figure 4's work-queue
+	// series.
+	utilizationModels = []model{
+		{"Q-CBL", true, core.ProtoCBL, core.SC, false},
+		{"Q-WBI", true, core.ProtoWBI, core.SC, false},
+		{"Q-backoff", true, core.ProtoWBI, core.SC, true},
+	}
+)
+
+// paperFigures are Figures 4-7, in order.
+var paperFigures = []struct {
+	title string
+	grain int
+	rows  []model
+}{
+	{"completion time of cache schemes, medium-granularity parallelism", workload.MediumGrain, cacheSchemes},
+	{"completion time of cache schemes, coarse-granularity parallelism", workload.CoarseGrain, cacheSchemes},
+	{"buffered vs sequential consistency, fine-granularity parallelism", workload.FineGrain, consistencyModels},
+	{"buffered vs sequential consistency, medium-granularity parallelism", workload.MediumGrain, consistencyModels},
+}
+
+// modelFigure plots y of every row's run at grain against processor count.
+func (o Options) modelFigure(name, title string, grain int, rows []model, y func(core.Result) float64) (Figure, error) {
+	names := make([]string, len(rows))
+	for i, m := range rows {
+		names[i] = m.name
+	}
+	series, err := o.grid(names, 1, func(row, procs int) ([]float64, error) {
+		res, err := o.run(rows[row], procs, grain)
+		return []float64{y(res)}, err
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+	return Figure{Name: name, Title: title, XLabel: "procs", Series: series[0]}, nil
+}
+
+// run runs m's workload model at grain on a procs-node machine.
+func (o Options) run(m model, procs, grain int) (core.Result, error) {
 	cfg := core.DefaultConfig(procs)
-	cfg.Protocol = proto
-	cfg.Consistency = cons
+	cfg.Protocol = m.proto
+	cfg.Consistency = m.cons
 	cfg.Faults = o.Faults
 	cfg.SimWorkers = o.SimWorkers
 	cfg.IdealNetwork = o.IdealNetwork
 	cfg.Topology = o.Topology
 	cfg.Jitter = o.Jitter
-	return cfg
-}
-
-// runSync runs the sync workload model and returns completion cycles.
-func (o Options) runSync(procs int, proto core.Protocol, cons core.Consistency, grain int) (float64, error) {
-	p := o.Params
-	p.Grain = grain
-	cfg := o.config(procs, proto, cons)
-	layout := workload.NewLayout(mem.Geometry{BlockWords: cfg.BlockWords, Nodes: procs}, p)
-	var kit workload.SyncKit
-	if proto == core.ProtoCBL {
-		kit = workload.CBLKit(layout, procs)
-	} else {
-		kit = workload.WBIKit(layout, procs, false)
+	job := workload.Job{Queue: m.queue, Params: o.Params, Episodes: o.Episodes,
+		Tasks: o.Tasks, SpawnProb: o.SpawnProb, Backoff: m.backoff, Seed: o.Seed}
+	job.Params.Grain = grain
+	progs, kit := job.Programs(cfg)
+	kind := "sync"
+	if m.queue {
+		kind = "queue"
 	}
-	progs := workload.SyncModel(procs, o.Episodes, p, layout, kit, o.Seed)
 	res, err := workload.RunContext(o.context(), cfg, progs)
 	if err != nil {
 		// Seed and fault config make the failing cell reproducible from
 		// the message alone.
-		return 0, fmt.Errorf("harness: sync model %v/%v p=%d seed=%d %s: %w",
-			proto, cons, procs, o.Seed, o.Faults, err)
+		return res, fmt.Errorf("harness: %s %s/%v p=%d seed=%d %s: %w",
+			kind, kit.Name, m.cons, procs, o.Seed, o.Faults, err)
 	}
-	o.logf("  sync %v %v procs=%d grain=%d: %d cycles, %d msgs", proto, cons, procs, grain, res.Cycles, res.Messages)
-	return float64(res.Cycles), nil
+	o.logf("  %s %s %v procs=%d grain=%d: %d cycles, %d msgs", kind, kit.Name, m.cons, procs, grain, res.Cycles, res.Messages)
+	return res, nil
 }
 
-// runQueue runs the work-queue model and returns completion cycles.
-func (o Options) runQueue(procs int, proto core.Protocol, cons core.Consistency, grain int, backoff bool) (float64, error) {
-	p := o.Params
-	p.Grain = grain
-	cfg := o.config(procs, proto, cons)
-	layout := workload.NewLayout(mem.Geometry{BlockWords: cfg.BlockWords, Nodes: procs}, p)
-	var kit workload.SyncKit
-	if proto == core.ProtoCBL {
-		kit = workload.CBLKit(layout, procs)
-	} else {
-		kit = workload.WBIKit(layout, procs, backoff)
+// FigureByNumber runs one of the paper's Figures 4-7. A simulation failure
+// — including cancellation of a context installed with WithContext — is
+// returned, not panicked.
+func (o Options) FigureByNumber(n int) (Figure, error) {
+	if n < 4 || n > 7 {
+		return Figure{}, fmt.Errorf("harness: no figure %d (the paper has Figures 4-7)", n)
 	}
-	progs, _ := workload.WorkQueue(procs, o.Tasks, o.SpawnProb, p, layout, kit, o.Seed)
-	res, err := workload.RunContext(o.context(), cfg, progs)
-	if err != nil {
-		return 0, fmt.Errorf("harness: work-queue %s p=%d seed=%d %s: %w",
-			kit.Name, procs, o.Seed, o.Faults, err)
-	}
-	o.logf("  queue %s %v procs=%d grain=%d: %d cycles, %d msgs", kit.Name, cons, procs, grain, res.Cycles, res.Messages)
-	return float64(res.Cycles), nil
-}
-
-// cacheSchemesFigure builds Figures 4 and 5: WBI vs CBL on both workload
-// models, without buffered consistency (the paper runs these under SC).
-func (o Options) cacheSchemesFigure(name, title string, grain int) (Figure, error) {
-	wbiS := &metrics.Series{Name: "WBI"}
-	cblS := &metrics.Series{Name: "CBL"}
-	qWBI := &metrics.Series{Name: "Q-WBI"}
-	qBack := &metrics.Series{Name: "Q-backoff"}
-	qCBL := &metrics.Series{Name: "Q-CBL"}
-	cells := []struct {
-		s       *metrics.Series
-		sync    bool
-		proto   core.Protocol
-		backoff bool
-	}{
-		{wbiS, true, core.ProtoWBI, false},
-		{cblS, true, core.ProtoCBL, false},
-		{qWBI, false, core.ProtoWBI, false},
-		{qBack, false, core.ProtoWBI, true},
-		{qCBL, false, core.ProtoCBL, false},
-	}
-	// The (procs x cell) grid fans out across the worker pool; every point
-	// is an independent simulation. Results land in fixed slots and are
-	// assembled serially below, so the series are identical at any
-	// parallelism.
-	ys := make([]float64, len(o.Procs)*len(cells))
-	err := fan.Run(len(ys), o.Parallelism, func(i int) error {
-		n, c := o.Procs[i/len(cells)], cells[i%len(cells)]
-		var y float64
-		var err error
-		if c.sync {
-			y, err = o.runSync(n, c.proto, core.SC, grain)
-		} else {
-			y, err = o.runQueue(n, c.proto, core.SC, grain, c.backoff)
-		}
-		ys[i] = y
-		return err
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	for i, y := range ys {
-		cells[i%len(cells)].s.Add(float64(o.Procs[i/len(cells)]), y)
-	}
-	return Figure{
-		Name:   name,
-		Title:  title,
-		XLabel: "procs",
-		Series: []*metrics.Series{wbiS, cblS, qWBI, qBack, qCBL},
-	}, nil
-}
-
-// mustFigure preserves the historic panic-on-failure behaviour of the
-// FigureN entry points, which predate the error-returning API.
-func mustFigure(f Figure, err error) Figure {
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// Figure4 reproduces Figure 4: cache schemes at medium granularity.
-func (o Options) Figure4() Figure { return mustFigure(o.figure4()) }
-
-func (o Options) figure4() (Figure, error) {
-	return o.cacheSchemesFigure("Figure 4",
-		"completion time of cache schemes, medium-granularity parallelism",
-		workload.MediumGrain)
-}
-
-// Figure5 reproduces Figure 5: cache schemes at coarse granularity.
-func (o Options) Figure5() Figure { return mustFigure(o.figure5()) }
-
-func (o Options) figure5() (Figure, error) {
-	return o.cacheSchemesFigure("Figure 5",
-		"completion time of cache schemes, coarse-granularity parallelism",
-		workload.CoarseGrain)
-}
-
-// consistencyFigure builds Figures 6 and 7: BC-CBL vs SC-CBL on the
-// work-queue model.
-func (o Options) consistencyFigure(name, title string, grain int) (Figure, error) {
-	sc := &metrics.Series{Name: "SC-CBL"}
-	bc := &metrics.Series{Name: "BC-CBL"}
-	models := []core.Consistency{core.SC, core.BC}
-	ys := make([]float64, len(o.Procs)*len(models))
-	err := fan.Run(len(ys), o.Parallelism, func(i int) error {
-		n, cons := o.Procs[i/len(models)], models[i%len(models)]
-		y, err := o.runQueue(n, core.ProtoCBL, cons, grain, false)
-		ys[i] = y
-		return err
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	for i, y := range ys {
-		s := sc
-		if i%len(models) == 1 {
-			s = bc
-		}
-		s.Add(float64(o.Procs[i/len(models)]), y)
-	}
-	return Figure{Name: name, Title: title, XLabel: "procs",
-		Series: []*metrics.Series{sc, bc}}, nil
-}
-
-// Figure6 reproduces Figure 6: buffered vs sequential consistency at fine
-// granularity.
-func (o Options) Figure6() Figure { return mustFigure(o.figure6()) }
-
-func (o Options) figure6() (Figure, error) {
-	return o.consistencyFigure("Figure 6",
-		"buffered vs sequential consistency, fine-granularity parallelism",
-		workload.FineGrain)
-}
-
-// Figure7 reproduces Figure 7: buffered vs sequential consistency at
-// medium granularity.
-func (o Options) Figure7() Figure { return mustFigure(o.figure7()) }
-
-func (o Options) figure7() (Figure, error) {
-	return o.consistencyFigure("Figure 7",
-		"buffered vs sequential consistency, medium-granularity parallelism",
-		workload.MediumGrain)
-}
-
-// Figures runs every figure.
-func (o Options) Figures() []Figure {
-	return []Figure{o.Figure4(), o.Figure5(), o.Figure6(), o.Figure7()}
+	f := paperFigures[n-4]
+	return o.modelFigure(fmt.Sprintf("Figure %d", n), f.title, f.grain, f.rows,
+		func(r core.Result) float64 { return float64(r.Cycles) })
 }
 
 // UtilizationFigure is an extension beyond the paper: mean processor
 // utilization (useful-computation fraction) against processor count on the
-// work-queue model, for the same five configurations as Figure 4. The
-// paper remarks that utilization can mislead — "synchronization activities
-// may keep the processor busy without performing any useful computation"
+// work-queue model, for Figure 4's work-queue configurations. The paper
+// remarks that utilization can mislead — "synchronization activities may
+// keep the processor busy without performing any useful computation"
 // (§5.2) — and this figure quantifies it: the WBI spin-lock machines burn
 // cycles re-reading the lock word, which our accounting splits out as
 // stall, not useful work.
-func (o Options) UtilizationFigure(grain int) Figure {
-	type cfgRow struct {
-		name    string
-		proto   core.Protocol
-		backoff bool
-	}
-	rows := []cfgRow{
-		{"Q-CBL", core.ProtoCBL, false},
-		{"Q-WBI", core.ProtoWBI, false},
-		{"Q-backoff", core.ProtoWBI, true},
-	}
-	ys := make([]float64, len(rows)*len(o.Procs))
-	fan.Run(len(ys), o.Parallelism, func(i int) error {
-		rw, n := rows[i/len(o.Procs)], o.Procs[i%len(o.Procs)]
-		p := o.Params
-		p.Grain = grain
-		cfg := o.config(n, rw.proto, core.SC)
-		layout := workload.NewLayout(mem.Geometry{BlockWords: cfg.BlockWords, Nodes: n}, p)
-		var kit workload.SyncKit
-		if rw.proto == core.ProtoCBL {
-			kit = workload.CBLKit(layout, n)
-		} else {
-			kit = workload.WBIKit(layout, n, rw.backoff)
-		}
-		progs, _ := workload.WorkQueue(n, o.Tasks, o.SpawnProb, p, layout, kit, o.Seed)
-		res, err := workload.RunContext(o.context(), cfg, progs)
-		if err != nil {
-			panic(fmt.Sprintf("harness: utilization %s p=%d: %v", rw.name, n, err))
-		}
-		ys[i] = 100 * res.MeanUtilization
-		o.logf("  util %s procs=%d: %.1f%%", rw.name, n, ys[i])
-		return nil
-	})
-	var series []*metrics.Series
-	for ri, rw := range rows {
-		s := &metrics.Series{Name: rw.name}
-		for ni, n := range o.Procs {
-			s.Add(float64(n), ys[ri*len(o.Procs)+ni])
-		}
-		series = append(series, s)
-	}
-	return Figure{
-		Name:   "Utilization",
-		Title:  "mean processor utilization (%), work-queue model (extension)",
-		XLabel: "procs",
-		Series: series,
-	}
-}
-
-// FigureByNumber runs one figure (4-7). A simulation failure — including
-// cancellation of a context installed with WithContext — is returned, not
-// panicked.
-func (o Options) FigureByNumber(n int) (Figure, error) {
-	switch n {
-	case 4:
-		return o.figure4()
-	case 5:
-		return o.figure5()
-	case 6:
-		return o.figure6()
-	case 7:
-		return o.figure7()
-	}
-	return Figure{}, fmt.Errorf("harness: no figure %d (the paper has Figures 4-7)", n)
+func (o Options) UtilizationFigure(grain int) (Figure, error) {
+	return o.modelFigure("Utilization", "mean processor utilization (%), work-queue model (extension)",
+		grain, utilizationModels, func(r core.Result) float64 { return 100 * r.MeanUtilization })
 }

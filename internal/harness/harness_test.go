@@ -17,8 +17,18 @@ func smallOptions() Options {
 	return o
 }
 
+// runFigure runs figure n and fails the test if it cannot.
+func runFigure(t *testing.T, o Options, n int) Figure {
+	t.Helper()
+	f, err := o.FigureByNumber(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFigure4SeriesComplete(t *testing.T) {
-	f := smallOptions().Figure4()
+	f := runFigure(t, smallOptions(), 4)
 	if len(f.Series) != 5 {
 		t.Fatalf("Figure 4 has %d series, want 5", len(f.Series))
 	}
@@ -46,7 +56,7 @@ func TestFigure4QueueCBLBeatsWBIUnderContention(t *testing.T) {
 	// outperforms WBI as the processor count grows.
 	o := smallOptions()
 	o.Procs = []int{16}
-	f := o.Figure4()
+	f := runFigure(t, o, 4)
 	var qWBI, qCBL float64
 	for _, s := range f.Series {
 		y, ok := s.Y(16)
@@ -68,7 +78,7 @@ func TestFigure4QueueCBLBeatsWBIUnderContention(t *testing.T) {
 func TestFigure6BCNotSlowerThanSC(t *testing.T) {
 	o := smallOptions()
 	o.Procs = []int{4, 8}
-	f := o.Figure6()
+	f := runFigure(t, o, 6)
 	if len(f.Series) != 2 {
 		t.Fatalf("Figure 6 has %d series", len(f.Series))
 	}
@@ -104,7 +114,10 @@ func TestFigureByNumber(t *testing.T) {
 }
 
 func TestTable2SimShape(t *testing.T) {
-	rows := smallOptions().Table2Sim(8, 10)
+	rows, err := smallOptions().Table2Sim(8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -140,7 +153,10 @@ func TestTable2SimShape(t *testing.T) {
 }
 
 func TestTable3SimShape(t *testing.T) {
-	rows := smallOptions().Table3Sim(8)
+	rows, err := smallOptions().Table3Sim(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("%d rows, want 8", len(rows))
 	}
@@ -182,7 +198,11 @@ func TestTable3SimShape(t *testing.T) {
 
 func TestParallelLockScalingIsLinearForCBL(t *testing.T) {
 	o := smallOptions()
-	m8 := func(rows []Table3Measured) uint64 {
+	m8 := func(procs int) uint64 {
+		rows, err := o.Table3Sim(procs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range rows {
 			if r.Scenario == analytic.ParallelLock && r.Scheme == "CBL" {
 				return r.Messages
@@ -190,8 +210,8 @@ func TestParallelLockScalingIsLinearForCBL(t *testing.T) {
 		}
 		return 0
 	}
-	a := m8(o.Table3Sim(4))
-	b := m8(o.Table3Sim(16))
+	a := m8(4)
+	b := m8(16)
 	// 4x the processors should cost ~4x the messages (not 16x).
 	if b > a*6 {
 		t.Fatalf("CBL parallel-lock messages grew superlinearly: %d -> %d", a, b)
@@ -201,7 +221,10 @@ func TestParallelLockScalingIsLinearForCBL(t *testing.T) {
 func TestUtilizationFigure(t *testing.T) {
 	o := smallOptions()
 	o.Procs = []int{2, 8}
-	f := o.UtilizationFigure(64)
+	f, err := o.UtilizationFigure(64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f.Series) != 3 {
 		t.Fatalf("series = %d, want 3", len(f.Series))
 	}
@@ -239,7 +262,10 @@ func TestSerialLockLatencyNearModel(t *testing.T) {
 	// land within a small factor of the paper's closed-form 3t_nw + t_D +
 	// t_cs (the simulator adds the grant's memory read and cache access
 	// costs the model folds into its constants).
-	rows := smallOptions().Table3Sim(16)
+	rows, err := smallOptions().Table3Sim(16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.Scenario != analytic.SerialLock || r.Scheme != "CBL" {
 			continue

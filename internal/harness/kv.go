@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"ssmp/internal/fan"
-	"ssmp/internal/kvapp"
-	"ssmp/internal/metrics"
-)
+import "ssmp/internal/kvapp"
 
 // The KV figure family is the north-star application workload (ROADMAP
 // item 5): the in-sim key-value service under its default read-mostly
@@ -35,9 +31,8 @@ func (o Options) kvSpec(procs int, lock string) kvapp.Spec {
 // KVFigures sweeps the key-value service and returns the latency and
 // throughput figures.
 func (o Options) KVFigures() (p50, p99, thr Figure, err error) {
-	results := make([]*kvapp.Result, len(o.Procs)*len(kvLocks))
-	err = fan.Run(len(results), o.Parallelism, func(i int) error {
-		n, lock := o.Procs[i/len(kvLocks)], kvLocks[i%len(kvLocks)]
+	series, err := o.grid(kvLocks, 3, func(row, n int) ([]float64, error) {
+		lock := kvLocks[row]
 		res, err := kvapp.Run(o.context(), o.kvSpec(n, lock), kvapp.RunOptions{
 			Jitter:       o.Jitter,
 			Faults:       o.Faults,
@@ -45,50 +40,35 @@ func (o Options) KVFigures() (p50, p99, thr Figure, err error) {
 			IdealNetwork: o.IdealNetwork,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := res.Check(); err != nil {
-			return err
+			return nil, err
 		}
-		results[i] = res
 		o.logf("  kv %s procs=%d: p50=%d p99=%d %.3f ops/kcycle",
 			lock, n, res.P50(), res.P99(), res.ThroughputOpsPerKCycle())
-		return nil
+		return []float64{float64(res.P50()), float64(res.P99()), res.ThroughputOpsPerKCycle()}, nil
 	})
 	if err != nil {
 		return Figure{}, Figure{}, Figure{}, err
-	}
-	p50S := make([]*metrics.Series, len(kvLocks))
-	p99S := make([]*metrics.Series, len(kvLocks))
-	thrS := make([]*metrics.Series, len(kvLocks))
-	for i, lock := range kvLocks {
-		p50S[i] = &metrics.Series{Name: lock}
-		p99S[i] = &metrics.Series{Name: lock}
-		thrS[i] = &metrics.Series{Name: lock}
-	}
-	for i, res := range results {
-		x := float64(o.Procs[i/len(kvLocks)])
-		p50S[i%len(kvLocks)].Add(x, float64(res.P50()))
-		p99S[i%len(kvLocks)].Add(x, float64(res.P99()))
-		thrS[i%len(kvLocks)].Add(x, res.ThroughputOpsPerKCycle())
 	}
 	p50 = Figure{
 		Name:   "KV-P50",
 		Title:  "key-value service p50 op latency (cycles) vs node count (extension)",
 		XLabel: "procs",
-		Series: p50S,
+		Series: series[0],
 	}
 	p99 = Figure{
 		Name:   "KV-P99",
 		Title:  "key-value service p99 op latency (cycles) vs node count (extension)",
 		XLabel: "procs",
-		Series: p99S,
+		Series: series[1],
 	}
 	thr = Figure{
 		Name:   "KV-Throughput",
 		Title:  "key-value service operations per 1000 cycles vs node count (extension)",
 		XLabel: "procs",
-		Series: thrS,
+		Series: series[2],
 	}
 	return p50, p99, thr, nil
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ssmp/internal/fan"
-	"ssmp/internal/metrics"
 	"ssmp/internal/synczoo"
 )
 
@@ -17,31 +15,6 @@ import (
 // claim for queue locks is stated. The RMR figure makes the claim visible:
 // the mcs and cbl rows stay flat across the sweep while tas grows with the
 // processor count.
-
-// syncZooLockSweep runs the lock contention workload for every registered
-// algorithm at every processor count and returns the points in
-// (proc, algo) grid order.
-func (o Options) syncZooLockSweep(iters int) ([]synczoo.LockPoint, error) {
-	algos := synczoo.LockAlgos()
-	pts := make([]synczoo.LockPoint, len(o.Procs)*len(algos))
-	err := fan.Run(len(pts), o.Parallelism, func(i int) error {
-		n, algo := o.Procs[i/len(algos)], algos[i%len(algos)]
-		pt, err := synczoo.RunLockBenchContext(o.context(), algo, synczoo.LockBenchOptions{
-			Procs: n, Iters: iters, Crit: 16, Delay: 32, Faults: o.Faults,
-		})
-		if err != nil {
-			return err
-		}
-		if !pt.Verified() {
-			return &zooViolation{algo: algo.Key, procs: n, final: uint64(pt.Final), want: uint64(pt.Want)}
-		}
-		pts[i] = pt
-		o.logf("  synczoo lock %s procs=%d: %.2f rmr/acq, %.2f acq/kcycle",
-			algo.Key, n, pt.RMRPerAcq(), pt.AcqPerKCycle())
-		return nil
-	})
-	return pts, err
-}
 
 type zooViolation struct {
 	algo        string
@@ -62,33 +35,40 @@ func (o Options) SyncZooLockFigures() (rmr Figure, throughput Figure, err error)
 	if iters == 0 {
 		iters = 8
 	}
-	pts, err := o.syncZooLockSweep(iters)
+	algos := synczoo.LockAlgos()
+	keys := make([]string, len(algos))
+	for i, algo := range algos {
+		keys[i] = algo.Key
+	}
+	series, err := o.grid(keys, 2, func(row, n int) ([]float64, error) {
+		algo := algos[row]
+		pt, err := synczoo.RunLockBenchContext(o.context(), algo, synczoo.LockBenchOptions{
+			Procs: n, Iters: iters, Crit: 16, Delay: 32, Faults: o.Faults,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !pt.Verified() {
+			return nil, &zooViolation{algo: algo.Key, procs: n, final: uint64(pt.Final), want: uint64(pt.Want)}
+		}
+		o.logf("  synczoo lock %s procs=%d: %.2f rmr/acq, %.2f acq/kcycle",
+			algo.Key, n, pt.RMRPerAcq(), pt.AcqPerKCycle())
+		return []float64{pt.RMRPerAcq(), pt.AcqPerKCycle()}, nil
+	})
 	if err != nil {
 		return Figure{}, Figure{}, err
-	}
-	algos := synczoo.LockAlgos()
-	rmrSeries := make([]*metrics.Series, len(algos))
-	thrSeries := make([]*metrics.Series, len(algos))
-	for i, algo := range algos {
-		rmrSeries[i] = &metrics.Series{Name: algo.Key}
-		thrSeries[i] = &metrics.Series{Name: algo.Key}
-	}
-	for i, pt := range pts {
-		x := float64(o.Procs[i/len(algos)])
-		rmrSeries[i%len(algos)].Add(x, pt.RMRPerAcq())
-		thrSeries[i%len(algos)].Add(x, pt.AcqPerKCycle())
 	}
 	rmr = Figure{
 		Name:   "SyncZoo-RMR",
 		Title:  "remote memory references per lock acquisition (extension)",
 		XLabel: "procs",
-		Series: rmrSeries,
+		Series: series[0],
 	}
 	throughput = Figure{
 		Name:   "SyncZoo-Throughput",
 		Title:  "lock acquisitions per 1000 cycles (extension)",
 		XLabel: "procs",
-		Series: thrSeries,
+		Series: series[1],
 	}
 	return rmr, throughput, nil
 }
@@ -101,36 +81,31 @@ func (o Options) SyncZooBarrierFigure() (Figure, error) {
 		episodes = 4
 	}
 	algos := synczoo.BarrierAlgos()
-	pts := make([]synczoo.BarrierPoint, len(o.Procs)*len(algos))
-	err := fan.Run(len(pts), o.Parallelism, func(i int) error {
-		n, algo := o.Procs[i/len(algos)], algos[i%len(algos)]
+	keys := make([]string, len(algos))
+	for i, algo := range algos {
+		keys[i] = algo.Key
+	}
+	series, err := o.grid(keys, 1, func(row, n int) ([]float64, error) {
+		algo := algos[row]
 		pt, err := synczoo.RunBarrierBenchContext(o.context(), algo, synczoo.BarrierBenchOptions{
 			Procs: n, Episodes: episodes, Work: 40, Faults: o.Faults,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !pt.Verified() {
-			return &zooViolation{algo: algo.Key, procs: n}
+			return nil, &zooViolation{algo: algo.Key, procs: n}
 		}
-		pts[i] = pt
 		o.logf("  synczoo barrier %s procs=%d: %.2f rmr/episode", algo.Key, n, pt.RMRPerEpisode())
-		return nil
+		return []float64{pt.RMRPerEpisode()}, nil
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	series := make([]*metrics.Series, len(algos))
-	for i, algo := range algos {
-		series[i] = &metrics.Series{Name: algo.Key}
-	}
-	for i, pt := range pts {
-		series[i%len(algos)].Add(float64(o.Procs[i/len(algos)]), pt.RMRPerEpisode())
 	}
 	return Figure{
 		Name:   "SyncZoo-Barrier",
 		Title:  "remote memory references per participant per barrier episode (extension)",
 		XLabel: "procs",
-		Series: series,
+		Series: series[0],
 	}, nil
 }

@@ -29,7 +29,7 @@ type Table2Measured struct {
 
 // Table2Sim runs the linear solver on the three schemes of Table 2 and
 // reports measured traffic next to the closed-form model.
-func (o Options) Table2Sim(procs, iters int) []Table2Measured {
+func (o Options) Table2Sim(procs, iters int) ([]Table2Measured, error) {
 	type scheme struct {
 		name       string
 		readUpdate bool
@@ -43,7 +43,7 @@ func (o Options) Table2Sim(procs, iters int) []Table2Measured {
 	costs := analytic.DefaultClassCosts()
 	rows := analytic.Table2(procs, 4)
 	out := make([]Table2Measured, len(schemes))
-	fan.Run(len(schemes), o.Parallelism, func(si int) error {
+	err := fan.Run(len(schemes), o.Parallelism, func(si int) error {
 		s := schemes[si]
 		cfg := core.DefaultConfig(procs)
 		if !s.readUpdate {
@@ -51,8 +51,8 @@ func (o Options) Table2Sim(procs, iters int) []Table2Measured {
 		}
 		m := core.NewMachine(cfg)
 		ls := &workload.LinSolver{N: procs, Iters: iters, Colocate: s.colocate, ReadUpdate: s.readUpdate}
-		if _, err := m.Run(ls.Programs(m.Geometry())); err != nil {
-			panic(fmt.Sprintf("harness: Table 2 %s: %v", s.name, err))
+		if _, err := m.RunContext(o.context(), ls.Programs(m.Geometry())); err != nil {
+			return fmt.Errorf("harness: Table 2 %s: %w", s.name, err)
 		}
 		coll := m.Messages()
 		denom := float64(procs * iters)
@@ -69,7 +69,7 @@ func (o Options) Table2Sim(procs, iters int) []Table2Measured {
 		o.logf("  table2 %s: %s", s.name, coll)
 		return nil
 	})
-	return out
+	return out, err
 }
 
 // FormatTable2Sim renders the measured-vs-analytic comparison.
@@ -96,125 +96,69 @@ type Table3Measured struct {
 	Model analytic.Cost
 }
 
-// Table3Sim measures the four Table 3 scenarios on the simulator:
-// parallel lock (n simultaneous requesters), serial lock (one uncontended
-// acquire/release), barrier request and barrier notify (one full barrier
-// episode, with per-processor and total accounting respectively).
-func (o Options) Table3Sim(procs int) []Table3Measured {
+// Table3Sim measures the four Table 3 scenarios on the simulator, each on
+// the WBI and then the CBL machine: parallel lock (n simultaneous
+// requesters), serial lock (one uncontended acquire/release), barrier
+// request and barrier notify (one full barrier episode, with
+// per-processor and total accounting respectively).
+func (o Options) Table3Sim(procs int) ([]Table3Measured, error) {
 	params := analytic.DefaultSyncParams(procs)
-
-	// measure only queues the scenario; the queued jobs fan out across the
-	// worker pool at the end, each on its own machine, and land in
-	// declaration order.
-	type job struct {
-		s      analytic.Scenario
-		scheme string
-		model  analytic.Cost
-		run    func(cfg core.Config) (uint64, uint64)
-	}
-	var jobs []job
-	measure := func(s analytic.Scenario, scheme string, model analytic.Cost, run func(cfg core.Config) (uint64, uint64)) {
-		jobs = append(jobs, job{s, scheme, model, run})
-	}
-
-	lockAddr := mem.Addr(4 * 100)
-
-	parallelLock := func(mk func(cfg core.Config) syncprim.Locker) func(core.Config) (uint64, uint64) {
-		return func(cfg core.Config) (uint64, uint64) {
-			m := core.NewMachine(cfg)
-			l := mk(cfg)
-			progs := make([]core.Program, procs)
-			for i := 0; i < procs; i++ {
-				progs[i] = func(p *core.Proc) {
-					l.Acquire(p)
-					p.Think(50) // t_cs
-					l.Release(p)
-				}
-			}
-			res, err := m.Run(progs)
-			if err != nil {
-				panic(err)
-			}
-			return res.Messages, uint64(res.Cycles)
-		}
-	}
-	measure(analytic.ParallelLock, "WBI", analytic.WBI(analytic.ParallelLock, params),
-		parallelLock(func(core.Config) syncprim.Locker { return syncprim.TestAndSetLock{Addr: lockAddr} }))
-	measure(analytic.ParallelLock, "CBL", analytic.CBL(analytic.ParallelLock, params),
-		parallelLock(func(core.Config) syncprim.Locker { return syncprim.CBLLock{Addr: lockAddr} }))
-
-	serialLock := func(mk func() syncprim.Locker) func(core.Config) (uint64, uint64) {
-		return func(cfg core.Config) (uint64, uint64) {
-			m := core.NewMachine(cfg)
-			l := mk()
-			progs := make([]core.Program, procs)
-			progs[0] = func(p *core.Proc) {
-				l.Acquire(p)
-				p.Think(50)
-				l.Release(p)
-			}
-			res, err := m.Run(progs)
-			if err != nil {
-				panic(err)
-			}
-			return res.Messages, uint64(res.Cycles)
-		}
-	}
-	measure(analytic.SerialLock, "WBI", analytic.WBI(analytic.SerialLock, params),
-		serialLock(func() syncprim.Locker { return syncprim.TestAndSetLock{Addr: lockAddr} }))
-	measure(analytic.SerialLock, "CBL", analytic.CBL(analytic.SerialLock, params),
-		serialLock(func() syncprim.Locker { return syncprim.CBLLock{Addr: lockAddr} }))
-
-	barrier := func(mk func() syncprim.Barrier) func(core.Config) (uint64, uint64) {
-		return func(cfg core.Config) (uint64, uint64) {
-			m := core.NewMachine(cfg)
-			b := mk()
-			progs := make([]core.Program, procs)
-			for i := 0; i < procs; i++ {
-				progs[i] = func(p *core.Proc) { b.Wait(p) }
-			}
-			res, err := m.Run(progs)
-			if err != nil {
-				panic(err)
-			}
-			return res.Messages, uint64(res.Cycles)
-		}
-	}
-	// Barrier request (per-processor cost) and notify (release fan-out)
-	// are two accountings of the same episode; we report the episode under
-	// "barrier request" divided per processor and the total under
-	// "barrier notify".
-	count, gen := mem.Addr(4*200), mem.Addr(4*201)
-	wbiBarrier := func() syncprim.Barrier {
-		return syncprim.SWBarrier{CountAddr: count, GenAddr: gen, Participants: procs}
-	}
-	cblBarrier := func() syncprim.Barrier {
-		return syncprim.HWBarrier{Addr: mem.Addr(4 * 202), Participants: procs}
-	}
-	reqPerProc := func(run func(core.Config) (uint64, uint64)) func(core.Config) (uint64, uint64) {
-		return func(cfg core.Config) (uint64, uint64) {
-			msgs, cyc := run(cfg)
-			return msgs / uint64(procs), cyc
-		}
-	}
-	measure(analytic.BarrierRequest, "WBI", analytic.WBI(analytic.BarrierRequest, params), reqPerProc(barrier(wbiBarrier)))
-	measure(analytic.BarrierRequest, "CBL", analytic.CBL(analytic.BarrierRequest, params), reqPerProc(barrier(cblBarrier)))
-	measure(analytic.BarrierNotify, "WBI", analytic.WBI(analytic.BarrierNotify, params), barrier(wbiBarrier))
-	measure(analytic.BarrierNotify, "CBL", analytic.CBL(analytic.BarrierNotify, params), barrier(cblBarrier))
-
-	out := make([]Table3Measured, len(jobs))
-	fan.Run(len(jobs), o.Parallelism, func(i int) error {
-		j := jobs[i]
+	scenarios := analytic.Scenarios()
+	schemes := []string{"WBI", "CBL"}
+	out := make([]Table3Measured, len(scenarios)*len(schemes))
+	err := fan.Run(len(out), o.Parallelism, func(i int) error {
+		s, scheme := scenarios[i/len(schemes)], schemes[i%len(schemes)]
 		cfg := core.DefaultConfig(procs)
-		if j.scheme == "WBI" {
+		model := analytic.CBL(s, params)
+		if scheme == "WBI" {
 			cfg.Protocol = core.ProtoWBI
+			model = analytic.WBI(s, params)
 		}
-		msgs, cycles := j.run(cfg)
-		out[i] = Table3Measured{Scenario: j.s, Scheme: j.scheme, Messages: msgs, Cycles: cycles, Model: j.model}
-		o.logf("  table3 %s %s: %d msgs, %d cycles", j.s, j.scheme, msgs, cycles)
+		res, err := core.NewMachine(cfg).RunContext(o.context(), scenarioPrograms(s, cfg.Protocol, procs))
+		if err != nil {
+			return fmt.Errorf("harness: Table 3 %s %s: %w", s, scheme, err)
+		}
+		msgs := res.Messages
+		if s == analytic.BarrierRequest {
+			// Barrier request (per-processor cost) and notify
+			// (release fan-out) are two accountings of the same
+			// episode: the request row reports it per processor.
+			msgs /= uint64(procs)
+		}
+		out[i] = Table3Measured{Scenario: s, Scheme: scheme, Messages: msgs, Cycles: uint64(res.Cycles), Model: model}
+		o.logf("  table3 %s %s: %d msgs, %d cycles", s, scheme, msgs, res.Cycles)
 		return nil
 	})
-	return out
+	return out, err
+}
+
+// scenarioPrograms returns the programs of one Table 3 scenario on proto's
+// machine: the hardware CBL lock and barrier, or a test-and-set lock and
+// the software barrier on WBI. A lock scenario's critical section is 50
+// cycles (t_cs).
+func scenarioPrograms(s analytic.Scenario, proto core.Protocol, procs int) []core.Program {
+	var lock syncprim.Locker = syncprim.TestAndSetLock{Addr: mem.Addr(4 * 100)}
+	var bar syncprim.Barrier = syncprim.SWBarrier{CountAddr: mem.Addr(4 * 200), GenAddr: mem.Addr(4 * 201), Participants: procs}
+	if proto == core.ProtoCBL {
+		lock = syncprim.CBLLock{Addr: mem.Addr(4 * 100)}
+		bar = syncprim.HWBarrier{Addr: mem.Addr(4 * 202), Participants: procs}
+	}
+	progs := make([]core.Program, procs)
+	for i := range progs {
+		switch {
+		case s == analytic.SerialLock && i > 0:
+			// One uncontended requester; the other nodes stay idle.
+		case s == analytic.ParallelLock || s == analytic.SerialLock:
+			progs[i] = func(p *core.Proc) {
+				lock.Acquire(p)
+				p.Think(50)
+				lock.Release(p)
+			}
+		default:
+			progs[i] = func(p *core.Proc) { bar.Wait(p) }
+		}
+	}
+	return progs
 }
 
 // FormatTable3Sim renders the measured-vs-model comparison.

@@ -366,7 +366,10 @@ func TestFigureEndToEnd(t *testing.T) {
 	o.Tasks = 12
 	o.SpawnProb = 0
 	o.Seed = 7
-	want := o.Figure4()
+	want, err := o.FigureByNumber(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, series := range jr.Figure.Series {
 		ws := want.Series[i]
 		if series.Name != ws.Name {

@@ -10,7 +10,6 @@ import (
 
 	"ssmp/internal/core"
 	"ssmp/internal/harness"
-	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/network"
 	"ssmp/internal/sim"
@@ -252,21 +251,10 @@ type SimResult struct {
 // into the daemon's aggregate counters.
 func (s *SimSpec) run(ctx context.Context) (*SimResult, *metrics.Collector, error) {
 	cfg := s.config()
-	p := workload.DefaultParams()
-	p.Grain = s.Grain
-	layout := workload.NewLayout(mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes}, p)
-	var kit workload.SyncKit
-	if cfg.Protocol == core.ProtoCBL {
-		kit = workload.CBLKit(layout, s.Procs)
-	} else {
-		kit = workload.WBIKit(layout, s.Procs, s.Backoff)
-	}
-	var progs []core.Program
-	if s.Workload == "sync" {
-		progs = workload.SyncModel(s.Procs, s.Episodes, p, layout, kit, *s.Seed)
-	} else {
-		progs, _ = workload.WorkQueue(s.Procs, s.Tasks, *s.SpawnProb, p, layout, kit, *s.Seed)
-	}
+	job := workload.Job{Queue: s.Workload != "sync", Params: workload.DefaultParams(), Episodes: s.Episodes,
+		Tasks: s.Tasks, SpawnProb: *s.SpawnProb, Backoff: s.Backoff, Seed: *s.Seed}
+	job.Params.Grain = s.Grain
+	progs, _ := job.Programs(cfg)
 	m := core.NewMachine(cfg)
 	res, err := m.RunContext(ctx, progs)
 	if err != nil {

@@ -338,6 +338,44 @@ func WorkQueue(procs, tasks int, spawnProb float64, p Params, layout Layout, kit
 	return progs, stats
 }
 
+// Job is one run of the sync or the work-queue model, short of the machine
+// it runs on.
+type Job struct {
+	// Queue selects the work-queue model; false runs the sync model.
+	Queue bool
+	// Params are the Table 4 parameters, grain included.
+	Params Params
+	// Episodes is the sync model's episodes per processor.
+	Episodes int
+	// Tasks and SpawnProb are the work-queue model's initial task count
+	// and task-spawn probability.
+	Tasks     int
+	SpawnProb float64
+	// Backoff selects exponential backoff for the WBI machine's software
+	// locks.
+	Backoff bool
+	// Seed drives all workload randomness.
+	Seed uint64
+}
+
+// Programs lays the job out on cfg's machine and returns one program per
+// node, with the sync kit they use: the hardware CBL lock and barrier on
+// the CBL machine, software locks and barrier built on RMW on the WBI one.
+func (j Job) Programs(cfg core.Config) ([]core.Program, SyncKit) {
+	layout := NewLayout(mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes}, j.Params)
+	var kit SyncKit
+	if cfg.Protocol == core.ProtoCBL {
+		kit = CBLKit(layout, cfg.Nodes)
+	} else {
+		kit = WBIKit(layout, cfg.Nodes, j.Backoff)
+	}
+	if !j.Queue {
+		return SyncModel(cfg.Nodes, j.Episodes, j.Params, layout, kit, j.Seed), kit
+	}
+	progs, _ := WorkQueue(cfg.Nodes, j.Tasks, j.SpawnProb, j.Params, layout, kit, j.Seed)
+	return progs, kit
+}
+
 // Run is a convenience wrapper: build a machine from cfg, run the programs,
 // and return the result.
 func Run(cfg core.Config, progs []core.Program) (core.Result, error) {

@@ -211,3 +211,28 @@ func TestSyncModelBCNotSlowerThanSC(t *testing.T) {
 		t.Fatalf("BC (%d) slower than SC (%d)", bc, sc)
 	}
 }
+
+func TestJobKitFollowsProtocol(t *testing.T) {
+	for _, tc := range []struct {
+		proto   core.Protocol
+		backoff bool
+		want    string
+	}{
+		{core.ProtoCBL, false, "CBL"},
+		{core.ProtoCBL, true, "CBL"},
+		{core.ProtoWBI, false, "WBI"},
+		{core.ProtoWBI, true, "WBI-backoff"},
+	} {
+		for _, queue := range []bool{false, true} {
+			j := Job{Queue: queue, Params: DefaultParams(), Episodes: 2, Tasks: 8, Backoff: tc.backoff, Seed: 1}
+			cfg := mkCfg(4, tc.proto)
+			progs, kit := j.Programs(cfg)
+			if kit.Name != tc.want || len(progs) != 4 {
+				t.Fatalf("%v backoff=%v queue=%v: kit %s, %d programs", tc.proto, tc.backoff, queue, kit.Name, len(progs))
+			}
+			if _, err := Run(cfg, progs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
