@@ -49,15 +49,17 @@ bench-check:
 	$(GO) -C bench test ./...
 
 # PDES determinism gate: the parallel engine's unit tests, the window-merge
-# port-arbitration parity suite, and every workers=1-vs-N equality property
-# (engine, network, workload, harness, daemon) under the race detector. The
-# bench line runs both the ideal and the contended stencil (the PDESStencil
-# pattern substring-matches PDESStencilContended).
+# port-arbitration parity and replay-order suite, and every workers=1-vs-N
+# equality property (engine, network, workload, harness, daemon, the KV
+# service under chaos) under the race detector. The bench line runs the
+# ideal and the contended stencil (the PDESStencil pattern substring-matches
+# PDESStencilContended) and the KV service.
 pdes:
 	$(GO) test -race ./internal/sim/
-	$(GO) test -race -run 'PDES|Parallel|Stencil|SimWorkers|LaneArbitration' \
-		./internal/core/ ./internal/network/ ./internal/workload/ ./internal/harness/ ./internal/server/
-	$(GO) test '-bench=PDESStencil/workers=(0|2)$$' -benchtime=1x -run=^$$ .
+	$(GO) test -race -run 'PDES|Parallel|Stencil|SimWorkers|LaneArbitration|Arbitrate' \
+		./internal/core/ ./internal/network/ ./internal/workload/ ./internal/harness/ ./internal/server/ \
+		./internal/kvapp/
+	$(GO) test '-bench=PDES(Stencil|KV)/workers=(0|2)$$' -benchtime=1x -run=^$$ .
 
 # Synchronization-zoo litmus: the mutual-exclusion and barrier-separation
 # witnesses for every zoo algorithm, swept across jitter seeds under the

@@ -879,7 +879,7 @@ func BenchmarkPDESStencil(b *testing.B) {
 // here — not the ideal-network one — is the number that says the PDES
 // engine runs the machine the paper measures.
 func BenchmarkPDESStencilContended(b *testing.B) {
-	benchmarkPDESStencil(b, false, []int{0, 2, 4})
+	benchmarkPDESStencil(b, false, []int{0, 1, 2, 4})
 }
 
 func benchmarkPDESStencil(b *testing.B, ideal bool, workerSet []int) {
@@ -926,7 +926,7 @@ func BenchmarkPDESKV(b *testing.B) {
 	spec.Sessions = 2
 	spec.Ops = 64
 	spec.SubCap = 32
-	for _, w := range []int{0, 2, 4} {
+	for _, w := range []int{0, 1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			var res *ssmp.KVResult

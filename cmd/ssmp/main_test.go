@@ -122,6 +122,10 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"litmus", "show", "nosuch"}, 1, "ssmp litmus: "},
 		{[]string{"figures", "-procs", "2,x"}, 1, `ssmp figures: bad processor count "x"`},
 		{[]string{"sim", "-procs", "3"}, 1, "ssmp sim: core: Nodes must be a power of two >= 2, got 3"},
+		{[]string{"sim", "-procs", "4", "-grain", "0"}, 1, "ssmp sim: workload: counts must be positive"},
+		{[]string{"sim", "-procs", "4", "-spawn", "1"}, 1, "ssmp sim: workload: spawn probability must be in [0,1), got 1"},
+		{[]string{"sim", "-procs", "4", "-workers", "-1"}, 1, "ssmp sim: core: SimWorkers must be >= 0, got -1"},
+		{[]string{"sim", "-procs", "4", "-workload", "stencil", "-iters", "0"}, 1, "ssmp sim: workload: stencil needs"},
 		{[]string{"trace", "-procs", "3"}, 1, "ssmp trace: core: Nodes must be a power of two >= 2, got 3"},
 		{[]string{"trace", "-capture", "queue", "-procs", "3"}, 1, "ssmp trace: core: Nodes must be a power of two >= 2, got 3"},
 		{[]string{"sync", "locks", "-procs", "3"}, 1, "ssmp sync: core: Nodes must be a power of two >= 2, got 3"},

@@ -59,9 +59,6 @@ func (c *cli) sim(args []string) (err error) {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	fs.Parse(args)
 
-	if err := checkProcs(*procs); err != nil {
-		return err
-	}
 	cfg, err := machineConfig(*procs, *proto, *cons)
 	if err != nil {
 		return err
@@ -74,6 +71,11 @@ func (c *cli) sim(args []string) (err error) {
 	cfg.SimWorkers = *workers
 	cfg.Jitter = *jitter
 	if cfg.Topology, err = network.ParseTopology(*topology); err != nil {
+		return err
+	}
+	// Everything that would panic while building is checked first, so a
+	// bad flag is a one-line error.
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if *workers > 0 && cfg.Topology == network.TopBus {
@@ -89,6 +91,12 @@ func (c *cli) sim(args []string) (err error) {
 		job := workload.Job{Queue: *wl == "queue", Params: ssmp.DefaultWorkloadParams(), Episodes: *episodes,
 			Tasks: *tasks, SpawnProb: *spawn, Backoff: *backoff, Seed: *seed}
 		job.Params.Grain = *grain
+		if err := job.Params.Validate(); err != nil {
+			return err
+		}
+		if job.SpawnProb < 0 || job.SpawnProb >= 1 {
+			return fmt.Errorf("workload: spawn probability must be in [0,1), got %g", job.SpawnProb)
+		}
 		var kit ssmp.SyncKit
 		progs, kit = job.Programs(cfg)
 		kitName = kit.Name
@@ -97,6 +105,9 @@ func (c *cli) sim(args []string) (err error) {
 			return errors.New("the stencil workload is CBL-only")
 		}
 		stencilSpec = ssmp.StencilSpec{Procs: *procs, CellsPer: *cells, Iters: *iters}
+		if err := stencilSpec.Validate(); err != nil {
+			return err
+		}
 		kitName = "pairwise-HW-barrier"
 		progs, stencilStrips = stencilSpec.Programs(
 			mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes})

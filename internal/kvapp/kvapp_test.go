@@ -3,10 +3,13 @@ package kvapp
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ssmp/internal/litmus"
 	"ssmp/internal/mem"
+	"ssmp/internal/network"
 	"ssmp/internal/workload"
 )
 
@@ -186,6 +189,51 @@ func TestSimWorkersBitIdenticalContended(t *testing.T) {
 		}
 		if res.Summary() != base.Summary() {
 			t.Fatalf("workers=%d: summary diverged from workers=1", workers)
+		}
+	}
+}
+
+// TestSimWorkersBitIdenticalChaos pins the lane engine on the benchmark's
+// KV shape: 64 nodes, 256 keys on 16 shards, the contended network and
+// the reliable transport under chaos faults, with jitter off and on. The
+// whole Result (cycles, latency histograms, counters, fault and transport
+// counters, oracle report) and its Summary must be identical at 1, 2 and
+// 4 workers.
+func TestSimWorkersBitIdenticalChaos(t *testing.T) {
+	spec := DefaultSpec(64)
+	spec.Keys, spec.Shards, spec.Sessions, spec.Ops, spec.SubCap = 256, 16, 2, 64, 32
+	for _, jitter := range []uint64{0, 9} {
+		var base *Result
+		for _, workers := range []int{1, 2, 4} {
+			res, err := Run(context.Background(), spec, RunOptions{
+				Jitter:     jitter,
+				Faults:     network.FaultConfig{Seed: 5, Rates: litmus.DefaultChaosRates()},
+				SimWorkers: workers,
+			})
+			if err != nil {
+				t.Fatalf("jitter=%d workers=%d: %v", jitter, workers, err)
+			}
+			if err := res.Check(); err != nil {
+				t.Fatalf("jitter=%d workers=%d: %v", jitter, workers, err)
+			}
+			if base == nil {
+				if res.Sim.Faults.Retries == 0 || res.Sim.MeanNetQueueing == 0 {
+					t.Fatalf("jitter=%d: no retransmission or no queueing; the test proves nothing", jitter)
+				}
+				base = res
+				continue
+			}
+			if res.Counters != base.Counters {
+				t.Fatalf("jitter=%d workers=%d: counters diverged from workers=1:\n%+v\nvs\n%+v",
+					jitter, workers, res.Counters, base.Counters)
+			}
+			if !reflect.DeepEqual(res, base) {
+				t.Fatalf("jitter=%d workers=%d: result diverged from workers=1:\n%+v\nvs\n%+v",
+					jitter, workers, res.Sim, base.Sim)
+			}
+			if res.Summary() != base.Summary() {
+				t.Fatalf("jitter=%d workers=%d: summary diverged from workers=1", jitter, workers)
+			}
 		}
 	}
 }

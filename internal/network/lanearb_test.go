@@ -1,7 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ssmp/internal/sim"
@@ -150,6 +152,80 @@ func TestLaneArbitrationFaultParity(t *testing.T) {
 		}
 		if fmt.Sprint(gotTrace) != fmt.Sprint(wantTrace) {
 			t.Fatalf("workers=%d delivery trace diverges:\n got %v\nwant %v", w, gotTrace, wantTrace)
+		}
+	}
+}
+
+// TestArbitrateReplaysInKeyOrder: the window-barrier arbiter replays the
+// sends the lanes recorded in one window in injection-key order (time,
+// jitter, source lane, source sequence), with jitter off and on. Every
+// source sends one to three messages in each cycle of the window, so the
+// replay must interleave the sources cycle by cycle and, under jitter,
+// reorder each cycle's sends by their jitter draws.
+func TestArbitrateReplaysInKeyOrder(t *testing.T) {
+	type key struct {
+		at       sim.Time
+		jit, seq uint64
+		src      int32
+	}
+	byKey := func(a, b key) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.jit, b.jit); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	for _, jitter := range []uint64{0, 11} {
+		cfg := DefaultConfig(8)
+		par := sim.NewParallel(cfg.Nodes)
+		par.SetJitter(jitter)
+		n := NewParallel(par, cfg)
+		var windows [][]key
+		par.SetArbiter(func() {
+			var got []key
+			for _, q := range n.replayOrder() {
+				got = append(got, key{q.at, q.jit, q.seq, q.src})
+			}
+			windows = append(windows, got)
+			n.arbitrate()
+		})
+		sends := 0
+		for src := 0; src < cfg.Nodes; src++ {
+			n.Attach(src, func(any) {})
+			for at := sim.Time(0); at < n.MinCrossLatency(); at++ {
+				for k := 0; k <= (src+int(at))%3; k++ {
+					dst := (src + 1 + k) % cfg.Nodes
+					par.Lane(src).At(at, func() { n.Send(src, dst, k, nil) })
+					sends++
+				}
+			}
+		}
+		if err := par.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		got := windows[0]
+		if len(got) != sends {
+			t.Fatalf("jitter=%d: the first window replayed %d sends, want %d", jitter, len(got), sends)
+		}
+		want := slices.Clone(got)
+		slices.SortFunc(want, byKey)
+		if !slices.Equal(got, want) {
+			t.Fatalf("jitter=%d: replay order\n got %v\nwant %v", jitter, got, want)
+		}
+		// Under jitter the key order is not (time, source, sequence) order,
+		// so the replay above had to reorder within cycles.
+		bySource := slices.Clone(got)
+		slices.SortFunc(bySource, func(a, b key) int {
+			a.jit, b.jit = 0, 0
+			return byKey(a, b)
+		})
+		if reordered := !slices.Equal(got, bySource); reordered != (jitter != 0) {
+			t.Fatalf("jitter=%d: replay reordered a cycle's sends by jitter: %v", jitter, reordered)
 		}
 	}
 }

@@ -130,8 +130,8 @@ type Network struct {
 	faults   *faultPlane
 	shards   []Stats      // per-source-node counters, summed by Stats()
 	pend     [][]pendSend // contended lane mode: per-source deferred sends
-	arbScr   []pendSend   // arbitration scratch (reused across windows)
-	arbIdx   []int32      // arbScr indices in key order (reused likewise)
+	arbCnt   []int        // replay scratch: where each cycle's sends start
+	arbOrd   []*pendSend  // replay scratch: the window's sends in key order
 }
 
 // pendSend is one deferred contended send: everything the window-barrier
@@ -394,36 +394,7 @@ func (n *Network) sendPath(src, dst int, now, hold sim.Time) sim.Time {
 // exactly as they do serially. Deliveries are posted with the key drawn at
 // Send time and flow into the same window's merge.
 func (n *Network) arbitrate() {
-	m := n.arbScr[:0]
-	for src := range n.pend {
-		m = append(m, n.pend[src]...)
-		n.pend[src] = n.pend[src][:0]
-	}
-	if len(m) == 0 {
-		n.arbScr = m
-		return
-	}
-	// Sort indices, not the records: a swap moves 4 bytes instead of a
-	// whole pendSend, and slices.SortFunc needs no reflection.
-	idx := n.arbIdx[:0]
-	for i := range m {
-		idx = append(idx, int32(i))
-	}
-	slices.SortFunc(idx, func(i, j int32) int {
-		a, b := &m[i], &m[j]
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.jit, b.jit); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.src, b.src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for _, i := range idx {
-		q := &m[i]
+	for _, q := range n.replayOrder() {
 		src, dst := int(q.src), int(q.dst)
 		var done sim.Time
 		switch {
@@ -453,7 +424,77 @@ func (n *Network) arbitrate() {
 		}
 		q.payload = nil
 	}
-	n.arbScr, n.arbIdx = m[:0], idx[:0]
+	for src, q := range n.pend {
+		if len(q) > 0 {
+			n.pend[src] = q[:0]
+		}
+	}
+}
+
+// replayOrder returns the window's recorded sends in injection-key order.
+// It needs no comparison sort: every send lies in the window just
+// executed, at most a lookahead of cycles wide, and each source's sends
+// are already in (time, sequence) order, because a lane fires its events
+// in time order and draws a sequence number per send. So one stable
+// counting pass over the sends' cycle, visiting sources in lane order,
+// leaves each cycle's sends in (source lane, sequence) order — key order
+// while every jitter draw is zero. With jitter on, each cycle's sends are
+// then sorted by (jitter, source lane, sequence), one cycle at a time.
+func (n *Network) replayOrder() []*pendSend {
+	lo, hi, total := sim.Infinity, sim.Time(0), 0
+	for _, q := range n.pend {
+		if len(q) > 0 {
+			lo, hi = min(lo, q[0].at), max(hi, q[len(q)-1].at)
+			total += len(q)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	// start[c] counts, then indexes, the sends of cycle lo+c.
+	start := slices.Grow(n.arbCnt[:0], int(hi-lo)+1)[:int(hi-lo)+1]
+	clear(start)
+	for _, q := range n.pend {
+		for i := range q {
+			start[q[i].at-lo]++
+		}
+	}
+	sum := 0
+	for c, k := range start {
+		start[c], sum = sum, sum+k
+	}
+	ord := slices.Grow(n.arbOrd[:0], total)[:total]
+	var jit uint64
+	for _, q := range n.pend {
+		for i := range q {
+			c := q[i].at - lo
+			ord[start[c]] = &q[i]
+			start[c]++
+			jit |= q[i].jit
+		}
+	}
+	// start[c] now ends cycle lo+c's sends. Each cycle is in (source
+	// lane, sequence) order, which is key order while every jitter draw
+	// is zero; otherwise each cycle is sorted on its own.
+	if jit != 0 {
+		from := 0
+		for _, to := range start {
+			if to-from > 1 {
+				slices.SortFunc(ord[from:to], func(a, b *pendSend) int {
+					if c := cmp.Compare(a.jit, b.jit); c != 0 {
+						return c
+					}
+					if c := cmp.Compare(a.src, b.src); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.seq, b.seq)
+				})
+			}
+			from = to
+		}
+	}
+	n.arbCnt, n.arbOrd = start, ord
+	return ord
 }
 
 // postArbitrated posts one arbitrated delivery through the coordinator,

@@ -43,6 +43,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -76,10 +77,13 @@ type Parallel struct {
 	active []*Engine // lanes with work in the current window
 	nt     []Time    // cached per-lane next-event time (see Run)
 
-	idx    atomic.Int64 // next active-lane index to drain
-	wg     sync.WaitGroup
-	wake   chan struct{} // worker wake channel; non-nil only while Run runs
-	panics []any         // per-lane captured panic values
+	// The window barrier (see runWindow). claim holds the window epoch in
+	// its high 32 bits and the number of active lanes not yet claimed in
+	// its low 32; finished counts the window's lanes run to the end.
+	claim    atomic.Uint64
+	finished atomic.Int64
+	wake     chan struct{} // parked workers wait here while Run runs them
+	panics   []any         // per-lane captured panic values
 }
 
 // NewParallel returns a coordinator over n lane engines with the clock at
@@ -260,7 +264,8 @@ func (p *Parallel) SetArbiter(fn func()) { p.arb = fn }
 // honored at the window boundary: the window in which Stop was called
 // completes (every lane fires its remaining in-window events) before Run
 // returns nil. A panic on any lane is re-raised on the caller, from the
-// lowest panicking lane for determinism.
+// lowest panicking lane for determinism. Run returns once the workers it
+// started have exited.
 //
 // One lane runs Engine.Run's loop on the calling goroutine, under the
 // coordinator's horizon and interrupt: Stop returns after the current
@@ -284,18 +289,22 @@ func (p *Parallel) Run(workers int) error {
 		e.stopped = false
 	}
 	if workers > 1 {
-		wake := make(chan struct{})
-		p.wake = wake
-		for i := 1; i < workers; i++ {
+		p.wake = make(chan struct{}, workers-1)
+		var wg sync.WaitGroup
+		wg.Add(workers - 1)
+		for range workers - 1 {
 			go func() {
-				for range wake {
-					p.drain()
-					p.wg.Done()
+				defer wg.Done()
+				for range p.wake {
+					if ran := p.drain(); ran > 0 {
+						p.finished.Add(ran)
+					}
 				}
 			}()
 		}
 		defer func() {
-			close(wake)
+			close(p.wake)
+			wg.Wait()
 			p.wake = nil
 		}()
 	}
@@ -343,23 +352,7 @@ func (p *Parallel) Run(workers int) error {
 				p.active = append(p.active, e)
 			}
 		}
-		if workers == 1 || len(p.active) == 1 {
-			for _, e := range p.active {
-				p.runLane(e)
-			}
-		} else {
-			k := workers
-			if k > len(p.active) {
-				k = len(p.active)
-			}
-			p.idx.Store(0)
-			p.wg.Add(k - 1)
-			for i := 1; i < k; i++ {
-				p.wake <- struct{}{}
-			}
-			p.drain()
-			p.wg.Wait()
-		}
+		p.runWindow(workers)
 		for i := range p.panics {
 			if v := p.panics[i]; v != nil {
 				panic(v)
@@ -384,16 +377,48 @@ func (p *Parallel) Run(workers int) error {
 	}
 }
 
-// drain pulls active lanes off the shared index until none remain. Each
-// lane is executed by exactly one worker; which worker is immaterial,
-// because every ordering decision is keyed by lane-local state.
-func (p *Parallel) drain() {
-	for {
-		i := int(p.idx.Add(1)) - 1
-		if i >= len(p.active) {
-			return
+// runWindow runs every active lane's window and returns once all of them
+// have finished. It publishes the window as a fresh claim word, wakes
+// parked workers without blocking, and claims lanes itself alongside
+// them, so it never waits for a worker that has not woken: it waits only
+// while a worker still runs a lane that worker claimed, yielding to other
+// goroutines meanwhile. A worker that wakes after the window is claimed
+// finds nothing to claim and parks again; the epoch makes every window's
+// word distinct, so a claim succeeds only against the window its claimer
+// read.
+func (p *Parallel) runWindow(workers int) {
+	n := len(p.active)
+	p.finished.Store(0)
+	p.claim.Store((p.claim.Load()>>32+1)<<32 | uint64(n))
+	for range min(workers, n) - 1 {
+		select {
+		case p.wake <- struct{}{}:
+		default: // every worker is awake or has a wake-up queued
 		}
-		p.runLane(p.active[i])
+	}
+	p.finished.Add(p.drain())
+	for p.finished.Load() != int64(n) {
+		runtime.Gosched()
+	}
+}
+
+// drain claims the current window's unclaimed lanes one at a time, in lane
+// order, runs each, and returns how many it ran. Each lane is executed by
+// exactly one goroutine; which one is immaterial, because every ordering
+// decision is keyed by lane-local state.
+func (p *Parallel) drain() int64 {
+	ran := int64(0)
+	for {
+		w := p.claim.Load()
+		left := int(uint32(w))
+		if left == 0 {
+			return ran
+		}
+		if p.claim.CompareAndSwap(w, w-1) {
+			// The claimed lane holds the window, and so active, in place.
+			p.runLane(p.active[len(p.active)-left])
+			ran++
+		}
 	}
 }
 

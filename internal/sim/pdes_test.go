@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ringModel is a deterministic multi-lane kernel workload: each lane
@@ -257,6 +259,51 @@ func TestParallelStop(t *testing.T) {
 	}
 	if n1 < 200 {
 		t.Fatalf("run stopped before the Stop event: now %d", n1)
+	}
+}
+
+// TestParallelPanicLowestLane: when two lanes panic in one window, Run
+// re-raises the lower lane's value at any worker count, whichever goroutine
+// claimed that lane, though the higher lane panics first in simulated time;
+// and every worker Run started has exited once the panic reaches the
+// caller.
+func TestParallelPanicLowestLane(t *testing.T) {
+	var sink [8]uint64 // one word per lane: lanes share no state
+	busy := func(lane int) func() {
+		return func() {
+			for i := uint64(0); i < 20000; i++ {
+				sink[lane] += i * i
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 10; rep++ {
+			before := runtime.NumGoroutine()
+			p := NewParallel(8)
+			p.SetLookahead(4)
+			for i := 0; i < 8; i++ {
+				// Busy lanes, so that workers waking in time claim some.
+				for at := Time(0); at < 3; at++ {
+					p.Lane(i).At(at, busy(i))
+				}
+			}
+			p.Lane(6).At(1, func() { panic("lane 6") })
+			p.Lane(3).At(2, func() { panic("lane 3") })
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				_ = p.Run(workers)
+				return nil
+			}()
+			if got != "lane 3" {
+				t.Fatalf("workers=%d: re-raised %v, want lane 3's panic", workers, got)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("workers=%d: %d goroutines after Run, %d before", workers, n, before)
+			}
+		}
 	}
 }
 
