@@ -69,10 +69,14 @@ synczoo:
 	$(GO) run ./cmd/ssmp sync litmus -seeds 8
 	$(GO) run ./cmd/ssmp sync litmus -seeds 8 -faults
 
-# Litmus cross-validation: the embedded corpus under the race detector,
-# then a bounded fuzz of random programs against the axiomatic model.
+# Litmus cross-validation: the embedded corpus under the race detector
+# (with the replays on pooled, reset machines checked against fresh ones,
+# and violation explanations replayed under their fault planes), a bounded
+# fuzz of the test parser, then a bounded fuzz of random programs against
+# the axiomatic model.
 litmus:
-	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink' ./internal/litmus/
+	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink|Reuse|Explain' ./internal/litmus/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/litmus/
 	$(GO) run ./cmd/ssmp litmus fuzz -budget 30s
 
 # Farm-corpus gate: the committed generated corpus (300+ canonical tests,

@@ -31,7 +31,7 @@ type Home struct {
 	id      int
 	geom    mem.Geometry
 	station fabric.Station
-	eps     map[mem.Addr]*episode
+	eps     map[mem.Addr]*episode // nil until the first arrival
 
 	// Episodes counts completed barrier episodes.
 	Episodes uint64
@@ -39,7 +39,17 @@ type Home struct {
 
 // NewHome builds the home-side barrier controller.
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry) *Home {
-	return &Home{f: f, id: id, geom: geom, station: fabric.NewStation(f), eps: make(map[mem.Addr]*episode)}
+	h := &Home{f: f, id: id, geom: geom, station: fabric.NewStation(f)}
+	h.Reset()
+	return h
+}
+
+// Reset returns the home to the state NewHome builds: no episode open, the
+// station idle and none counted.
+func (h *Home) Reset() {
+	h.station.Reset()
+	clear(h.eps)
+	h.Episodes = 0
 }
 
 // Handles reports whether the home consumes this message kind.
@@ -67,6 +77,9 @@ func (h *Home) process(m *msg.Msg) {
 	ep, ok := h.eps[a]
 	if !ok {
 		ep = &episode{expect: m.Acks}
+		if h.eps == nil {
+			h.eps = make(map[mem.Addr]*episode)
+		}
 		h.eps[a] = ep
 	}
 	if ep.expect != m.Acks {
@@ -94,13 +107,18 @@ type Unit struct {
 	f       *fabric.Fabric
 	id      int
 	geom    mem.Geometry
-	waiting map[mem.Addr]func()
+	waiting map[mem.Addr]func() // nil until the first arrival
 }
 
 // NewUnit builds the node-side barrier controller.
 func NewUnit(f *fabric.Fabric, id int, geom mem.Geometry) *Unit {
-	return &Unit{f: f, id: id, geom: geom, waiting: make(map[mem.Addr]func())}
+	u := &Unit{f: f, id: id, geom: geom}
+	u.Reset()
+	return u
 }
+
+// Reset returns the unit to the state NewUnit builds: no arrival waiting.
+func (u *Unit) Reset() { clear(u.waiting) }
 
 // Arrive announces arrival at the barrier named by address a with the given
 // participant count; done runs when the release arrives.
@@ -110,6 +128,9 @@ func (u *Unit) Arrive(a mem.Addr, participants int, done func()) {
 	}
 	if _, dup := u.waiting[a]; dup {
 		panic(fmt.Sprintf("barrier: node %d already waiting at %d", u.id, a))
+	}
+	if u.waiting == nil {
+		u.waiting = make(map[mem.Addr]func())
 	}
 	u.waiting[a] = done
 	u.f.RMR.RemoteRef(u.id)

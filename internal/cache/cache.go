@@ -97,7 +97,21 @@ func New(geom mem.Geometry, sets, ways int) *Cache {
 	if ways < 1 {
 		panic(fmt.Sprintf("cache: ways must be >= 1, got %d", ways))
 	}
-	return &Cache{geom: geom, sets: sets, ways: ways, index: make([]int32, sets)}
+	c := &Cache{geom: geom, sets: sets, ways: ways, index: make([]int32, sets)}
+	c.Reset()
+	return c
+}
+
+// Reset returns the cache to the state New builds: no set built, every
+// counter zero. The sets built so far stay in built's backing array, past
+// its length, and are handed out again, invalidated, before any new set is
+// built.
+func (c *Cache) Reset() {
+	if len(c.built) > 0 {
+		clear(c.index)
+		c.built = c.built[:0]
+	}
+	c.tick, c.stats = 0, Stats{}
 }
 
 // Sets returns the number of sets.
@@ -126,7 +140,14 @@ func (c *Cache) setAlloc(b mem.Block) []Line {
 	if set := c.set(b); set != nil {
 		return set
 	}
-	set := newLines(c.ways, c.geom.BlockWords)
+	n := len(c.built)
+	var set []Line
+	if n < cap(c.built) && c.built[:n+1][n] != nil {
+		set = c.built[:n+1][n] // built before the last Reset
+		invalidate(set)
+	} else {
+		set = newLines(c.ways, c.geom.BlockWords)
+	}
 	c.built = append(c.built, set)
 	c.index[uint64(b)&uint64(c.sets-1)] = int32(len(c.built))
 	return set
@@ -142,6 +163,16 @@ func newLines(n, blockWords int) []Line {
 		lines[i].Data = backing[i*blockWords : (i+1)*blockWords : (i+1)*blockWords]
 	}
 	return lines
+}
+
+// invalidate makes used lines as newLines builds them: invalid,
+// zero-filled and unlinked, each keeping its data slice. (newLines's fresh
+// memory is already zero, so it only unlinks its lines.)
+func invalidate(lines []Line) {
+	for i := range lines {
+		clear(lines[i].Data)
+		lines[i] = Line{Data: lines[i].Data, Prev: NoNode, Next: NoNode}
+	}
 }
 
 // Lookup returns the line holding block b, counting a hit or miss and
@@ -278,7 +309,7 @@ func (c *Cache) ForEach(fn func(*Line)) {
 type LockCache struct {
 	geom    mem.Geometry
 	entries int
-	lines   []Line // nil until the first Allocate
+	lines   []Line // empty until the first Allocate
 	tick    uint64
 	stats   Stats
 }
@@ -288,7 +319,16 @@ func NewLockCache(geom mem.Geometry, entries int) *LockCache {
 	if entries < 1 {
 		panic(fmt.Sprintf("cache: lock cache entries must be >= 1, got %d", entries))
 	}
-	return &LockCache{geom: geom, entries: entries}
+	lc := &LockCache{geom: geom, entries: entries}
+	lc.Reset()
+	return lc
+}
+
+// Reset returns the lock cache to the state NewLockCache builds: no lines,
+// every counter zero. Lines already built stay in the backing array and
+// are handed out again, invalidated, by the next Allocate.
+func (lc *LockCache) Reset() {
+	lc.lines, lc.tick, lc.stats = lc.lines[:0], 0, Stats{}
 }
 
 // Capacity returns the number of entries.
@@ -332,8 +372,13 @@ var ErrLockCacheFull = fmt.Errorf("cache: lock cache full")
 // is by definition participating in a queue (or holding a lock), no eviction
 // is possible: Allocate returns ErrLockCacheFull when all entries are live.
 func (lc *LockCache) Allocate(b mem.Block) (*Line, error) {
-	if lc.lines == nil {
-		lc.lines = newLines(lc.entries, lc.geom.BlockWords)
+	if len(lc.lines) == 0 {
+		if cap(lc.lines) > 0 {
+			lc.lines = lc.lines[:lc.entries]
+			invalidate(lc.lines)
+		} else {
+			lc.lines = newLines(lc.entries, lc.geom.BlockWords)
+		}
 	}
 	var pick *Line
 	for i := range lc.lines {

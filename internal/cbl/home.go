@@ -30,11 +30,12 @@ type Home struct {
 	geom    mem.Geometry
 	store   *mem.Store
 	station fabric.Station
-	queues  map[mem.Block][]waiter
-	// deferred holds releases that arrived before the direct-handoff
-	// notification that makes their sender a holder in the home's view
-	// (messages from different sources are not mutually ordered). They
-	// re-apply as soon as the enabling dequeue lands.
+	// queues holds each locked block's queue; deferred holds releases
+	// that arrived before the direct-handoff notification that makes
+	// their sender a holder in the home's view (messages from different
+	// sources are not mutually ordered), which re-apply as soon as the
+	// enabling dequeue lands. Each map is nil until its first entry.
+	queues   map[mem.Block][]waiter
 	deferred map[mem.Block][]*msg.Msg
 
 	// Grants counts grants issued; Handoffs counts grants issued as a
@@ -46,12 +47,22 @@ type Home struct {
 // NewHome builds the home-side lock controller over the node's memory
 // module (shared with the RUC home controller).
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Home {
-	return &Home{
+	h := &Home{
 		f: f, id: id, geom: geom, store: store,
-		station:  fabric.NewStation(f),
-		queues:   make(map[mem.Block][]waiter),
-		deferred: make(map[mem.Block][]*msg.Msg),
+		station: fabric.NewStation(f),
 	}
+	h.Reset()
+	return h
+}
+
+// Reset returns the controller to the state NewHome builds: no lock queue
+// or deferred release, the station idle, every counter zero. The store is
+// kept; its owner resets it.
+func (h *Home) Reset() {
+	h.station.Reset()
+	clear(h.queues)
+	clear(h.deferred)
+	h.Grants, h.Handoffs = 0, 0
 }
 
 // Queue returns (node, mode, holding) triples for the block's lock queue,
@@ -105,7 +116,7 @@ func (h *Home) process(m *msg.Msg) {
 		if h.inQueue(m.Block, m.Src) {
 			// The node's previous release is still in flight behind a
 			// direct-handoff notification: defer the new request too.
-			h.deferred[m.Block] = append(h.deferred[m.Block], m)
+			h.deferMsg(m)
 			return
 		}
 		h.request(m.Block, m.Src, m.Mode, m.Seq)
@@ -113,7 +124,7 @@ func (h *Home) process(m *msg.Msg) {
 		if !h.holdingHere(m.Block, m.Src) {
 			// The sender holds the lock via a direct handoff whose
 			// notification is still in flight: defer until it lands.
-			h.deferred[m.Block] = append(h.deferred[m.Block], m)
+			h.deferMsg(m)
 			return
 		}
 		h.applyRelease(m)
@@ -121,6 +132,14 @@ func (h *Home) process(m *msg.Msg) {
 	default:
 		panic(fmt.Sprintf("cbl: home %d cannot handle %v", h.id, m.Kind))
 	}
+}
+
+// deferMsg holds m until drainDeferred re-applies it.
+func (h *Home) deferMsg(m *msg.Msg) {
+	if h.deferred == nil {
+		h.deferred = make(map[mem.Block][]*msg.Msg)
+	}
+	h.deferred[m.Block] = append(h.deferred[m.Block], m)
 }
 
 // allHoldingReaders reports whether every queue member is a holding reader.
@@ -149,6 +168,9 @@ func (h *Home) request(b mem.Block, node int, mode msg.LockMode, seq uint64) {
 		// tenure of the same node.
 		tail := q[len(q)-1]
 		h.f.Send(&msg.Msg{Kind: msg.LockFwd, Src: h.id, Dst: tail.node, Block: b, Requester: node, Mode: mode, Seq: tail.seq})
+	}
+	if h.queues == nil {
+		h.queues = make(map[mem.Block][]waiter)
 	}
 	h.queues[b] = append(q, waiter{node: node, mode: mode, holding: grant, seq: seq})
 	if grant {

@@ -70,14 +70,25 @@ type Unit struct {
 // NewUnit builds the node-side lock controller with the given lock-cache
 // capacity.
 func NewUnit(f *fabric.Fabric, id int, geom mem.Geometry, lockEntries int) *Unit {
-	return &Unit{
+	u := &Unit{
 		f: f, id: id, geom: geom,
 		lc:      cache.NewLockCache(geom, lockEntries),
 		station: fabric.NewStation(f),
-		waiting: make(map[mem.Block]func()),
-		next:    make(map[mem.Block]nextInfo),
-		epoch:   make(map[mem.Block]uint64),
 	}
+	u.Reset()
+	return u
+}
+
+// Reset returns the unit to the state NewUnit builds: its lock cache
+// empty, no request waiting, no queue successor or acquisition epoch
+// known, the station idle and every counter zero. DirectHandoff is kept.
+func (u *Unit) Reset() {
+	u.lc.Reset()
+	u.station.Reset()
+	clear(u.waiting)
+	clear(u.next)
+	clear(u.epoch)
+	u.Grants, u.Waits, u.DirectHandoffs = 0, 0, 0
 }
 
 // LockCache exposes the underlying lock cache for inspection.
@@ -143,6 +154,9 @@ func (u *Unit) Lock(a mem.Addr, mode msg.LockMode, done func()) error {
 	}
 	l.Mode = mode
 	l.Held = false
+	if u.waiting == nil { // the first Lock makes both maps
+		u.waiting, u.epoch = make(map[mem.Block]func()), make(map[mem.Block]uint64)
+	}
 	u.waiting[b] = done
 	u.epoch[b]++
 	u.f.RMR.RemoteRef(u.id)
@@ -241,6 +255,9 @@ func (u *Unit) process(m *msg.Msg) {
 		// the home is unaffected.
 		if l := u.lc.Lookup(m.Block); l != nil && u.epoch[m.Block] == m.Seq {
 			l.Next = m.Requester
+			if u.next == nil {
+				u.next = make(map[mem.Block]nextInfo)
+			}
 			u.next[m.Block] = nextInfo{node: m.Requester, mode: m.Mode}
 		}
 		u.f.Send(&msg.Msg{Kind: msg.LockLinked, Src: u.id, Dst: m.Requester, Block: m.Block})

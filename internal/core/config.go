@@ -219,6 +219,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// resettableTo reports whether a machine built for c can be reset to o:
+// the two may differ only in Jitter and Faults.
+func (c *Config) resettableTo(o *Config) bool {
+	return c.Nodes == o.Nodes && c.BlockWords == o.BlockWords &&
+		c.CacheSets == o.CacheSets && c.CacheWays == o.CacheWays &&
+		c.LockEntries == o.LockEntries && c.DirectHandoff == o.DirectHandoff &&
+		c.WriteUpdate == o.WriteUpdate && c.DirMaxPointers == o.DirMaxPointers &&
+		c.Topology == o.Topology && c.Protocol == o.Protocol &&
+		c.Consistency == o.Consistency && c.Timing == o.Timing &&
+		c.SwitchDelay == o.SwitchDelay && c.LocalDelay == o.LocalDelay &&
+		c.IdealNetwork == o.IdealNetwork && c.DanceHall == o.DanceHall &&
+		c.Buf == o.Buf && c.Horizon == o.Horizon &&
+		c.FaultRTO == o.FaultRTO && c.SimWorkers == o.SimWorkers
+}
+
 // netConfig derives the network configuration.
 func (c Config) netConfig() network.Config {
 	return network.Config{

@@ -86,17 +86,10 @@ func NewMachine(cfg Config) *Machine {
 	}
 	par := sim.NewParallel(lanes)
 	par.SetHorizon(cfg.Horizon)
-	par.SetJitter(cfg.Jitter)
 	nw := network.NewParallel(par, cfg.netConfig())
 	fab := fabric.New(par.Lane(0), nw, cfg.Timing)
-	if nw.FaultsEnabled() {
-		// A faulty fabric needs the reliable transport above it; the two
-		// are enabled together so the protocol controllers always see
-		// exactly-once, per-link-FIFO delivery. Views inherit it.
-		fab.EnableTransport(cfg.FaultRTO)
-	}
 	geom := mem.Geometry{BlockWords: cfg.BlockWords, Nodes: cfg.Nodes}
-	m := &Machine{cfg: cfg, par: par, net: nw, fab: fab, geom: geom, nodes: make([]node, cfg.Nodes)}
+	m := &Machine{par: par, net: nw, fab: fab, geom: geom, nodes: make([]node, cfg.Nodes)}
 
 	for i := range m.nodes {
 		n := &m.nodes[i]
@@ -128,7 +121,71 @@ func NewMachine(cfg Config) *Machine {
 		i := i
 		nodeFab.Attach(i, func(mg *msg.Msg) { m.dispatch(i, mg) })
 	}
+	m.start(&cfg)
 	return m
+}
+
+// Reset returns the machine to exactly the state NewMachine(cfg) builds,
+// keeping its memory: every lane, port, counter, controller, cache, store,
+// processor and hook is as a fresh build leaves it, so a run on the reset
+// machine cannot be told from a run on a fresh one. cfg may differ from the
+// machine's configuration only in Jitter and Faults; any other difference
+// panics, as an invalid configuration does.
+func (m *Machine) Reset(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if !m.cfg.resettableTo(&cfg) {
+		panic("core: Reset may change only Jitter and Faults")
+	}
+	m.par.Reset()
+	m.net.Reset(cfg.Faults)
+	m.fab.Reset()
+	for _, v := range m.views {
+		v.Reset()
+	}
+	for i := range m.nodes {
+		n := &m.nodes[i]
+		n.store.Reset()
+		switch m.cfg.Protocol {
+		case ProtoCBL:
+			n.rucN.Cache().Reset()
+			n.rucN.Reset()
+			n.rucH.Reset()
+			n.cblU.Reset()
+			n.cblH.Reset()
+			n.barU.Reset()
+			n.barH.Reset()
+			n.buf.Reset()
+		case ProtoWBI:
+			n.wbiN.Cache().Reset()
+			n.wbiN.Reset()
+			n.wbiH.Reset()
+		}
+		n.proc.reset()
+	}
+	m.running, m.aborting, m.hist, m.onOp = false, false, nil, nil
+	m.finished.Store(0)
+	m.start(&cfg)
+}
+
+// start gives a machine whose parts are as their constructors build them
+// the settings of cfg that are not the parts' own: the configuration
+// itself, the jitter seed and, with the fault plane on, the reliable
+// transport on the root fabric and every view. NewMachine and Reset both
+// end with it.
+func (m *Machine) start(cfg *Config) {
+	m.cfg = *cfg
+	m.par.SetJitter(cfg.Jitter)
+	if m.net.FaultsEnabled() {
+		// A faulty fabric needs the reliable transport above it; the two
+		// are enabled together so the protocol controllers always see
+		// exactly-once, per-link-FIFO delivery.
+		m.fab.EnableTransport(cfg.FaultRTO)
+		for _, v := range m.views {
+			v.EnableTransport(cfg.FaultRTO)
+		}
+	}
 }
 
 // Lanes returns the number of PDES lanes the machine runs on: 1 for a
@@ -196,7 +253,9 @@ func (m *Machine) RMRs() *metrics.RMRAccount { return m.fab.RMR }
 
 // EnableHistory turns on operation recording for linearizability checking:
 // every Read/Write/ReadGlobal/WriteGlobal/RMW is logged with its real-time
-// interval. Call before Run; check the returned recorder afterwards.
+// interval, and every ReadUpdate as a read. Call before Run (after Reset,
+// again: Reset turns recording off); check the returned recorder
+// afterwards.
 // Serial runs only: the recorder is a single append-ordered log, which
 // many lanes would both race on and order nondeterministically.
 func (m *Machine) EnableHistory() *history.Recorder {
@@ -294,7 +353,7 @@ func (m *Machine) drainAborted() {
 
 // Run executes one program per processor to completion and returns the
 // run's metrics. Programs[i] runs on processor i; a nil entry idles that
-// processor. Run may be called once per Machine.
+// processor. Run may be called once per NewMachine or Reset.
 func (m *Machine) Run(programs []Program) (Result, error) {
 	return m.RunContext(context.Background(), programs)
 }

@@ -139,6 +139,17 @@ func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 		p.step(0)
 	}
 	p.cbW = func(w mem.Word) { p.step(w) }
+	p.reset()
+}
+
+// reset returns the processor to the state init leaves it in: no program,
+// nothing batched or pending, every count zero. Its wiring, completion
+// callbacks and the hop list's memory are kept.
+func (p *Proc) reset() {
+	p.next, p.yield, p.w, p.done, p.err, p.opDepth = nil, nil, 0, false, nil, 0
+	p.hops, p.hopIdx, p.lag = p.hops[:0], 0, 0
+	p.op, p.issuedAt, p.opPanic, p.flushing, p.parks = pendingOp{}, 0, nil, false, 0
+	p.Ops, p.PrivHits, p.PrivMisses, p.stats = 0, 0, 0, ProcStats{}
 }
 
 // now returns the processor's logical time: the engine clock plus any local
@@ -556,8 +567,11 @@ func (p *Proc) ReadUpdate(a mem.Addr) mem.Word {
 	p.Ops++
 	p.beginOp(OpRecord{Kind: OpReadUpdate, Addr: a})
 	defer p.endOp()
+	start := p.now()
 	p.op = pendingOp{kind: OpReadUpdate, addr: a}
-	return p.block(catMem)
+	w := p.block(catMem)
+	p.record(false, false, a, w, 0, start)
+	return w
 }
 
 // ResetUpdate performs RESET-UPDATE: cancels the subscription (CBL machine

@@ -54,24 +54,35 @@ type Fabric struct {
 
 // New builds a fabric over an engine and network.
 func New(eng *sim.Engine, net *network.Network, t Timing) *Fabric {
-	return &Fabric{Eng: eng, Net: net, Time: t, Coll: &metrics.Collector{}, RMR: metrics.NewRMRAccount(net.Nodes())}
+	f := &Fabric{Eng: eng, Net: net, Time: t, Coll: &metrics.Collector{}, RMR: metrics.NewRMRAccount(net.Nodes())}
+	f.Reset()
+	return f
+}
+
+// Reset returns the fabric to the state New builds, keeping its memory:
+// the message collector, RMR rows and completion table are empty, OnSend is
+// unset, and the reliable transport is off until EnableTransport builds a
+// new one. Attached handlers are kept. A view's RMR account is its root's,
+// which resetting either clears.
+func (f *Fabric) Reset() {
+	f.Coll.Reset()
+	f.RMR.Reset()
+	f.OnSend = nil
+	f.hits.reset()
+	f.xp = nil
 }
 
 // View returns a per-node fabric bound to one lane engine of a parallel
 // (PDES) run. The view shares the network, the timing parameters, and the
 // RMR account with the root fabric — RMR rows are per-processor and only
 // ever written by the owning node's lane — but owns its message collector
-// and, when the root's reliable transport is enabled, its own transport
-// instance (a node's transport touches only the sender state of its
-// outgoing links and the receiver state of its incoming ones, and acks
-// always land back on the sending node's view). Fold merges a view's
-// counters into the root after the run.
+// and, once EnableTransport is called on it, its own transport instance (a
+// node's transport touches only the sender state of its outgoing links and
+// the receiver state of its incoming ones, and acks always land back on the
+// sending node's view). Fold merges a view's counters into the root after
+// the run.
 func (f *Fabric) View(eng *sim.Engine) *Fabric {
-	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR}
-	if f.xp != nil {
-		v.EnableTransport(f.xp.cfg)
-	}
-	return v
+	return &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR}
 }
 
 // Fold adds view v's message and transport counters to f, the fabric it
@@ -132,6 +143,12 @@ type completion struct {
 	next uint64 // while the slot is free: the free list's next link
 }
 
+// reset empties the table, keeping its memory.
+func (c *completions) reset() {
+	clear(c.slots)
+	c.slots, c.free = c.slots[:0], 0
+}
+
 func (c *completions) put(done func(mem.Word), w mem.Word) uint64 {
 	if c.free == 0 {
 		c.slots = append(c.slots, completion{})
@@ -152,15 +169,17 @@ func (c *completions) OnStep(i uint64) {
 }
 
 // Attach registers node's protocol dispatch with the network, interposing
-// the reliable transport when it is enabled. Components that attach through
-// the fabric get exactly-once, per-link-FIFO delivery whether or not the
-// fault plane is active.
+// the reliable transport while it is enabled. Components that attach
+// through the fabric get exactly-once, per-link-FIFO delivery whether or
+// not the fault plane is active.
 func (f *Fabric) Attach(node int, h func(*msg.Msg)) {
-	if f.xp == nil {
-		f.Net.Attach(node, func(p any) { h(p.(*msg.Msg)) })
-		return
-	}
-	f.Net.Attach(node, func(p any) { f.xp.receive(node, p.(*msg.Msg), h) })
+	f.Net.Attach(node, func(p any) {
+		if f.xp != nil {
+			f.xp.receive(node, p.(*msg.Msg), h)
+			return
+		}
+		h(p.(*msg.Msg))
+	})
 }
 
 // Station is a per-node message-processing front end: incoming messages are
@@ -174,6 +193,10 @@ type Station struct {
 
 // NewStation returns a station on the fabric.
 func NewStation(f *Fabric) Station { return Station{f: f} }
+
+// Reset makes the station idle with no cycles counted, as NewStation
+// builds it.
+func (s *Station) Reset() { s.res.Reset() }
 
 // Process schedules rcv.OnDeliver(m) after the station's directory-check
 // delay, honoring queueing at the directory. It is a typed event, so a

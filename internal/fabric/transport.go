@@ -120,8 +120,10 @@ type transport struct {
 	acksSent      uint64
 }
 
-// EnableTransport activates the reliable transport. It must be called
-// before any Attach, Send or View. A zero config field takes its default.
+// EnableTransport activates a new reliable transport on this fabric. It
+// must be called before any Send. A view does not inherit its root's
+// transport: the machine enables the root's and each view's itself. A zero
+// config field takes its default.
 func (f *Fabric) EnableTransport(cfg TransportConfig) {
 	n := f.Net.Nodes()
 	f.xp = &transport{

@@ -140,8 +140,9 @@ func TestRunSimSingle(t *testing.T) {
 	if _, err := bad.RunSim(0); err == nil {
 		t.Fatal("RunSim accepted an invalid test")
 	}
-	if _, _, err := bad.TraceSim(0); err == nil {
-		t.Fatal("TraceSim accepted an invalid test")
+	r := &Report{Observed: map[string][]uint64{out: {0}}}
+	if _, err := ExplainViolation(bad, r, out); err == nil {
+		t.Fatal("ExplainViolation accepted an invalid test")
 	}
 }
 

@@ -66,7 +66,10 @@ type Test struct {
 	Coverage []string `json:"coverage,omitempty"`
 }
 
-// Parse decodes a test, rejecting unknown fields.
+// Parse decodes a test, rejecting unknown fields. An empty list or map
+// means what an absent one does, and Parse drops it, so an accepted test
+// marshals and parses back to an equal test; an empty pinned allowed set
+// is rejected, since every test has at least one outcome.
 func Parse(data []byte) (*Test, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
@@ -76,6 +79,27 @@ func Parse(data []byte) (*Test, error) {
 	}
 	if _, err := t.compile(); err != nil {
 		return nil, err
+	}
+	if t.Allowed != nil && len(t.Allowed) == 0 {
+		return nil, fmt.Errorf("litmus %s: allowed pins an empty set", t.Name)
+	}
+	if len(t.Locations) == 0 {
+		t.Locations = nil
+	}
+	if len(t.Init) == 0 {
+		t.Init = nil
+	}
+	if len(t.Observe) == 0 {
+		t.Observe = nil
+	}
+	if len(t.MustAllow) == 0 {
+		t.MustAllow = nil
+	}
+	if len(t.MustForbid) == 0 {
+		t.MustForbid = nil
+	}
+	if len(t.Coverage) == 0 {
+		t.Coverage = nil
 	}
 	return &t, nil
 }

@@ -5,8 +5,10 @@ package litmus
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"ssmp/internal/bccheck"
@@ -29,21 +31,61 @@ func barAddr(id int) mem.Addr {
 	return mem.Addr((barrierBlockBase + id) * machineBlockWords)
 }
 
-// runSim executes the test once on a fresh machine with the given jitter
-// seed (0 = the canonical deterministic schedule) and fault configuration
-// (zero = a reliable fabric) and returns the outcome in canonical syntax
-// plus the run's fault counters. Only with trace set does the run record a
-// history, which the returned graph renders.
-func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (string, *bccheck.Graph, metrics.FaultCounters, error) {
-	nproc := len(c.prog)
+// machines holds the machines runSim has finished with, one pool per
+// node count (indexed by its log2), so a sweep's runs reuse a few machines
+// instead of building one per seed. A reset machine runs exactly as a
+// fresh one, so reuse changes no outcome.
+var machines [bits.UintSize]sync.Pool
+
+// machine returns a machine in the state core.NewMachine(cfg) builds: a
+// pooled one reset to cfg, or a fresh build when the pool has none.
+func machine(cfg core.Config) *core.Machine {
+	if m, ok := machines[bits.TrailingZeros(uint(cfg.Nodes))].Get().(*core.Machine); ok {
+		m.Reset(cfg)
+		return m
+	}
+	return core.NewMachine(cfg)
+}
+
+// simConfig is the machine a run of the test takes: the default machine
+// with the fewest nodes (a power of two, at least 2) that seats every
+// processor, under the given jitter seed (0 = the canonical deterministic
+// schedule) and fault configuration (zero = a reliable fabric).
+func (c *compiled) simConfig(seed uint64, faults network.FaultConfig) core.Config {
 	nodes := 2
-	for nodes < nproc {
+	for nodes < len(c.prog) {
 		nodes <<= 1
 	}
 	cfg := core.DefaultConfig(nodes)
 	cfg.Jitter = seed
 	cfg.Faults = faults
-	m := core.NewMachine(cfg)
+	return cfg
+}
+
+// runSim executes the test once, on a machine in the state
+// core.NewMachine(c.simConfig(seed, faults)) builds, and returns the
+// outcome in canonical syntax plus the run's fault counters. Only with
+// trace set does the run record a history, which the returned graph
+// renders. A machine whose run succeeded goes back to its pool.
+func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (string, *bccheck.Graph, metrics.FaultCounters, error) {
+	cfg := c.simConfig(seed, faults)
+	m := machine(cfg)
+	out, graph, res, err := c.simulate(m, trace)
+	if err != nil {
+		// The seed and fault config make the failure reproducible from the
+		// message alone.
+		return "", nil, metrics.FaultCounters{}, fmt.Errorf("litmus %s: jitter seed %d, %s: %w",
+			c.t.Name, seed, faults, err)
+	}
+	machines[bits.TrailingZeros(uint(cfg.Nodes))].Put(m)
+	return out, graph, res.Faults, nil
+}
+
+// simulate runs the test on m, a machine in its initial state, and returns
+// the outcome in canonical syntax, the execution graph when trace is set,
+// and the run's result.
+func (c *compiled) simulate(m *core.Machine, trace bool) (string, *bccheck.Graph, core.Result, error) {
+	nproc := len(c.prog)
 	var rec *history.Recorder
 	if trace {
 		rec = m.EnableHistory()
@@ -52,7 +94,7 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 		m.WriteMemory(dataAddr(c.locOf[n]), mem.Word(v))
 	}
 	regs := make([][]uint64, nproc)
-	progs := make([]core.Program, nodes)
+	progs := make([]core.Program, m.Config().Nodes)
 	for p := 0; p < nproc; p++ {
 		p := p
 		progs[p] = func(pr *core.Proc) {
@@ -86,10 +128,7 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 	}
 	res, err := m.Run(progs)
 	if err != nil {
-		// The seed and fault config make the failure reproducible from the
-		// message alone.
-		return "", nil, metrics.FaultCounters{}, fmt.Errorf("litmus %s: jitter seed %d, %s: %w",
-			c.t.Name, seed, faults, err)
+		return "", nil, core.Result{}, err
 	}
 	o := bccheck.Outcome{Regs: regs}
 	for _, n := range c.t.Observe {
@@ -100,7 +139,7 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 		graph = rec.Graph(machineBlockWords)
 		graph.Names = c.opts.LocName
 	}
-	return c.format(o), graph, res.Faults, nil
+	return c.format(o), graph, res, nil
 }
 
 // RunSim executes the test once on the simulator under the given jitter
@@ -112,17 +151,6 @@ func (t *Test) RunSim(seed uint64) (string, error) {
 	}
 	out, _, _, err := c.runSim(seed, network.FaultConfig{}, false)
 	return out, err
-}
-
-// TraceSim is RunSim with history recording; the returned graph is the
-// run's execution graph (for explaining a violation).
-func (t *Test) TraceSim(seed uint64) (string, *bccheck.Graph, error) {
-	c, err := t.compile()
-	if err != nil {
-		return "", nil, err
-	}
-	out, graph, _, err := c.runSim(seed, network.FaultConfig{}, true)
-	return out, graph, err
 }
 
 // Report is the result of cross-validating one test.
@@ -155,6 +183,10 @@ type Report struct {
 	// Faults aggregates the fault and recovery counters over a chaos
 	// sweep's runs (nil for a fault-free sweep).
 	Faults *metrics.FaultCounters `json:"faults,omitempty"`
+
+	// chaos is the sweep's fault rates, from which ExplainViolation
+	// rebuilds a run's fault plane.
+	chaos ChaosConfig
 }
 
 // Ok reports whether the test passed: no violation and no assertion
@@ -329,7 +361,7 @@ func runSweep(t *Test, seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig, w
 	// whichever goroutine ran which job.
 	allowed := map[string]bool{}
 	r := &Report{Name: t.Name, Observed: map[string][]uint64{}, States: sw.res.States,
-		Pruned: sw.res.Pruned, EnumNS: sw.enumNS, Seeds: len(seeds)}
+		Pruned: sw.res.Pruned, EnumNS: sw.enumNS, Seeds: len(seeds), chaos: chaos}
 	for _, o := range sw.res.Outcomes {
 		key := c.format(o)
 		allowed[key] = true
@@ -380,18 +412,34 @@ func runSweep(t *Test, seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig, w
 }
 
 // ExplainViolation renders a violating run: the seed that produced the
-// outcome, its execution graph, and the allowed set it escaped.
+// outcome, its execution graph, and the allowed set it escaped. It replays
+// the first seed that produced the outcome under the sweep's own fault
+// plane, so a chaos sweep's run is explained with the faults it suffered,
+// and it fails if the replay does not reproduce the outcome.
 func ExplainViolation(t *Test, r *Report, outcome string) (string, error) {
 	seeds, ok := r.Observed[outcome]
 	if !ok || len(seeds) == 0 {
 		return "", fmt.Errorf("litmus %s: outcome %q was not observed", t.Name, outcome)
 	}
-	_, graph, err := t.TraceSim(seeds[0])
+	c, err := t.compile()
 	if err != nil {
 		return "", err
 	}
+	seed := seeds[0]
+	faults := r.chaos.faults(seed)
+	got, graph, _, err := c.runSim(seed, faults, true)
+	if err != nil {
+		return "", err
+	}
+	if got != outcome {
+		return "", fmt.Errorf("litmus %s: seed %d, %s replayed to %q, not the observed %q",
+			t.Name, seed, faults, got, outcome)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "test %s, seed %d produced %q\n", t.Name, seeds[0], outcome)
+	fmt.Fprintf(&b, "test %s, seed %d produced %q\n", t.Name, seed, outcome)
+	if r.chaos.injecting() {
+		fmt.Fprintf(&b, "under %s\n", faults)
+	}
 	fmt.Fprintf(&b, "allowed set (%d outcomes):\n", len(r.Allowed))
 	for _, a := range r.Allowed {
 		fmt.Fprintf(&b, "  %s\n", a)

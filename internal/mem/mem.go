@@ -88,7 +88,8 @@ func Full(n int) DirtyMask {
 // zero value is not usable; use NewStore. Unwritten words read as zero.
 type Store struct {
 	geom   Geometry
-	blocks map[Block][]Word
+	blocks map[Block][]Word // nil until the first block is touched
+	spare  [][]Word         // zeroed blocks a Reset took out, reused before allocating
 }
 
 // NewStore returns an empty store for the given geometry.
@@ -96,7 +97,23 @@ func NewStore(g Geometry) *Store {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	return &Store{geom: g, blocks: make(map[Block][]Word)}
+	s := &Store{geom: g}
+	s.Reset()
+	return s
+}
+
+// Reset empties the store, as NewStore builds it: every word reads zero and
+// no block is touched. The blocks' memory is kept for the next blocks
+// touched.
+func (s *Store) Reset() {
+	if len(s.blocks) == 0 {
+		return
+	}
+	for _, blk := range s.blocks {
+		clear(blk)
+		s.spare = append(s.spare, blk)
+	}
+	clear(s.blocks)
 }
 
 // Geometry returns the store's geometry.
@@ -105,7 +122,14 @@ func (s *Store) Geometry() Geometry { return s.geom }
 func (s *Store) block(b Block) []Word {
 	blk, ok := s.blocks[b]
 	if !ok {
-		blk = make([]Word, s.geom.BlockWords)
+		if s.blocks == nil {
+			s.blocks = make(map[Block][]Word)
+		}
+		if k := len(s.spare); k > 0 {
+			blk, s.spare = s.spare[k-1], s.spare[:k-1]
+		} else {
+			blk = make([]Word, s.geom.BlockWords)
+		}
 		s.blocks[b] = blk
 	}
 	return blk

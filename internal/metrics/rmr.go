@@ -63,6 +63,9 @@ func NewRMRAccount(nodes int) *RMRAccount {
 	return &RMRAccount{procs: make([]RMRCounters, nodes)}
 }
 
+// Reset zeroes every processor's counters.
+func (a *RMRAccount) Reset() { clear(a.procs) }
+
 // LocalHit records a shared reference served locally by proc's cache.
 func (a *RMRAccount) LocalHit(proc int) { a.procs[proc].Local++ }
 

@@ -126,8 +126,8 @@ type Network struct {
 	mesh     *mesh            // mesh topology
 	bus      *sim.Resource    // bus topology: the single shared medium
 	handlers []Handler
-	inbox    []port // per-node typed delivery endpoints
-	faults   *faultPlane
+	inbox    []port       // per-node typed delivery endpoints
+	faults   *faultPlane  // nil while the fault plane is off
 	shards   []Stats      // per-source-node counters, summed by Stats()
 	pend     [][]pendSend // contended lane mode: per-source deferred sends
 	arbCnt   []int        // replay scratch: where each cycle's sends start
@@ -225,10 +225,46 @@ func build(cfg Config) *Network {
 			n.ports[s] = make([]sim.Resource, cfg.Nodes)
 		}
 	}
-	if cfg.Faults.Enabled() {
-		n.faults = newFaultPlane(cfg.Faults, cfg.Nodes)
-	}
+	n.reset(cfg.Faults)
 	return n
+}
+
+// Reset returns the network to the state New (or NewParallel) builds for
+// its configuration with the fault plane set to faults: every port, mesh
+// link and the bus idle, every counter zero, no send pending, and a new
+// fault plane seeded from faults, or none when faults is not enabled.
+// Attached handlers, the lane wiring and the topology's tables are kept.
+// It panics on an invalid fault configuration.
+func (n *Network) Reset(faults FaultConfig) {
+	if err := faults.Validate(); err != nil {
+		panic(err)
+	}
+	n.reset(faults)
+}
+
+// reset is Reset with faults already validated.
+func (n *Network) reset(faults FaultConfig) {
+	n.cfg.Faults = faults
+	for s := range n.ports {
+		clear(n.ports[s])
+	}
+	if n.mesh != nil {
+		clear(n.mesh.links)
+	}
+	if n.bus != nil {
+		n.bus.Reset()
+	}
+	clear(n.shards)
+	for src, q := range n.pend {
+		clear(q)
+		n.pend[src] = q[:0]
+	}
+	clear(n.arbOrd)
+	n.arbCnt, n.arbOrd = n.arbCnt[:0], n.arbOrd[:0]
+	n.faults = nil
+	if faults.Enabled() {
+		n.faults = newFaultPlane(faults, n.cfg.Nodes)
+	}
 }
 
 // FaultsEnabled reports whether the fault plane is active, in which case

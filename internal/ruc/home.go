@@ -29,7 +29,7 @@ type Home struct {
 
 	// subs mirrors the subscriber chain per block, head first. The mirror
 	// is the serialization point for splices; propagation follows the
-	// cache-line pointers.
+	// cache-line pointers. It is nil until the first subscription.
 	subs map[mem.Block][]int
 
 	// Propagations counts update-chain propagations initiated.
@@ -38,7 +38,18 @@ type Home struct {
 
 // NewHome builds the home-side controller over the node's memory module.
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Home {
-	return &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f), subs: make(map[mem.Block][]int)}
+	h := &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f)}
+	h.Reset()
+	return h
+}
+
+// Reset returns the controller to the state NewHome builds: no subscriber
+// chain, the station idle, no propagation counted. The store (reset by its
+// owner) and WriteUpdateMode are kept.
+func (h *Home) Reset() {
+	h.station.Reset()
+	clear(h.subs)
+	h.Propagations = 0
 }
 
 // Store exposes the backing store (tests, machine assembly).
@@ -150,6 +161,9 @@ func (h *Home) subscribe(m *msg.Msg) {
 			Aux: uint64(int64(nextOf(chain, m.Src))),
 		})
 		return
+	}
+	if h.subs == nil {
+		h.subs = make(map[mem.Block][]int)
 	}
 	h.subs[m.Block] = append([]int{m.Src}, chain...)
 	h.f.Send(&msg.Msg{

@@ -46,7 +46,18 @@ type Node struct {
 
 // NewNode builds the cache-side controller.
 func NewNode(f *fabric.Fabric, id int, geom mem.Geometry, c *cache.Cache) *Node {
-	return &Node{f: f, id: id, geom: geom, cache: c, station: fabric.NewStation(f)}
+	n := &Node{f: f, id: id, geom: geom, cache: c, station: fabric.NewStation(f)}
+	n.Reset()
+	return n
+}
+
+// Reset returns the controller to the state NewNode builds: no request
+// outstanding, the station idle, every counter zero. The cache (reset by
+// its owner), the global-ack handler and WholeLineWriteBack are kept.
+func (n *Node) Reset() {
+	n.station.Reset()
+	n.pendBlock, n.pendWord, n.pendDone, n.pendKind = 0, 0, nil, 0
+	n.UpdatesApplied, n.UpdatesDropped = 0, 0
 }
 
 // SetGlobalAckHandler wires write-global acknowledgments to the write

@@ -95,23 +95,47 @@ func NewParallel(n int) *Parallel {
 	if n < 1 {
 		panic("sim: parallel run needs at least one lane")
 	}
-	p := &Parallel{lane0: Engine{limit: Infinity}, la: 1, limit: Infinity}
+	p := &Parallel{la: 1, limit: Infinity}
 	if n == 1 {
 		p.solo[0] = &p.lane0
 		p.lanes = p.solo[:]
-		return p
+	} else {
+		p.lanes = make([]*Engine, n)
+		p.out = make([][]post, n)
+		p.panics = make([]any, n)
+		p.nt = make([]Time, n)
+		p.lanes[0] = &p.lane0
+		for i := 1; i < n; i++ {
+			p.lanes[i] = &Engine{lane: int32(i)}
+		}
 	}
-	p.lanes = make([]*Engine, n)
-	p.out = make([][]post, n)
-	p.panics = make([]any, n)
-	p.nt = make([]Time, n)
-	p.lanes[0] = &p.lane0
-	for i := 1; i < n; i++ {
-		e := NewEngine()
-		e.lane = int32(i)
-		p.lanes[i] = e
-	}
+	p.Reset()
 	return p
+}
+
+// Reset returns the coordinator to the state NewParallel builds, keeping
+// its lookahead, horizon and arbiter: every lane is reset (Engine.Reset),
+// the clock is at zero, the outboxes are empty and no interrupt is
+// installed. Jitter is off until SetJitter. The lanes, outboxes and
+// per-lane tables keep their memory.
+func (p *Parallel) Reset() {
+	for _, e := range p.lanes {
+		e.Reset()
+	}
+	p.clock, p.wend, p.inter = 0, 0, nil
+	if len(p.lanes) == 1 {
+		return // one lane runs no windows, so it has no window state
+	}
+	for i, out := range p.out {
+		clear(out)
+		p.out[i] = out[:0]
+	}
+	clear(p.active)
+	clear(p.panics)
+	clear(p.nt)
+	p.active = p.active[:0]
+	p.claim.Store(0)
+	p.finished.Store(0)
 }
 
 // Lanes returns the number of lanes.

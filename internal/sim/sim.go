@@ -179,7 +179,27 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{limit: Infinity}
+	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to the state NewEngine builds — clock at zero,
+// nothing scheduled, no horizon, interrupt or jitter — while keeping the
+// memory of its arena, far heap and free list. The arena restarts at length
+// zero, so events are assigned slots as on a fresh engine. A lane keeps its
+// lane id. Events a stopped run left queued are dropped with their
+// callbacks and payloads.
+func (e *Engine) Reset() {
+	if len(e.pool) > 0 { // else no event was queued since the last reset
+		clear(e.pool)
+		clear(e.head[:])
+		clear(e.tail[:])
+	}
+	e.pool, e.far, e.free = e.pool[:0], e.far[:0], e.free[:0]
+	e.now, e.seq, e.occ, e.dead, e.fired = 0, 0, 0, 0, 0
+	e.stopped, e.limit, e.interrupt = false, Infinity, nil
+	e.jitterOn, e.jrng = false, 0
 }
 
 // Now returns the current simulation time.

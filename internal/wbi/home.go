@@ -31,7 +31,7 @@ type Home struct {
 	geom    mem.Geometry
 	store   *mem.Store
 	station fabric.Station
-	dir     map[mem.Block]*dirEntry
+	dir     map[mem.Block]*dirEntry // nil until the first entry
 
 	// MaxPointers caps the per-block sharer pointer count (the Dir-i-B
 	// limited directory the paper's directory-scalability discussion
@@ -49,7 +49,18 @@ type Home struct {
 // NewHome builds the directory-side WBI controller over the node's memory
 // module.
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Home {
-	return &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f), dir: make(map[mem.Block]*dirEntry)}
+	h := &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f)}
+	h.Reset()
+	return h
+}
+
+// Reset returns the controller to the state NewHome builds: an empty
+// directory, the station idle and every counter zero. The store (reset by
+// its owner) and MaxPointers are kept.
+func (h *Home) Reset() {
+	h.station.Reset()
+	clear(h.dir)
+	h.InvSent, h.Broadcasts = 0, 0
 }
 
 // Store exposes the backing store.
@@ -59,6 +70,9 @@ func (h *Home) entry(b mem.Block) *dirEntry {
 	e, ok := h.dir[b]
 	if !ok {
 		e = &dirEntry{owner: -1, sharers: make(map[int]bool)}
+		if h.dir == nil {
+			h.dir = make(map[mem.Block]*dirEntry)
+		}
 		h.dir[b] = e
 	}
 	return e

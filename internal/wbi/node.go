@@ -50,7 +50,7 @@ type Node struct {
 	cache   *cache.Cache
 	station fabric.Station
 	pend    *pending
-	wb      map[mem.Block]wbEntry
+	wb      map[mem.Block]wbEntry // nil until the first write-back
 
 	// Invalidations counts Inv messages received (storm visibility).
 	Invalidations uint64
@@ -58,7 +58,19 @@ type Node struct {
 
 // NewNode builds the cache-side WBI controller.
 func NewNode(f *fabric.Fabric, id int, geom mem.Geometry, c *cache.Cache) *Node {
-	return &Node{f: f, id: id, geom: geom, cache: c, station: fabric.NewStation(f), wb: make(map[mem.Block]wbEntry)}
+	n := &Node{f: f, id: id, geom: geom, cache: c, station: fabric.NewStation(f)}
+	n.Reset()
+	return n
+}
+
+// Reset returns the controller to the state NewNode builds: no transaction
+// pending, no write-back in flight, the station idle and no invalidation
+// counted. The cache is kept; its owner resets it.
+func (n *Node) Reset() {
+	n.station.Reset()
+	n.pend = nil
+	clear(n.wb)
+	n.Invalidations = 0
 }
 
 // Cache exposes the node's cache.
@@ -174,6 +186,9 @@ func (n *Node) installBlock(b mem.Block, data []mem.Word) *cache.Line {
 // home acknowledges so forwarded requests can be served meanwhile.
 func (n *Node) evictDirty(v cache.Victim) {
 	n.f.RMR.Writeback(n.id)
+	if n.wb == nil {
+		n.wb = make(map[mem.Block]wbEntry)
+	}
 	n.wb[v.Block] = wbEntry{data: v.Data}
 	n.f.Send(&msg.Msg{
 		Kind: msg.PutX, Src: n.id, Dst: n.geom.Home(v.Block),

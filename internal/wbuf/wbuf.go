@@ -82,7 +82,17 @@ func New(eng *sim.Engine, opts Options, send func(Entry)) *Buffer {
 	if opts.Capacity < 0 {
 		panic(fmt.Sprintf("wbuf: negative capacity %d", opts.Capacity))
 	}
-	return &Buffer{eng: eng, opts: opts, send: send}
+	b := &Buffer{eng: eng, opts: opts, send: send}
+	b.Reset()
+	return b
+}
+
+// Reset returns the buffer to the state New builds: empty, nothing in
+// flight or waiting, sequence numbers starting over and every counter
+// zero.
+func (b *Buffer) Reset() {
+	b.queued, b.inflight, b.pumpSet, b.nextSlot, b.seq = b.queued[:0], 0, false, 0, 0
+	b.empty, b.space, b.stats = nil, nil, Stats{}
 }
 
 // Len returns the number of outstanding entries (queued plus unacked).
