@@ -19,7 +19,7 @@ func spinProgs(nodes int) []Program {
 	for i := range progs {
 		progs[i] = func(p *Proc) {
 			for {
-				p.SharedWrite(0, p.SharedRead(0)+1)
+				p.WriteGlobal(0, p.Read(0)+1)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestEventPanicUnwindsCleanly(t *testing.T) {
 func TestRunOnLockedThread(t *testing.T) {
 	count := func(p *Proc) {
 		for i := 0; i < 8; i++ {
-			p.SharedWrite(0, p.SharedRead(0)+1)
+			p.WriteGlobal(0, p.Read(0)+1)
 		}
 	}
 	kaput := func(p *Proc) { p.Think(5); panic("kaput") }
@@ -197,7 +197,7 @@ func TestProgramPanicUnwindsCleanly(t *testing.T) {
 			progs := make([]Program, 4)
 			progs[0] = func(p *Proc) {
 				for i := 0; i < 8; i++ {
-					p.SharedWrite(0, p.SharedRead(0)+1)
+					p.WriteGlobal(0, p.Read(0)+1)
 				}
 			}
 			progs[1] = func(p *Proc) {
@@ -206,7 +206,7 @@ func TestProgramPanicUnwindsCleanly(t *testing.T) {
 				p.WriteLock(64) // exceeds the 1-entry lock cache
 			}
 			progs[2] = func(p *Proc) {
-				p.SharedRead(96)
+				p.Read(96)
 				panic("inline")
 			}
 			progs[3] = progs[0]

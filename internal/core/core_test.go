@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -708,29 +709,82 @@ func TestErrDeadlockMessage(t *testing.T) {
 	}
 }
 
+// TestOnOpObserves: the observer sees one report per primitive the
+// program calls, carrying the call's record, and none for the local time
+// inside a private reference or a lock-cache access, nor for THINK 0. An
+// RMW is reported as fetch-and-add.
 func TestOnOpObserves(t *testing.T) {
-	m := NewMachine(cblConfig(2))
-	var kinds []OpKind
-	m.OnOp(func(r OpRecord) { kinds = append(kinds, r.Kind) })
-	progs := make([]Program, 2)
-	progs[0] = func(p *Proc) {
+	observe := func(cfg Config, prog Program) []Op {
+		m := NewMachine(cfg)
+		var seen []Op
+		m.OnOp(func(proc int, o Op) {
+			if proc != 0 {
+				t.Errorf("report from processor %d", proc)
+			}
+			seen = append(seen, o)
+		})
+		if _, err := m.Run([]Program{prog, nil}); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	check := func(name string, got, want []Op) {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: observed\n%+v\nwant\n%+v", name, got, want)
+		}
+	}
+	check("CBL", observe(cblConfig(2), func(p *Proc) {
 		p.Think(3)
+		p.Think(0)
 		p.Read(100)
 		p.WriteGlobal(100, 1)
 		p.FlushBuffer()
-	}
-	if _, err := m.Run(progs); err != nil {
-		t.Fatal(err)
-	}
-	want := []OpKind{OpThink, OpRead, OpWriteGlobal, OpFlush}
-	if len(kinds) != len(want) {
-		t.Fatalf("observed %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("observed %v, want %v", kinds, want)
-		}
-	}
+		p.PrivateRef(true, false)
+		p.PrivateRef(false, true)
+		p.WriteLock(200)
+		p.Read(200)
+		p.Write(200, 4)
+		p.WriteGlobal(201, 5)
+		p.Unlock(200)
+		p.ReadUpdate(300)
+		p.ResetUpdate(300)
+		p.ReadLock(200)
+		p.Unlock(200)
+		p.Barrier(400, 1)
+	}), []Op{
+		{Kind: OpThink, Val: 3},
+		{Kind: OpRead, Addr: 100},
+		{Kind: OpWriteGlobal, Addr: 100, Val: 1},
+		{Kind: OpFlush},
+		{Kind: OpPrivate, Write: true},
+		{Kind: OpPrivate, Hit: true},
+		{Kind: OpWriteLock, Addr: 200},
+		{Kind: OpRead, Addr: 200},
+		{Kind: OpWrite, Addr: 200, Val: 4},
+		{Kind: OpWriteGlobal, Addr: 201, Val: 5},
+		{Kind: OpUnlock, Addr: 200},
+		{Kind: OpReadUpdate, Addr: 300},
+		{Kind: OpResetUpdate, Addr: 300},
+		{Kind: OpReadLock, Addr: 200},
+		{Kind: OpUnlock, Addr: 200},
+		{Kind: OpBarrier, Addr: 400, Val: 1},
+	})
+	check("WBI", observe(wbiConfig(2), func(p *Proc) {
+		p.ReadGlobal(100)
+		p.WriteGlobal(100, 2)
+		p.FlushBuffer()
+		p.Think(0)
+		p.PrivateRef(false, false)
+		p.RMW(300, func(w mem.Word) mem.Word { return w + 7 })
+		p.Write(300, 1)
+	}), []Op{
+		{Kind: OpReadGlobal, Addr: 100},
+		{Kind: OpWriteGlobal, Addr: 100, Val: 2},
+		{Kind: OpFlush},
+		{Kind: OpPrivate},
+		{Kind: OpRMW, Addr: 300, Val: 7},
+		{Kind: OpWrite, Addr: 300, Val: 1},
+	})
 }
 
 func TestWBIDeterminism(t *testing.T) {

@@ -56,7 +56,7 @@ type Machine struct {
 	aborting bool
 	finished atomic.Int32
 	hist     *history.Recorder
-	onOp     func(OpRecord)
+	onOp     func(proc int, o Op)
 }
 
 // NewMachine builds a machine; it panics on an invalid configuration.

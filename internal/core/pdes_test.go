@@ -264,7 +264,7 @@ func TestPDESObserversPanic(t *testing.T) {
 	for name, use := range map[string]func(*Machine){
 		"history": func(m *Machine) { m.EnableHistory() },
 		"trace":   func(m *Machine) { m.TraceMessages(&strings.Builder{}) },
-		"onop":    func(m *Machine) { m.OnOp(func(OpRecord) {}) },
+		"onop":    func(m *Machine) { m.OnOp(func(int, Op) {}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			m := NewMachine(cfg)

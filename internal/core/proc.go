@@ -27,12 +27,11 @@ type Proc struct {
 	eng *sim.Engine
 	// next resumes the program's coroutine and yield parks it; w is the
 	// word the resuming step hands to the parked program.
-	next    func() (struct{}, bool)
-	yield   func(struct{}) bool
-	w       mem.Word
-	done    bool
-	err     any
-	opDepth int
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	w     mem.Word
+	done  bool
+	err   any
 
 	// Batched stepping: purely local operations (Think, private
 	// references, lock-cache hits) do not yield to the event loop; their
@@ -114,17 +113,6 @@ const (
 // Stats returns the processor's cycle breakdown.
 func (p *Proc) Stats() ProcStats { return p.stats }
 
-// record logs an operation when history recording is enabled.
-func (p *Proc) record(write, rmw bool, a mem.Addr, value, prev mem.Word, start sim.Time) {
-	if p.m.hist == nil {
-		return
-	}
-	p.m.hist.Record(history.Op{
-		Proc: p.id, Write: write, RMW: rmw, Addr: a,
-		Value: value, Prev: prev, Start: start, End: p.now(),
-	})
-}
-
 // init readies the processor of node n, which schedules on eng.
 func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 	p.id, p.m, p.n, p.eng = n.id, m, n, eng
@@ -146,7 +134,7 @@ func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 // nothing batched or pending, every count zero. Its wiring, completion
 // callbacks and the hop list's memory are kept.
 func (p *Proc) reset() {
-	p.next, p.yield, p.w, p.done, p.err, p.opDepth = nil, nil, 0, false, nil, 0
+	p.next, p.yield, p.w, p.done, p.err = nil, nil, 0, false, nil
 	p.hops, p.hopIdx, p.lag = p.hops[:0], 0, 0
 	p.op, p.issuedAt, p.opPanic, p.flushing, p.parks = pendingOp{}, 0, nil, false, 0
 	p.Ops, p.PrivHits, p.PrivMisses, p.stats = 0, 0, 0, ProcStats{}
@@ -165,8 +153,11 @@ func (p *Proc) now() sim.Time { return p.eng.Now() + p.lag }
 const maxBatch = 1024
 
 // local charges c cycles of purely local time: no yield, no event — the
-// delay is replayed on the next sync.
+// delay is replayed on the next sync. No time charges nothing.
 func (p *Proc) local(c sim.Time) {
+	if c == 0 {
+		return
+	}
 	p.hops = append(p.hops, c)
 	p.lag += c
 	p.stats.Busy += c
@@ -226,13 +217,11 @@ func (p *Proc) OnStep(last uint64) {
 	p.step(0)
 }
 
-// pendingOp is a blocking primitive as the program records it for issue.
+// pendingOp is a blocking primitive as the program records it for issue,
+// with an RMW's function.
 type pendingOp struct {
-	kind  OpKind
-	addr  mem.Addr
-	word  mem.Word
-	parts int
-	rmw   func(mem.Word) mem.Word
+	Op
+	rmw func(mem.Word) mem.Word
 }
 
 // block issues the pending operation p.op and parks the program once until
@@ -267,35 +256,35 @@ func (p *Proc) block(cat stallCat) mem.Word {
 // re-enters issue once it drains, to release or arrive.
 func (p *Proc) issue() bool {
 	o, n := &p.op, p.n
-	switch o.kind {
+	switch o.Kind {
 	case OpRead:
 		if p.m.cfg.Protocol == ProtoWBI {
-			n.wbiN.Read(o.addr, p.cbW)
+			n.wbiN.Read(o.Addr, p.cbW)
 		} else {
-			n.rucN.Read(o.addr, p.cbW)
+			n.rucN.Read(o.Addr, p.cbW)
 		}
 	case OpWrite:
 		if p.m.cfg.Protocol == ProtoWBI {
-			n.wbiN.Write(o.addr, o.word, p.cb0)
+			n.wbiN.Write(o.Addr, o.Val, p.cb0)
 		} else {
-			n.rucN.Write(o.addr, o.word, p.cb0)
+			n.rucN.Write(o.Addr, o.Val, p.cb0)
 		}
 	case OpReadGlobal:
-		n.rucN.ReadGlobal(o.addr, p.cbW)
+		n.rucN.ReadGlobal(o.Addr, p.cbW)
 	case OpReadUpdate:
-		n.rucN.ReadUpdate(o.addr, p.cbW)
+		n.rucN.ReadUpdate(o.Addr, p.cbW)
 	case OpResetUpdate:
-		n.rucN.ResetUpdate(o.addr, p.cb0)
+		n.rucN.ResetUpdate(o.Addr, p.cb0)
 	case OpReadLock, OpWriteLock:
 		mode := msg.LockRead
-		if o.kind == OpWriteLock {
+		if o.Kind == OpWriteLock {
 			mode = msg.LockWrite
 		}
-		if err := n.cblU.Lock(o.addr, mode, p.cb0); err != nil {
-			panic(fmt.Sprintf("core: processor %d %v on %d: %v", p.id, mode, o.addr, err))
+		if err := n.cblU.Lock(o.Addr, mode, p.cb0); err != nil {
+			panic(fmt.Sprintf("core: processor %d %v on %d: %v", p.id, mode, o.Addr, err))
 		}
 	case OpRMW:
-		n.wbiN.RMW(o.addr, o.rmw, p.cbW)
+		n.wbiN.RMW(o.Addr, o.rmw, p.cbW)
 	default: // OpFlush, OpUnlock, OpBarrier
 		if p.flushing {
 			p.flushing = false
@@ -304,13 +293,13 @@ func (p *Proc) issue() bool {
 			n.buf.OnEmpty(p.cb0)
 			return true
 		}
-		switch o.kind {
+		switch o.Kind {
 		case OpUnlock:
-			if err := n.cblU.Unlock(o.addr, p.cb0); err != nil {
-				panic(fmt.Sprintf("core: processor %d unlock on %d: %v", p.id, o.addr, err))
+			if err := n.cblU.Unlock(o.Addr, p.cb0); err != nil {
+				panic(fmt.Sprintf("core: processor %d unlock on %d: %v", p.id, o.Addr, err))
 			}
 		case OpBarrier:
-			n.barU.Arrive(o.addr, o.parts, p.cb0)
+			n.barU.Arrive(o.Addr, int(o.Val), p.cb0)
 		default:
 			return false
 		}
@@ -377,31 +366,103 @@ func (p *Proc) Now() sim.Time { return p.now() }
 // Machine returns the owning machine.
 func (p *Proc) Machine() *Machine { return p.m }
 
-// Think models c cycles of local computation. The delay is batched: it
-// accumulates locally and is replayed into the event loop at the next
-// shared-state operation, costing no coroutine switch of its own.
-func (p *Proc) Think(c sim.Time) {
-	if c == 0 {
-		return
+// Do performs the primitive o describes and returns the word it reads: a
+// READ's, READ-GLOBAL's or READ-UPDATE's value, or an RMW's old value; 0
+// for every other kind. An RMW record performs fetch-and-add of Val. Each
+// named primitive method is Do of its record, so Do of a captured or
+// parsed trace replays the calls that made it.
+func (p *Proc) Do(o Op) mem.Word {
+	if o.Kind == OpRMW {
+		d := o.Val
+		return p.do(o, func(w mem.Word) mem.Word { return w + d })
 	}
-	p.beginOp(OpRecord{Kind: OpThink, Cycles: c})
-	defer p.endOp()
-	p.local(c)
+	return p.do(o, nil)
 }
 
-// PrivateRef models one reference to private data (the probabilistic
-// workload models decide hit/miss per Table 4's hit ratio). A hit costs one
-// cache cycle; a miss fetches the block from the node's local memory module
-// (distributed memory: private data is homed locally, so no network
-// traversal).
-func (p *Proc) PrivateRef(write, hit bool) {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpPrivate, Write: write, Hit: hit})
-	defer p.endOp()
+// do is the one path every primitive takes, with rmw an RMW's function. It
+// checks the machine, counts the call, shows it to the OnOp observer, runs
+// the kind's own arm and records its history, each once, reading the
+// kind's facts from opKinds. No arm calls another primitive: local time
+// inside one is charged with local, so each call the program makes is
+// counted and shown exactly once.
+func (p *Proc) do(o Op, rmw func(mem.Word) mem.Word) mem.Word {
+	if int(o.Kind) >= len(opKinds) {
+		panic(fmt.Sprintf("core: unknown op kind %d", o.Kind))
+	}
+	k := &opKinds[o.Kind]
+	if k.only != everyMachine && k.only != p.m.cfg.Protocol {
+		panic(fmt.Sprintf("core: %s is not a primitive of the %v machine", k.name, p.m.cfg.Protocol))
+	}
+	if o.Kind == OpThink && o.Val == 0 {
+		return 0 // no time passes: nothing to count, show or record
+	}
+	wbi := p.m.cfg.Protocol == ProtoWBI
+	p.Ops += k.ops
+	if p.m.onOp != nil {
+		if rmw != nil {
+			// Normalize the RMW to fetch-and-add by probing its function
+			// at zero: exact for fetch-and-add and test-and-set from a
+			// free lock, an approximation for other functions, which a
+			// record cannot carry. The probe, and the history record's
+			// new value below, run only for a consumer that is
+			// installed, so an unobserved RMW calls its function once,
+			// at the cache.
+			o.Val = rmw(0)
+		}
+		p.m.onOp(p.id, o)
+	}
+	start := p.now()
+	var w mem.Word
+	switch {
+	case o.Kind == OpThink:
+		p.local(sim.Time(o.Val))
+	case o.Kind == OpPrivate:
+		p.privateRef(o.Hit)
+	case o.Kind == OpFlush && wbi:
+		// WBI writes are already strongly consistent: nothing to flush.
+	case (o.Kind == OpRead || o.Kind == OpWrite || o.Kind == OpWriteGlobal) && p.HoldsLock(o.Addr):
+		w = p.lockCached(o)
+	case o.Kind == OpWriteGlobal && !wbi:
+		p.writeGlobal(o.Addr, o.Val)
+	default:
+		// Every other arm blocks, FLUSH-BUFFER included: the buffer
+		// drains on its own schedule, so batched local time must be
+		// replayed before observing it, or a pump completion due before
+		// the processor's logical now would be missed. block issues the
+		// operation after the replay.
+		if wbi {
+			// A coherent read is already globally fresh, and a coherent
+			// write already strongly consistent.
+			switch o.Kind {
+			case OpReadGlobal:
+				o.Kind = OpRead
+			case OpWriteGlobal:
+				o.Kind = OpWrite
+			}
+		}
+		p.op = pendingOp{Op: o, rmw: rmw}
+		w = p.block(k.stall)
+	}
+	if h := p.m.hist; h != nil && k.hist != histNone {
+		r := history.Op{Proc: p.id, Addr: o.Addr, Value: w, Start: start, End: p.now()}
+		switch k.hist {
+		case histWrite:
+			r.Write, r.Value = true, o.Val
+		case histRMW:
+			r.Write, r.RMW, r.Value, r.Prev = true, true, rmw(w), w
+		}
+		h.Record(r)
+	}
+	return w
+}
+
+// privateRef is the arm of a private reference, costed as PrivateRef
+// describes.
+func (p *Proc) privateRef(hit bool) {
 	t := p.m.cfg.Timing
 	if hit {
 		p.PrivHits++
-		p.Think(t.CacheHit)
+		p.local(t.CacheHit)
 		return
 	}
 	p.PrivMisses++
@@ -411,113 +472,36 @@ func (p *Proc) PrivateRef(write, hit bool) {
 		// round-trip transit.
 		hop = p.m.net.UncontendedLatency(0)
 	}
-	p.Think(t.CacheHit + 2*hop + t.TMem)
+	p.local(t.CacheHit + 2*hop + t.TMem)
 }
 
-func (p *Proc) requireCBL(op string) {
-	if p.m.cfg.Protocol != ProtoCBL {
-		panic(fmt.Sprintf("core: %s is not a primitive of the %v machine", op, p.m.cfg.Protocol))
+// lockCached is the arm of a READ, WRITE or WRITE-GLOBAL of a block this
+// node holds locked: the lock cache serves it. The block's contents are
+// unobservable remotely while the lock is held, so this is a purely local
+// operation and stays in the batch; a written word travels home on
+// unlock.
+func (p *Proc) lockCached(o Op) mem.Word {
+	var w mem.Word
+	var err error
+	if o.Kind == OpRead {
+		w, err = p.n.cblU.ReadLocked(o.Addr)
+	} else {
+		err = p.n.cblU.WriteLocked(o.Addr, o.Val)
 	}
-}
-
-func (p *Proc) requireWBI(op string) {
-	if p.m.cfg.Protocol != ProtoWBI {
-		panic(fmt.Sprintf("core: %s is not a primitive of the %v machine", op, p.m.cfg.Protocol))
+	if err != nil {
+		panic(err)
 	}
-}
-
-// Read performs the READ primitive. On the CBL machine it is a private read
-// (no coherence action), served from the lock cache when this node holds a
-// lock on the block; on the WBI machine it is a coherent read.
-func (p *Proc) Read(a mem.Addr) mem.Word {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpRead, Addr: a})
-	defer p.endOp()
-	start := p.now()
-	if p.HoldsLock(a) {
-		// Lock-cache hit: the block's contents are unobservable remotely
-		// while the lock is held, so this is a purely local operation and
-		// stays in the batch.
-		w, err := p.n.cblU.ReadLocked(a)
-		if err != nil {
-			panic(err)
-		}
-		p.Think(p.m.cfg.Timing.CacheHit)
-		p.record(false, false, a, w, 0, start)
-		return w
-	}
-	p.op = pendingOp{kind: OpRead, addr: a}
-	w := p.block(catMem)
-	p.record(false, false, a, w, 0, start)
+	p.local(p.m.cfg.Timing.CacheHit)
 	return w
 }
 
-// Write performs the WRITE primitive. On the CBL machine it is a private
-// write (propagated only on replacement or an explicit global write),
-// routed to the lock cache when this node holds a write lock on the block;
-// on the WBI machine it is a strongly consistent coherent write.
-func (p *Proc) Write(a mem.Addr, w mem.Word) {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpWrite, Addr: a, Value: w})
-	defer p.endOp()
-	start := p.now()
-	if p.HoldsLock(a) {
-		if err := p.n.cblU.WriteLocked(a, w); err != nil {
-			panic(err)
-		}
-		p.Think(p.m.cfg.Timing.CacheHit)
-		p.record(true, false, a, w, 0, start)
-		return
-	}
-	p.op = pendingOp{kind: OpWrite, addr: a, word: w}
-	p.block(catMem)
-	p.record(true, false, a, w, 0, start)
-}
-
-// ReadGlobal performs READ-GLOBAL: reads the word from main memory,
-// bypassing the local cache. On the WBI machine a coherent read is already
-// globally fresh and is used instead.
-func (p *Proc) ReadGlobal(a mem.Addr) mem.Word {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpReadGlobal, Addr: a})
-	defer p.endOp()
-	start := p.now()
-	p.op = pendingOp{kind: OpReadGlobal, addr: a}
-	if p.m.cfg.Protocol == ProtoWBI {
-		p.op.kind = OpRead
-	}
-	w := p.block(catMem)
-	p.record(false, false, a, w, 0, start)
-	return w
-}
-
-// WriteGlobal performs WRITE-GLOBAL. Under buffered consistency the write
-// enters the write buffer and the processor continues immediately; under
-// sequential consistency the processor stalls until the memory
-// acknowledgment. On the WBI machine it is an ordinary strongly consistent
-// write. A write to a block this node holds a write lock on goes to the
-// lock line: the data is secured by the lock and travels home on unlock.
-func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpWriteGlobal, Addr: a, Value: w})
-	defer p.endOp()
-	start := p.now()
-	if p.m.cfg.Protocol == ProtoWBI {
-		p.op = pendingOp{kind: OpWrite, addr: a, word: w}
-		p.block(catMem)
-		p.record(true, false, a, w, 0, start)
-		return
-	}
-	if p.n.cblU.Holds(a) {
-		if err := p.n.cblU.WriteLocked(a, w); err != nil {
-			panic(err)
-		}
-		p.Think(p.m.cfg.Timing.CacheHit)
-		p.record(true, false, a, w, 0, start)
-		return
-	}
-	// Admission to the buffer may stall more than once, so it stays on
-	// the program side of the hand-off.
+// writeGlobal is the CBL machine's WRITE-GLOBAL arm: the write enters the
+// write buffer. Under BC the processor continues after a cache cycle, so
+// the write's interval ends locally though it is performed later (exactly
+// why BC histories fail a linearizability check); under SC it stalls
+// until the memory acknowledgment. Admission to the buffer may stall more
+// than once, so it stays on the program side of the hand-off.
+func (p *Proc) writeGlobal(a mem.Addr, w mem.Word) {
 	p.sync()
 	b := p.m.geom.BlockOf(a)
 	wi := p.m.geom.WordIndex(a)
@@ -527,146 +511,99 @@ func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
 		p.waitAs(catMem)
 	}
 	if p.m.cfg.Consistency == SC {
-		// Sequential consistency: stall until the memory ack.
 		if !p.n.buf.Empty() {
 			p.n.buf.OnEmpty(p.cb0)
 			p.waitAs(catMem)
 		}
-		p.record(true, false, a, w, 0, start)
 		return
 	}
-	p.Think(p.m.cfg.Timing.CacheHit)
-	// Under BC the write is buffered: its interval ends locally even
-	// though global completion is later — exactly why BC histories fail
-	// a linearizability check.
-	p.record(true, false, a, w, 0, start)
+	p.local(p.m.cfg.Timing.CacheHit)
+}
+
+// Think models c cycles of local computation. The delay is batched: it
+// accumulates locally and is replayed into the event loop at the next
+// shared-state operation, costing no coroutine switch of its own.
+func (p *Proc) Think(c sim.Time) { p.do(Op{Kind: OpThink, Val: mem.Word(c)}, nil) }
+
+// PrivateRef models one reference to private data (the probabilistic
+// workload models decide hit/miss per Table 4's hit ratio). A hit costs one
+// cache cycle; a miss fetches the block from the node's local memory module
+// (distributed memory: private data is homed locally, so no network
+// traversal).
+func (p *Proc) PrivateRef(write, hit bool) {
+	p.do(Op{Kind: OpPrivate, Write: write, Hit: hit}, nil)
+}
+
+// Read performs the READ primitive. On the CBL machine it is a private read
+// (no coherence action), served from the lock cache when this node holds a
+// lock on the block; on the WBI machine it is a coherent read.
+func (p *Proc) Read(a mem.Addr) mem.Word { return p.do(Op{Kind: OpRead, Addr: a}, nil) }
+
+// Write performs the WRITE primitive. On the CBL machine it is a private
+// write (propagated only on replacement or an explicit global write),
+// routed to the lock cache when this node holds a write lock on the block;
+// on the WBI machine it is a strongly consistent coherent write.
+func (p *Proc) Write(a mem.Addr, w mem.Word) { p.do(Op{Kind: OpWrite, Addr: a, Val: w}, nil) }
+
+// ReadGlobal performs READ-GLOBAL: reads the word from main memory,
+// bypassing the local cache. On the WBI machine a coherent read is already
+// globally fresh and is used instead.
+func (p *Proc) ReadGlobal(a mem.Addr) mem.Word {
+	return p.do(Op{Kind: OpReadGlobal, Addr: a}, nil)
+}
+
+// WriteGlobal performs WRITE-GLOBAL. Under buffered consistency the write
+// enters the write buffer and the processor continues immediately; under
+// sequential consistency the processor stalls until the memory
+// acknowledgment. On the WBI machine it is an ordinary strongly consistent
+// write. A write to a block this node holds a write lock on goes to the
+// lock line: the data is secured by the lock and travels home on unlock.
+func (p *Proc) WriteGlobal(a mem.Addr, w mem.Word) {
+	p.do(Op{Kind: OpWriteGlobal, Addr: a, Val: w}, nil)
 }
 
 // FlushBuffer performs FLUSH-BUFFER: stalls until every buffered global
 // write has been performed at memory. A no-op on the WBI machine, whose
 // writes are already strongly consistent.
-func (p *Proc) FlushBuffer() {
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpFlush})
-	defer p.endOp()
-	if p.m.cfg.Protocol == ProtoWBI {
-		return
-	}
-	// The buffer drains on its own schedule; batched local time must be
-	// replayed before observing it, or a pump completion due before the
-	// processor's logical now would be missed. block issues the flush
-	// after the replay.
-	p.op = pendingOp{kind: OpFlush}
-	p.block(catSync)
-}
+func (p *Proc) FlushBuffer() { p.do(Op{Kind: OpFlush}, nil) }
 
 // ReadUpdate performs READ-UPDATE: reads the word and subscribes this node
 // to future updates of its block (CBL machine only).
 func (p *Proc) ReadUpdate(a mem.Addr) mem.Word {
-	p.requireCBL("READ-UPDATE")
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpReadUpdate, Addr: a})
-	defer p.endOp()
-	start := p.now()
-	p.op = pendingOp{kind: OpReadUpdate, addr: a}
-	w := p.block(catMem)
-	p.record(false, false, a, w, 0, start)
-	return w
+	return p.do(Op{Kind: OpReadUpdate, Addr: a}, nil)
 }
 
 // ResetUpdate performs RESET-UPDATE: cancels the subscription (CBL machine
 // only).
-func (p *Proc) ResetUpdate(a mem.Addr) {
-	p.requireCBL("RESET-UPDATE")
-	p.Ops++
-	p.beginOp(OpRecord{Kind: OpResetUpdate, Addr: a})
-	defer p.endOp()
-	p.op = pendingOp{kind: OpResetUpdate, addr: a}
-	p.block(catMem)
-}
-
-func (p *Proc) lock(a mem.Addr, mode msg.LockMode) {
-	p.requireCBL(mode.String())
-	p.Ops++
-	k := OpReadLock
-	if mode == msg.LockWrite {
-		k = OpWriteLock
-	}
-	p.beginOp(OpRecord{Kind: k, Addr: a})
-	defer p.endOp()
-	p.op = pendingOp{kind: k, addr: a}
-	p.block(catSync)
-}
+func (p *Proc) ResetUpdate(a mem.Addr) { p.do(Op{Kind: OpResetUpdate, Addr: a}, nil) }
 
 // ReadLock performs READ-LOCK: acquires a shared lock on the block
 // containing a, blocking until granted. The grant carries the block's data
 // into the lock cache. An NP-Synch operation: no write-buffer flush.
-func (p *Proc) ReadLock(a mem.Addr) { p.lock(a, msg.LockRead) }
+func (p *Proc) ReadLock(a mem.Addr) { p.do(Op{Kind: OpReadLock, Addr: a}, nil) }
 
 // WriteLock performs WRITE-LOCK: acquires an exclusive lock on the block
 // containing a, blocking until granted. An NP-Synch operation.
-func (p *Proc) WriteLock(a mem.Addr) { p.lock(a, msg.LockWrite) }
+func (p *Proc) WriteLock(a mem.Addr) { p.do(Op{Kind: OpWriteLock, Addr: a}, nil) }
 
 // Unlock performs UNLOCK, a CP-Synch operation: under buffered consistency
 // the write buffer is flushed first (all global writes preceding the
 // release must be globally performed, §2); the release itself does not
 // stall the processor beyond the local cache access.
-func (p *Proc) Unlock(a mem.Addr) {
-	p.requireCBL("UNLOCK")
-	p.Ops += 2 // the UNLOCK and the FLUSH-BUFFER it performs first
-	p.beginOp(OpRecord{Kind: OpUnlock, Addr: a})
-	defer p.endOp()
-	p.op = pendingOp{kind: OpUnlock, addr: a}
-	p.block(catSync)
-}
+func (p *Proc) Unlock(a mem.Addr) { p.do(Op{Kind: OpUnlock, Addr: a}, nil) }
 
 // Barrier joins the hardware barrier named by address a with the given
 // participant count, blocking until every participant arrives. A CP-Synch
 // operation: the write buffer is flushed before arrival.
 func (p *Proc) Barrier(a mem.Addr, participants int) {
-	p.requireCBL("BARRIER")
-	p.Ops += 2 // the BARRIER and the FLUSH-BUFFER it performs first
-	p.beginOp(OpRecord{Kind: OpBarrier, Addr: a, Participants: participants})
-	defer p.endOp()
-	p.op = pendingOp{kind: OpBarrier, addr: a, parts: participants}
-	p.block(catSync)
+	p.do(Op{Kind: OpBarrier, Addr: a, Val: mem.Word(participants)}, nil)
 }
 
 // RMW performs an atomic read-modify-write on the WBI machine, returning
 // the old value. This is the primitive software locks are built from.
 func (p *Proc) RMW(a mem.Addr, op func(mem.Word) mem.Word) mem.Word {
-	p.requireWBI("RMW")
-	p.Ops++
-	// Capture normalizes the RMW to fetch-and-add by probing the function
-	// at zero (exact for fetch-and-add and test-and-set-from-free; an
-	// approximation for exotic ops, which the trace format cannot carry).
-	// The probe, and the history record's new value below, run only for a
-	// consumer that is installed, so an unobserved RMW calls op once, at
-	// the cache.
-	rec := OpRecord{Kind: OpRMW, Addr: a}
-	if p.m.onOp != nil {
-		rec.Delta = op(0)
-	}
-	p.beginOp(rec)
-	defer p.endOp()
-	start := p.now()
-	p.op = pendingOp{kind: OpRMW, addr: a, rmw: op}
-	old := p.block(catSync)
-	if p.m.hist != nil {
-		p.record(true, true, a, op(old), old, start)
-	}
-	return old
+	return p.do(Op{Kind: OpRMW, Addr: a}, op)
 }
-
-// SharedRead reads shared data in the machine-appropriate way: a plain READ
-// on either machine (coherent under WBI; possibly stale under the CBL
-// machine's buffered consistency, which is the model's intent — readers
-// that need fresh data synchronize or use READ-UPDATE).
-func (p *Proc) SharedRead(a mem.Addr) mem.Word { return p.Read(a) }
-
-// SharedWrite writes shared data in the machine-appropriate way:
-// WRITE-GLOBAL on the CBL machine, a coherent write on WBI.
-func (p *Proc) SharedWrite(a mem.Addr, w mem.Word) { p.WriteGlobal(a, w) }
 
 // HoldsLock reports whether this node currently holds a CBL lock on the
 // block containing a.

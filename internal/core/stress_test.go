@@ -58,9 +58,9 @@ func stressRun(t testing.TB, proto core.Protocol, seed uint64, procs, iters int,
 					p.PrivateRef(rng.IntN(2) == 0, rng.IntN(20) != 0)
 				case 3: // scratch shared write + read back eventually
 					a := mem.Addr(16384 + uint64(i)*64 + uint64(rng.IntN(8))*4)
-					p.SharedWrite(a, mem.Word(k))
+					p.WriteGlobal(a, mem.Word(k))
 					if rng.IntN(2) == 0 {
-						p.SharedRead(a)
+						p.Read(a)
 					}
 				}
 			}

@@ -97,6 +97,25 @@ func TestCompileRejections(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingData: only whitespace may follow the test's
+// object, so a file cannot carry data Parse silently drops.
+func TestParseRejectsTrailingData(t *testing.T) {
+	const test = `{"name":"a","procs":[[{"op":"read","loc":"x"}]]}`
+	if _, err := Parse([]byte(" \t" + test + "\n\r\n ")); err != nil {
+		t.Fatalf("a test between whitespace: %v", err)
+	}
+	for _, in := range []string{
+		test + ` garbage`,
+		test + ` {"this is": "ignored"`,
+		test + test,
+		test + ` }`,
+	} {
+		if _, err := Parse([]byte(in)); err == nil {
+			t.Errorf("Parse(%q) accepted", in)
+		}
+	}
+}
+
 // TestEnumerateWitnesses checks the exported enumerator wrapper: the
 // message-passing test's allowed set is non-empty, every outcome carries a
 // witness trace, and the stale read r0=1,r1=0 is admitted (BC allows it —

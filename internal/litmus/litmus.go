@@ -8,12 +8,15 @@
 package litmus
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
 	"ssmp/internal/bccheck"
+	"ssmp/internal/core"
 )
 
 // LocSpec pins a named location to a (block, word) pair; by default each
@@ -66,16 +69,20 @@ type Test struct {
 	Coverage []string `json:"coverage,omitempty"`
 }
 
-// Parse decodes a test, rejecting unknown fields. An empty list or map
-// means what an absent one does, and Parse drops it, so an accepted test
-// marshals and parses back to an equal test; an empty pinned allowed set
-// is rejected, since every test has at least one outcome.
+// Parse decodes a test, rejecting unknown fields and anything but
+// whitespace after the test's object. An empty list or map means what an
+// absent one does, and Parse drops it, so an accepted test marshals and
+// parses back to an equal test; an empty pinned allowed set is rejected,
+// since every test has at least one outcome.
 func Parse(data []byte) (*Test, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var t Test
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("litmus: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("litmus: data after the test's JSON object")
 	}
 	if _, err := t.compile(); err != nil {
 		return nil, err
@@ -135,6 +142,9 @@ type compiled struct {
 	barOf    map[string]int         // barrier name -> barrier id
 	nameOf   map[bccheck.Loc]string
 	regNames [][]string // per proc, per read
+	// ops is prog lowered to the simulator's primitive calls, once a
+	// sweep has lowered it for its runs.
+	ops [][]core.Op
 }
 
 // compile resolves locations, lowers statements, and validates through

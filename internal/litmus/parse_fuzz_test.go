@@ -9,10 +9,11 @@ import (
 
 // FuzzParse feeds Parse mutations of the committed corpus (the
 // hand-written and generated test JSONs are its only seeds). Parse must not
-// panic; a test it accepts must marshal and parse back to an equal test;
-// and for a plain test of 2-4 processors, the shapes the farm generates,
-// canonicalize must be a fixpoint on its canonical form: the same key and
-// the same test.
+// panic; an input it accepts must be one valid JSON value, so nothing
+// after the test is dropped; a test it accepts must marshal and parse back
+// to an equal test; and for a plain test of 2-4 processors, the shapes the
+// farm generates, canonicalize must be a fixpoint on its canonical form:
+// the same key and the same test.
 func FuzzParse(f *testing.F) {
 	seeds := 0
 	for _, dir := range []struct {
@@ -47,6 +48,9 @@ func FuzzParse(f *testing.F) {
 		lt, err := Parse(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted input that is not one JSON value: %q", data)
 		}
 		out, err := json.Marshal(lt)
 		if err != nil {

@@ -31,6 +31,49 @@ func barAddr(id int) mem.Addr {
 	return mem.Addr((barrierBlockBase + id) * machineBlockWords)
 }
 
+// kindOf is the machine primitive of each model op. The model keeps its
+// own op type so that it does not import the simulator it checks.
+var kindOf = [...]core.OpKind{
+	bccheck.OpRead:        core.OpRead,
+	bccheck.OpWrite:       core.OpWrite,
+	bccheck.OpReadGlobal:  core.OpReadGlobal,
+	bccheck.OpWriteGlobal: core.OpWriteGlobal,
+	bccheck.OpReadUpdate:  core.OpReadUpdate,
+	bccheck.OpResetUpdate: core.OpResetUpdate,
+	bccheck.OpFlush:       core.OpFlush,
+	bccheck.OpReadLock:    core.OpReadLock,
+	bccheck.OpWriteLock:   core.OpWriteLock,
+	bccheck.OpUnlock:      core.OpUnlock,
+	bccheck.OpBarrier:     core.OpBarrier,
+}
+
+// lower turns a compiled program into the primitive calls its simulator
+// runs perform: a data op names its word, and a barrier its address with
+// every processor as a participant.
+func lower(prog bccheck.Program) [][]core.Op {
+	ops := make([][]core.Op, len(prog))
+	for p, instrs := range prog {
+		ops[p] = make([]core.Op, len(instrs))
+		for i, in := range instrs {
+			o := core.Op{Kind: kindOf[in.Op], Addr: dataAddr(in.Loc), Val: mem.Word(in.Val)}
+			if in.Op == bccheck.OpBarrier {
+				o.Addr, o.Val = barAddr(in.Loc.Block), mem.Word(len(prog))
+			}
+			ops[p][i] = o
+		}
+	}
+	return ops
+}
+
+// lowered returns the test's primitive calls: the ones a sweep lowered
+// once for all its runs, or a fresh lowering.
+func (c *compiled) lowered() [][]core.Op {
+	if c.ops != nil {
+		return c.ops
+	}
+	return lower(c.prog)
+}
+
 // machines holds the machines runSim has finished with, one pool per
 // node count (indexed by its log2), so a sweep's runs reuse a few machines
 // instead of building one per seed. A reset machine runs exactly as a
@@ -93,35 +136,14 @@ func (c *compiled) simulate(m *core.Machine, trace bool) (string, *bccheck.Graph
 	for n, v := range c.t.Init {
 		m.WriteMemory(dataAddr(c.locOf[n]), mem.Word(v))
 	}
+	ops := c.lowered()
 	regs := make([][]uint64, nproc)
 	progs := make([]core.Program, m.Config().Nodes)
 	for p := 0; p < nproc; p++ {
-		p := p
 		progs[p] = func(pr *core.Proc) {
-			for _, in := range c.prog[p] {
-				switch in.Op {
-				case bccheck.OpRead:
-					regs[p] = append(regs[p], uint64(pr.Read(dataAddr(in.Loc))))
-				case bccheck.OpWrite:
-					pr.Write(dataAddr(in.Loc), mem.Word(in.Val))
-				case bccheck.OpReadGlobal:
-					regs[p] = append(regs[p], uint64(pr.ReadGlobal(dataAddr(in.Loc))))
-				case bccheck.OpWriteGlobal:
-					pr.WriteGlobal(dataAddr(in.Loc), mem.Word(in.Val))
-				case bccheck.OpReadUpdate:
-					regs[p] = append(regs[p], uint64(pr.ReadUpdate(dataAddr(in.Loc))))
-				case bccheck.OpResetUpdate:
-					pr.ResetUpdate(dataAddr(in.Loc))
-				case bccheck.OpFlush:
-					pr.FlushBuffer()
-				case bccheck.OpReadLock:
-					pr.ReadLock(dataAddr(in.Loc))
-				case bccheck.OpWriteLock:
-					pr.WriteLock(dataAddr(in.Loc))
-				case bccheck.OpUnlock:
-					pr.Unlock(dataAddr(in.Loc))
-				case bccheck.OpBarrier:
-					pr.Barrier(barAddr(in.Loc.Block), nproc)
+			for i, o := range ops[p] {
+				if w := pr.Do(o); c.prog[p][i].Op.Reads() {
+					regs[p] = append(regs[p], uint64(w))
 				}
 			}
 		}
@@ -314,9 +336,11 @@ func (c *compiled) enumerate(tune bccheck.Tuning) (*bccheck.Result, int64, error
 
 // sweep runs the enumeration as job 0 and the simulator under seeds[i-1]
 // as job i, on up to workers goroutines (≤ 0: GOMAXPROCS). The jobs share
-// only the read-only compiled test, and the lowest failing job's error is
-// returned, so the enumeration's error comes first as in a serial loop.
+// only the read-only compiled test, lowered to its primitive calls once
+// for every seed, and the lowest failing job's error is returned, so the
+// enumeration's error comes first as in a serial loop.
 func (c *compiled) sweep(seeds []uint64, tune bccheck.Tuning, chaos ChaosConfig, workers int) (sw slots, err error) {
+	c.ops = lower(c.prog)
 	sw.outs = make([]string, len(seeds))
 	if chaos.injecting() {
 		sw.faults = make([]metrics.FaultCounters, len(seeds))

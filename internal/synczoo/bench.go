@@ -237,7 +237,7 @@ func RunBarrierBenchContext(ctx context.Context, algo BarrierAlgo, o BarrierBenc
 				if o.Work > 0 {
 					p.Think(o.Work)
 				}
-				p.SharedWrite(phase[me], mem.Word(e))
+				p.WriteGlobal(phase[me], mem.Word(e))
 				bar.Wait(p)
 				if readShared(p, algo.Proto, phase[(me+1)%o.Procs]) < mem.Word(e) {
 					pt.SeparationViolations++

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"ssmp/internal/core"
-)
+import "ssmp/internal/core"
 
 // Capture attaches a recorder to a machine (before Run) and returns a
 // builder whose Trace() yields the run's primitive stream as a replayable
@@ -19,14 +15,8 @@ import (
 // slightly different program behaviour, which is inherent to trace-driven
 // simulation.
 func Capture(m *core.Machine) *Builder {
-	b := &Builder{t: &Trace{Procs: make([][]Event, m.Config().Nodes)}}
-	m.OnOp(func(r core.OpRecord) {
-		ev, ok := convert(r)
-		if !ok {
-			return
-		}
-		b.t.Procs[r.Proc] = append(b.t.Procs[r.Proc], ev)
-	})
+	b := &Builder{t: &Trace{Procs: make([][]core.Op, m.Config().Nodes)}}
+	m.OnOp(func(proc int, o core.Op) { b.t.Procs[proc] = append(b.t.Procs[proc], o) })
 	return b
 }
 
@@ -37,38 +27,3 @@ type Builder struct {
 
 // Trace returns the captured trace (valid after the run completes).
 func (b *Builder) Trace() *Trace { return b.t }
-
-// convert maps a core.OpRecord to a trace Event.
-func convert(r core.OpRecord) (Event, bool) {
-	switch r.Kind {
-	case core.OpRead:
-		return Event{Op: OpRead, Addr: r.Addr}, true
-	case core.OpWrite:
-		return Event{Op: OpWrite, Addr: r.Addr, Val: uint64(r.Value)}, true
-	case core.OpReadGlobal:
-		return Event{Op: OpReadGlobal, Addr: r.Addr}, true
-	case core.OpWriteGlobal:
-		return Event{Op: OpWriteGlobal, Addr: r.Addr, Val: uint64(r.Value)}, true
-	case core.OpReadUpdate:
-		return Event{Op: OpReadUpdate, Addr: r.Addr}, true
-	case core.OpResetUpdate:
-		return Event{Op: OpResetUpdate, Addr: r.Addr}, true
-	case core.OpFlush:
-		return Event{Op: OpFlush}, true
-	case core.OpReadLock:
-		return Event{Op: OpReadLock, Addr: r.Addr}, true
-	case core.OpWriteLock:
-		return Event{Op: OpWriteLock, Addr: r.Addr}, true
-	case core.OpUnlock:
-		return Event{Op: OpUnlock, Addr: r.Addr}, true
-	case core.OpBarrier:
-		return Event{Op: OpBarrier, Addr: r.Addr, Val: uint64(r.Participants)}, true
-	case core.OpThink:
-		return Event{Op: OpThink, Val: uint64(r.Cycles)}, true
-	case core.OpPrivate:
-		return Event{Op: OpPrivate, Write: r.Write, Hit: r.Hit}, true
-	case core.OpRMW:
-		return Event{Op: OpRMW, Addr: r.Addr, Val: uint64(r.Delta)}, true
-	}
-	panic(fmt.Sprintf("trace: unknown op kind %d", r.Kind))
-}

@@ -96,7 +96,7 @@ func TestCaptureRMWNormalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := b.Trace().Procs[0]
-	if len(evs) != 2 || evs[0].Op != OpRMW || evs[0].Val != 3 || evs[1].Val != 4 {
+	if len(evs) != 2 || evs[0].Kind != core.OpRMW || evs[0].Val != 3 || evs[1].Val != 4 {
 		t.Fatalf("captured = %+v", evs)
 	}
 	// Replay accumulates the same total.

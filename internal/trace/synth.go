@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"ssmp/internal/core"
 	"ssmp/internal/mem"
 )
 
@@ -58,25 +59,25 @@ func Synthesize(p SynthParams) (*Trace, error) {
 		blockWords   = 4
 		lockAddr     = 256 * blockWords
 	)
-	t := &Trace{Procs: make([][]Event, p.Procs)}
+	t := &Trace{Procs: make([][]core.Op, p.Procs)}
 	for i := 0; i < p.Procs; i++ {
 		rng := rand.New(rand.NewPCG(p.Seed, uint64(i)))
-		evs := make([]Event, 0, p.Events+p.Events/8)
+		evs := make([]core.Op, 0, p.Events+p.Events/8)
 		for e := 0; e < p.Events; e++ {
 			if p.LockEvery > 0 && e > 0 && e%p.LockEvery == 0 {
 				if p.WBI {
 					// Test-and-set style: one RMW models the
 					// acquire attempt; the release is a write.
 					evs = append(evs,
-						Event{Op: OpRMW, Addr: lockAddr, Val: 1},
-						Event{Op: OpThink, Val: 20},
-						Event{Op: OpWrite, Addr: lockAddr, Val: 0},
+						core.Op{Kind: core.OpRMW, Addr: lockAddr, Val: 1},
+						core.Op{Kind: core.OpThink, Val: 20},
+						core.Op{Kind: core.OpWrite, Addr: lockAddr, Val: 0},
 					)
 				} else {
 					evs = append(evs,
-						Event{Op: OpWriteLock, Addr: lockAddr},
-						Event{Op: OpThink, Val: 20},
-						Event{Op: OpUnlock, Addr: lockAddr},
+						core.Op{Kind: core.OpWriteLock, Addr: lockAddr},
+						core.Op{Kind: core.OpThink, Val: 20},
+						core.Op{Kind: core.OpUnlock, Addr: lockAddr},
 					)
 				}
 				continue
@@ -85,18 +86,18 @@ func Synthesize(p SynthParams) (*Trace, error) {
 			if rng.Float64() < p.SharedRatio {
 				a := uint64(rng.IntN(sharedBlocks * blockWords))
 				if read {
-					evs = append(evs, Event{Op: OpRead, Addr: mem.Addr(a)})
+					evs = append(evs, core.Op{Kind: core.OpRead, Addr: mem.Addr(a)})
 				} else if p.WBI {
-					evs = append(evs, Event{Op: OpWrite, Addr: mem.Addr(a), Val: uint64(e)})
+					evs = append(evs, core.Op{Kind: core.OpWrite, Addr: mem.Addr(a), Val: mem.Word(e)})
 				} else {
-					evs = append(evs, Event{Op: OpWriteGlobal, Addr: mem.Addr(a), Val: uint64(e)})
+					evs = append(evs, core.Op{Kind: core.OpWriteGlobal, Addr: mem.Addr(a), Val: mem.Word(e)})
 				}
 				continue
 			}
-			evs = append(evs, Event{Op: OpPrivate, Write: !read, Hit: rng.Float64() < p.HitRatio})
+			evs = append(evs, core.Op{Kind: core.OpPrivate, Write: !read, Hit: rng.Float64() < p.HitRatio})
 		}
 		if !p.WBI {
-			evs = append(evs, Event{Op: OpFlush})
+			evs = append(evs, core.Op{Kind: core.OpFlush})
 		}
 		t.Procs[i] = evs
 	}

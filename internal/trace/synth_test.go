@@ -78,9 +78,9 @@ func TestSynthesizedWBITraceReplays(t *testing.T) {
 	}
 	for _, evs := range tr.Procs {
 		for _, e := range evs {
-			switch e.Op {
-			case OpWriteLock, OpUnlock, OpReadLock, OpWriteGlobal, OpFlush, OpReadUpdate:
-				t.Fatalf("WBI trace contains CBL-only op %v", e.Op)
+			switch e.Kind {
+			case core.OpWriteLock, core.OpUnlock, core.OpReadLock, core.OpWriteGlobal, core.OpFlush, core.OpReadUpdate:
+				t.Fatalf("WBI trace contains CBL-only op %v", e.Kind)
 			}
 		}
 	}

@@ -4,7 +4,8 @@
 // and a replayer that turns traces into machine programs.
 //
 // Format: line-oriented, '#' comments, a `proc <id>` header (0 <= id <
-// MaxProcs) starting each processor's section, then one event per line:
+// MaxProcs) starting each processor's section, then one event per line,
+// each the text form of the core.Op record of one primitive call:
 //
 //	r <addr>          private read
 //	w <addr> <val>    private write
@@ -34,55 +35,23 @@ import (
 
 	"ssmp/internal/core"
 	"ssmp/internal/mem"
-	"ssmp/internal/sim"
 )
 
-// Op enumerates trace event kinds.
-type Op uint8
-
-// Trace event kinds.
-const (
-	OpRead Op = iota
-	OpWrite
-	OpReadGlobal
-	OpWriteGlobal
-	OpReadUpdate
-	OpResetUpdate
-	OpFlush
-	OpReadLock
-	OpWriteLock
-	OpUnlock
-	OpBarrier
-	OpThink
-	OpPrivate
-	OpRMW
-)
-
-var opNames = map[Op]string{
-	OpRead: "r", OpWrite: "w", OpReadGlobal: "rg", OpWriteGlobal: "wg",
-	OpReadUpdate: "ru", OpResetUpdate: "xu", OpFlush: "fl",
-	OpReadLock: "rl", OpWriteLock: "wl", OpUnlock: "ul",
-	OpBarrier: "bar", OpThink: "think", OpPrivate: "priv", OpRMW: "rmw",
+// names are the format's keywords, indexed by core.OpKind.
+var names = [...]string{
+	core.OpRead: "r", core.OpWrite: "w", core.OpReadGlobal: "rg", core.OpWriteGlobal: "wg",
+	core.OpReadUpdate: "ru", core.OpResetUpdate: "xu", core.OpFlush: "fl",
+	core.OpReadLock: "rl", core.OpWriteLock: "wl", core.OpUnlock: "ul",
+	core.OpBarrier: "bar", core.OpThink: "think", core.OpPrivate: "priv", core.OpRMW: "rmw",
 }
 
-var opByName = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, n := range opNames {
-		m[n] = op
+var kindByName = func() map[string]core.OpKind {
+	m := make(map[string]core.OpKind, len(names))
+	for k, n := range names {
+		m[n] = core.OpKind(k)
 	}
 	return m
 }()
-
-// Event is one trace record.
-type Event struct {
-	Op   Op
-	Addr mem.Addr
-	// Val is the written value, RMW addend, barrier participant count, or
-	// think duration.
-	Val uint64
-	// Write and Hit qualify OpPrivate events.
-	Write, Hit bool
-}
 
 // MaxProcs bounds the processor ids a trace may name. Parse keeps one
 // section for every id up to the largest it has seen, so without a bound a
@@ -91,40 +60,40 @@ const MaxProcs = 1 << 16
 
 // Trace is a per-processor event list.
 type Trace struct {
-	// Procs[i] is processor i's event sequence.
-	Procs [][]Event
+	// Procs[i] is processor i's event sequence, each event the record of
+	// one primitive call.
+	Procs [][]core.Op
 }
 
 // Write renders the trace in the text format.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for i, evs := range t.Procs {
+	for i, ops := range t.Procs {
 		fmt.Fprintf(bw, "proc %d\n", i)
-		for _, e := range evs {
-			name := opNames[e.Op]
-			switch e.Op {
-			case OpRead, OpReadGlobal, OpReadUpdate, OpResetUpdate,
-				OpReadLock, OpWriteLock, OpUnlock:
-				fmt.Fprintf(bw, "%s %d\n", name, e.Addr)
-			case OpWrite, OpWriteGlobal, OpRMW:
-				fmt.Fprintf(bw, "%s %d %d\n", name, e.Addr, e.Val)
-			case OpBarrier:
-				fmt.Fprintf(bw, "%s %d %d\n", name, e.Addr, e.Val)
-			case OpFlush:
+		for _, o := range ops {
+			if int(o.Kind) >= len(names) {
+				return fmt.Errorf("trace: unknown op %d", o.Kind)
+			}
+			name := names[o.Kind]
+			switch o.Kind {
+			case core.OpRead, core.OpReadGlobal, core.OpReadUpdate, core.OpResetUpdate,
+				core.OpReadLock, core.OpWriteLock, core.OpUnlock:
+				fmt.Fprintf(bw, "%s %d\n", name, o.Addr)
+			case core.OpWrite, core.OpWriteGlobal, core.OpRMW, core.OpBarrier:
+				fmt.Fprintf(bw, "%s %d %d\n", name, o.Addr, o.Val)
+			case core.OpFlush:
 				fmt.Fprintf(bw, "%s\n", name)
-			case OpThink:
-				fmt.Fprintf(bw, "%s %d\n", name, e.Val)
-			case OpPrivate:
+			case core.OpThink:
+				fmt.Fprintf(bw, "%s %d\n", name, o.Val)
+			case core.OpPrivate:
 				rw, hm := "r", "m"
-				if e.Write {
+				if o.Write {
 					rw = "w"
 				}
-				if e.Hit {
+				if o.Hit {
 					hm = "h"
 				}
 				fmt.Fprintf(bw, "%s %s %s\n", name, rw, hm)
-			default:
-				return fmt.Errorf("trace: unknown op %d", e.Op)
 			}
 		}
 	}
@@ -161,48 +130,49 @@ func Parse(r io.Reader) (*Trace, error) {
 		if cur < 0 {
 			return nil, fmt.Errorf("trace:%d: event before proc header", lineNo)
 		}
-		op, ok := opByName[fields[0]]
+		kind, ok := kindByName[fields[0]]
 		if !ok {
 			return nil, fmt.Errorf("trace:%d: unknown op %q", lineNo, fields[0])
 		}
-		ev := Event{Op: op}
-		argN := func(i int) (uint64, error) {
+		o := core.Op{Kind: kind}
+		argN := func(i int) (mem.Word, error) {
 			if i >= len(fields) {
 				return 0, fmt.Errorf("trace:%d: missing argument", lineNo)
 			}
-			return strconv.ParseUint(fields[i], 10, 64)
+			v, err := strconv.ParseUint(fields[i], 10, 64)
+			return mem.Word(v), err
 		}
 		var err error
-		var v uint64
-		switch op {
-		case OpRead, OpReadGlobal, OpReadUpdate, OpResetUpdate,
-			OpReadLock, OpWriteLock, OpUnlock:
+		var v mem.Word
+		switch kind {
+		case core.OpRead, core.OpReadGlobal, core.OpReadUpdate, core.OpResetUpdate,
+			core.OpReadLock, core.OpWriteLock, core.OpUnlock:
 			v, err = argN(1)
-			ev.Addr = mem.Addr(v)
-		case OpWrite, OpWriteGlobal, OpRMW, OpBarrier:
+			o.Addr = mem.Addr(v)
+		case core.OpWrite, core.OpWriteGlobal, core.OpRMW, core.OpBarrier:
 			v, err = argN(1)
-			ev.Addr = mem.Addr(v)
+			o.Addr = mem.Addr(v)
 			if err == nil {
-				ev.Val, err = argN(2)
+				o.Val, err = argN(2)
 			}
-		case OpThink:
-			ev.Val, err = argN(1)
-		case OpFlush:
-		case OpPrivate:
+		case core.OpThink:
+			o.Val, err = argN(1)
+		case core.OpFlush:
+		case core.OpPrivate:
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("trace:%d: priv needs r|w h|m", lineNo)
 			}
 			switch fields[1] {
 			case "r":
 			case "w":
-				ev.Write = true
+				o.Write = true
 			default:
 				return nil, fmt.Errorf("trace:%d: priv mode %q", lineNo, fields[1])
 			}
 			switch fields[2] {
 			case "m":
 			case "h":
-				ev.Hit = true
+				o.Hit = true
 			default:
 				return nil, fmt.Errorf("trace:%d: priv outcome %q", lineNo, fields[2])
 			}
@@ -210,7 +180,7 @@ func Parse(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace:%d: %v", lineNo, err)
 		}
-		t.Procs[cur] = append(t.Procs[cur], ev)
+		t.Procs[cur] = append(t.Procs[cur], o)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -219,58 +189,22 @@ func Parse(r io.Reader) (*Trace, error) {
 }
 
 // Programs turns the trace into machine programs (one per processor; nil
-// for processors without a section). The machine must have at least
-// len(Procs) nodes.
+// for processors without a section) that perform each event with
+// core.Proc.Do. The machine must have at least len(Procs) nodes.
 func (t *Trace) Programs(nodes int) ([]core.Program, error) {
 	if len(t.Procs) > nodes {
 		return nil, fmt.Errorf("trace: %d processor sections for %d nodes", len(t.Procs), nodes)
 	}
 	progs := make([]core.Program, nodes)
-	for i, evs := range t.Procs {
-		if len(evs) == 0 {
+	for i, ops := range t.Procs {
+		if len(ops) == 0 {
 			continue
 		}
-		evs := evs
 		progs[i] = func(p *core.Proc) {
-			for _, e := range evs {
-				replay(p, e)
+			for _, o := range ops {
+				p.Do(o)
 			}
 		}
 	}
 	return progs, nil
-}
-
-func replay(p *core.Proc, e Event) {
-	switch e.Op {
-	case OpRead:
-		p.Read(e.Addr)
-	case OpWrite:
-		p.Write(e.Addr, mem.Word(e.Val))
-	case OpReadGlobal:
-		p.ReadGlobal(e.Addr)
-	case OpWriteGlobal:
-		p.WriteGlobal(e.Addr, mem.Word(e.Val))
-	case OpReadUpdate:
-		p.ReadUpdate(e.Addr)
-	case OpResetUpdate:
-		p.ResetUpdate(e.Addr)
-	case OpFlush:
-		p.FlushBuffer()
-	case OpReadLock:
-		p.ReadLock(e.Addr)
-	case OpWriteLock:
-		p.WriteLock(e.Addr)
-	case OpUnlock:
-		p.Unlock(e.Addr)
-	case OpBarrier:
-		p.Barrier(e.Addr, int(e.Val))
-	case OpThink:
-		p.Think(sim.Time(e.Val))
-	case OpPrivate:
-		p.PrivateRef(e.Write, e.Hit)
-	case OpRMW:
-		p.RMW(e.Addr, func(w mem.Word) mem.Word { return w + mem.Word(e.Val) })
-	default:
-		panic(fmt.Sprintf("trace: unknown op %d", e.Op))
-	}
 }

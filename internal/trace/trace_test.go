@@ -13,21 +13,21 @@ import (
 )
 
 func sample() *Trace {
-	return &Trace{Procs: [][]Event{
+	return &Trace{Procs: [][]core.Op{
 		{
-			{Op: OpWriteLock, Addr: 100},
-			{Op: OpWrite, Addr: 100, Val: 7},
-			{Op: OpUnlock, Addr: 100},
-			{Op: OpThink, Val: 12},
-			{Op: OpPrivate, Write: true, Hit: false},
-			{Op: OpBarrier, Addr: 300, Val: 2},
+			{Kind: core.OpWriteLock, Addr: 100},
+			{Kind: core.OpWrite, Addr: 100, Val: 7},
+			{Kind: core.OpUnlock, Addr: 100},
+			{Kind: core.OpThink, Val: 12},
+			{Kind: core.OpPrivate, Write: true, Hit: false},
+			{Kind: core.OpBarrier, Addr: 300, Val: 2},
 		},
 		{
-			{Op: OpWriteGlobal, Addr: 200, Val: 5},
-			{Op: OpFlush},
-			{Op: OpReadUpdate, Addr: 200},
-			{Op: OpResetUpdate, Addr: 200},
-			{Op: OpBarrier, Addr: 300, Val: 2},
+			{Kind: core.OpWriteGlobal, Addr: 200, Val: 5},
+			{Kind: core.OpFlush},
+			{Kind: core.OpReadUpdate, Addr: 200},
+			{Kind: core.OpResetUpdate, Addr: 200},
+			{Kind: core.OpBarrier, Addr: 300, Val: 2},
 		},
 	}}
 }
@@ -161,8 +161,8 @@ func TestReplayRMWOnWBI(t *testing.T) {
 	cfg.Protocol = core.ProtoWBI
 	cfg.CacheSets = 16
 	m := core.NewMachine(cfg)
-	tr := &Trace{Procs: [][]Event{
-		{{Op: OpRMW, Addr: 50, Val: 3}, {Op: OpRMW, Addr: 50, Val: 4}},
+	tr := &Trace{Procs: [][]core.Op{
+		{{Kind: core.OpRMW, Addr: 50, Val: 3}, {Kind: core.OpRMW, Addr: 50, Val: 4}},
 	}}
 	progs, err := tr.Programs(2)
 	if err != nil {
@@ -184,21 +184,21 @@ func TestReplayRMWOnWBI(t *testing.T) {
 // Property: Write/Parse round-trips arbitrary event sequences.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
-		tr := &Trace{Procs: make([][]Event, 2)}
+		tr := &Trace{Procs: make([][]core.Op, 2)}
 		for i, r := range raw {
-			ev := Event{Op: Op(r % 14)}
-			switch ev.Op {
-			case OpPrivate:
+			ev := core.Op{Kind: core.OpKind(r % 14)}
+			switch ev.Kind {
+			case core.OpPrivate:
 				ev.Write = r&0x100 != 0
 				ev.Hit = r&0x200 != 0
-			case OpFlush:
-			case OpThink:
-				ev.Val = uint64(r >> 8)
+			case core.OpFlush:
+			case core.OpThink:
+				ev.Val = mem.Word(r >> 8)
 			default:
 				ev.Addr = mem.Addr(r >> 8)
-				switch ev.Op {
-				case OpWrite, OpWriteGlobal, OpRMW, OpBarrier:
-					ev.Val = uint64(r >> 16)
+				switch ev.Kind {
+				case core.OpWrite, core.OpWriteGlobal, core.OpRMW, core.OpBarrier:
+					ev.Val = mem.Word(r >> 16)
 				}
 			}
 			tr.Procs[i%2] = append(tr.Procs[i%2], ev)

@@ -59,17 +59,24 @@ type Stats struct {
 // Buffer is the write buffer. It is driven entirely from the simulation
 // event loop and is not safe for concurrent use.
 type Buffer struct {
-	eng      *sim.Engine
-	opts     Options
-	send     func(Entry)
+	eng  *sim.Engine
+	opts Options
+	send func(Entry)
+	// queued[head:] are the entries not yet issued; both go back to 0
+	// when the queue empties, so the slice's memory is kept.
 	queued   []Entry
+	head     int
 	inflight int
 	pumpSet  bool
 	nextSlot sim.Time
 	seq      uint64
 	empty    []func()
 	space    []func()
-	stats    Stats
+	// spare is an emptied waiter list kept for reuse: a list about to run
+	// is swapped with it, so a waiter registering during the run joins
+	// a fresh list.
+	spare []func()
+	stats Stats
 }
 
 // New builds a buffer. send is invoked (from the event loop) each time an
@@ -89,14 +96,16 @@ func New(eng *sim.Engine, opts Options, send func(Entry)) *Buffer {
 
 // Reset returns the buffer to the state New builds: empty, nothing in
 // flight or waiting, sequence numbers starting over and every counter
-// zero.
+// zero. The queue and the waiter lists keep their memory.
 func (b *Buffer) Reset() {
-	b.queued, b.inflight, b.pumpSet, b.nextSlot, b.seq = b.queued[:0], 0, false, 0, 0
-	b.empty, b.space, b.stats = nil, nil, Stats{}
+	b.queued, b.head, b.inflight, b.pumpSet, b.nextSlot, b.seq = b.queued[:0], 0, 0, false, 0, 0
+	clear(b.empty)
+	clear(b.space)
+	b.empty, b.space, b.stats = b.empty[:0], b.space[:0], Stats{}
 }
 
 // Len returns the number of outstanding entries (queued plus unacked).
-func (b *Buffer) Len() int { return len(b.queued) + b.inflight }
+func (b *Buffer) Len() int { return len(b.queued) - b.head + b.inflight }
 
 // Empty reports whether every buffered write has been globally performed.
 func (b *Buffer) Empty() bool { return b.Len() == 0 }
@@ -118,13 +127,18 @@ func (b *Buffer) Add(block mem.Block, wordIdx int, w mem.Word) bool {
 		return false
 	}
 	if b.opts.Coalesce {
-		for i := range b.queued {
+		for i := b.head; i < len(b.queued); i++ {
 			if b.queued[i].Block == block && b.queued[i].WordIdx == wordIdx {
 				b.queued[i].Word = w
 				b.stats.Coalesced++
 				return true
 			}
 		}
+	}
+	if b.head > 0 && len(b.queued) == cap(b.queued) {
+		// Move the unissued entries to the front before growing.
+		b.queued = b.queued[:copy(b.queued, b.queued[b.head:])]
+		b.head = 0
 	}
 	b.seq++
 	b.queued = append(b.queued, Entry{Seq: b.seq, Block: block, WordIdx: wordIdx, Word: w})
@@ -138,7 +152,7 @@ func (b *Buffer) Add(block mem.Block, wordIdx int, w mem.Word) bool {
 
 // pump issues queued entries honoring the issue delay.
 func (b *Buffer) pump() {
-	if b.pumpSet || len(b.queued) == 0 {
+	if b.pumpSet || b.head == len(b.queued) {
 		return
 	}
 	now := b.eng.Now()
@@ -149,15 +163,17 @@ func (b *Buffer) pump() {
 	b.pumpSet = true
 	b.eng.At(b.nextSlot, func() {
 		b.pumpSet = false
-		if len(b.queued) > 0 {
+		if b.head < len(b.queued) {
 			b.issueHead()
 		}
 	})
 }
 
 func (b *Buffer) issueHead() {
-	e := b.queued[0]
-	b.queued = b.queued[1:]
+	e := b.queued[b.head]
+	if b.head++; b.head == len(b.queued) {
+		b.queued, b.head = b.queued[:0], 0
+	}
 	b.inflight++
 	b.stats.Issued++
 	b.nextSlot = b.eng.Now() + b.opts.IssueDelay
@@ -173,20 +189,25 @@ func (b *Buffer) Ack(seq uint64) {
 	}
 	b.inflight--
 	b.stats.Acked++
-	if b.Empty() {
-		waiters := b.empty
-		b.empty = nil
-		for _, fn := range waiters {
-			fn()
-		}
+	if b.Empty() && len(b.empty) > 0 {
+		b.drain(&b.empty)
 	}
 	if !b.Full() && len(b.space) > 0 {
-		waiters := b.space
-		b.space = nil
-		for _, fn := range waiters {
-			fn()
-		}
+		b.drain(&b.space)
 	}
+}
+
+// drain calls the waiters on *list in order. It first swaps the list with
+// the spare one, so a waiter registering during the drain joins the fresh
+// list, and the drained list becomes the spare.
+func (b *Buffer) drain(list *[]func()) {
+	waiters := *list
+	*list, b.spare = b.spare[:0], nil
+	for _, fn := range waiters {
+		fn()
+	}
+	clear(waiters)
+	b.spare = waiters[:0]
 }
 
 // OnEmpty invokes fn once the buffer is empty — immediately if it already

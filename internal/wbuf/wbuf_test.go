@@ -186,6 +186,112 @@ func TestMaxDepth(t *testing.T) {
 	}
 }
 
+// TestWaiterReregistersDuringDrain: a waiter that buffers another write
+// and waits again from inside a drain joins a fresh list, so it runs on
+// the next drain, not the one in progress; each drain runs its waiters in
+// registration order. Both rounds run twice, the second on the lists the
+// first left as spares.
+func TestWaiterReregistersDuringDrain(t *testing.T) {
+	e := sim.NewEngine()
+	var sent []Entry
+	var order string
+	b := New(e, Options{Capacity: 1}, func(en Entry) { sent = append(sent, en) })
+	for round := 0; round < 2; round++ {
+		order, sent = "", sent[:0]
+		b.Add(1, 0, 1)
+		b.OnEmpty(func() {
+			order += "a"
+			b.Add(2, 0, 2)
+			b.OnEmpty(func() { order += "c" })
+		})
+		b.OnEmpty(func() { order += "b" })
+		b.Ack(sent[0].Seq)
+		if order != "ab" {
+			t.Fatalf("round %d: first drain ran %q, want \"ab\"", round, order)
+		}
+		b.Ack(sent[1].Seq)
+		if order != "abc" {
+			t.Fatalf("round %d: second drain ran %q, want \"abc\"", round, order)
+		}
+
+		// The same through the space list of the full one-entry buffer.
+		order, sent = "", sent[:0]
+		b.Add(3, 0, 3)
+		b.OnSpace(func() {
+			order += "a"
+			if !b.Add(4, 0, 4) {
+				t.Fatal("Add after space freed failed")
+			}
+			b.OnSpace(func() { order += "c" })
+		})
+		b.OnSpace(func() { order += "b" })
+		b.Ack(sent[0].Seq)
+		if order != "ab" {
+			t.Fatalf("round %d: first space drain ran %q, want \"ab\"", round, order)
+		}
+		b.Ack(sent[1].Seq)
+		if order != "abc" || !b.Empty() {
+			t.Fatalf("round %d: second space drain ran %q (empty %v), want \"abc\"", round, order, b.Empty())
+		}
+	}
+}
+
+// TestResetKeepsMemory: once a buffer has held writes and a flush waiter,
+// a Reset keeps the queue's and the waiter lists' memory, so the same
+// work after it allocates nothing.
+func TestResetKeepsMemory(t *testing.T) {
+	e := sim.NewEngine()
+	sent := make([]Entry, 0, 8)
+	b := New(e, Options{}, func(en Entry) { sent = append(sent, en) })
+	flushed := func() {}
+	run := func() {
+		b.Reset()
+		sent = sent[:0]
+		for i := 0; i < 4; i++ {
+			b.Add(mem.Block(i), 0, mem.Word(i))
+		}
+		b.OnEmpty(flushed)
+		for _, en := range sent {
+			b.Ack(en.Seq)
+		}
+	}
+	if got := testing.AllocsPerRun(20, run); got != 0 {
+		t.Fatalf("Reset and refill made %v allocations, want 0", got)
+	}
+}
+
+// TestQueueIssuesInOrderInBoundedMemory: writes arrive as fast as the issue
+// rate lets them leave, so the queue never empties. Every write is still
+// issued once, in order, and the queue moves its unissued entries to the
+// front instead of growing with every write it has ever held.
+func TestQueueIssuesInOrderInBoundedMemory(t *testing.T) {
+	e := sim.NewEngine()
+	var sent []Entry
+	b := New(e, Options{IssueDelay: 3}, func(en Entry) { sent = append(sent, en) })
+	const n = 300
+	for i := 0; i < n; i++ {
+		at := sim.Time(0)
+		if i >= 4 {
+			at = sim.Time(3 * (i - 3))
+		}
+		e.At(at, func() { b.Add(mem.Block(i), 0, mem.Word(i)) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sent) != n {
+		t.Fatalf("issued %d writes, want %d", len(sent), n)
+	}
+	for i, en := range sent {
+		if en.Seq != uint64(i+1) || en.Word != mem.Word(i) {
+			t.Fatalf("issue %d is %+v, want write %d", i, en, i)
+		}
+	}
+	if c := cap(b.queued); c > 16 {
+		t.Fatalf("queue capacity %d for a depth of at most 4", c)
+	}
+}
+
 // Property: every added write is eventually issued exactly once (without
 // coalescing), and after acking all issues the buffer is empty and all
 // flush waiters have fired.

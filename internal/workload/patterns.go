@@ -72,7 +72,7 @@ func ProducerConsumer(procs, writes int, layout Layout, useReadUpdate bool, kit 
 				// Producer.
 				bar.Wait(p) // consumers subscribe first
 				for k := 0; k < writes; k++ {
-					p.SharedWrite(data, mem.Word(k+1))
+					p.WriteGlobal(data, mem.Word(k+1))
 					p.Think(20)
 				}
 				p.FlushBuffer()
@@ -83,11 +83,11 @@ func ProducerConsumer(procs, writes int, layout Layout, useReadUpdate bool, kit 
 			if useReadUpdate {
 				p.ReadUpdate(data)
 			} else {
-				p.SharedRead(data)
+				p.Read(data)
 			}
 			bar.Wait(p)
 			for k := 0; k < writes; k++ {
-				p.SharedRead(data)
+				p.Read(data)
 				p.Think(20)
 			}
 			bar.Wait(p)
@@ -106,9 +106,9 @@ func WideShared(procs, refs, writeEvery int, layout Layout) []core.Program {
 		progs[i] = func(p *core.Proc) {
 			for k := 0; k < refs; k++ {
 				if writeEvery > 0 && (k+i)%writeEvery == 0 {
-					p.SharedWrite(data, mem.Word(k))
+					p.WriteGlobal(data, mem.Word(k))
 				} else {
-					p.SharedRead(data)
+					p.Read(data)
 				}
 				p.Think(sim.Time(4 + i%3))
 			}

@@ -218,9 +218,9 @@ func (r *refStream) dataRef(p *core.Proc, sharedRatio float64) {
 		word := r.rng.IntN(r.layout.geom.BlockWords)
 		a := r.layout.SharedWord(blk, word)
 		if read {
-			p.SharedRead(a)
+			p.Read(a)
 		} else {
-			p.SharedWrite(a, mem.Word(p.Now()))
+			p.WriteGlobal(a, mem.Word(p.Now()))
 		}
 		return
 	}

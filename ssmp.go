@@ -304,8 +304,9 @@ func Table3CBL(s SyncScenario, p SyncParams) SyncCost { return analytic.CBL(s, p
 type (
 	// Trace is a per-processor memory-reference trace.
 	Trace = trace.Trace
-	// TraceEvent is one trace record.
-	TraceEvent = trace.Event
+	// TraceEvent is one trace record: the record of one primitive call,
+	// which Proc.Do performs.
+	TraceEvent = core.Op
 )
 
 // CaptureTrace attaches a primitive-stream recorder to a machine (call
