@@ -71,12 +71,13 @@ synczoo:
 
 # Litmus cross-validation: the embedded corpus under the race detector
 # (with the replays on pooled, reset machines checked against fresh ones,
-# and violation explanations replayed under their fault planes), bounded
+# the RunOps replays against coroutine programs, and violation
+# explanations replayed under their fault planes), bounded
 # fuzzes of the two parsers of outside input (the litmus test JSON and
 # the trace text format), then a bounded fuzz of random programs against
 # the axiomatic model.
 litmus:
-	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink|Reuse|Explain' ./internal/litmus/
+	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink|Reuse|Explain|RunOps' ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/trace/
 	$(GO) run ./cmd/ssmp litmus fuzz -budget 30s

@@ -66,6 +66,16 @@ func TestTraceGenReplays(t *testing.T) {
 	}
 }
 
+// TestTraceTooManySections pins that a trace with more processor sections
+// than the machine has nodes is a one-line error, not a panic.
+func TestTraceTooManySections(t *testing.T) {
+	gen := mustRun(t, "trace", "-gen", "-procs", "4", "-events", "20")
+	code, _, log := runCmd(gen, "trace", "-procs", "2")
+	if code != 1 || log != "ssmp trace: trace: 4 processor sections for 2 nodes\n" {
+		t.Fatalf("exit %d, stderr %q", code, log)
+	}
+}
+
 // TestSimMsgTraceNeedsOneLane pins that -msgtrace on a machine with more
 // than one lane is a one-line error, not a panic, while the bus, which
 // always runs one lane, still traces at any -workers.

@@ -249,12 +249,18 @@ func (c *cli) trace(args []string) error {
 	if err != nil {
 		return err
 	}
-	progs, err := tr.Programs(*procs)
-	if err != nil {
-		return err
+	if len(tr.Procs) > *procs {
+		return fmt.Errorf("trace: %d processor sections for %d nodes", len(tr.Procs), *procs)
+	}
+	// Each section is its processor's op list; one without events idles.
+	ops := make([][]core.Op, *procs)
+	for i, evs := range tr.Procs {
+		if len(evs) > 0 {
+			ops[i] = evs
+		}
 	}
 	m := ssmp.NewMachine(cfg)
-	res, err := m.Run(progs)
+	res, _, err := m.RunOps(ops)
 	if err != nil {
 		return err
 	}

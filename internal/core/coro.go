@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"iter"
 
 	"ssmp/internal/mem"
@@ -17,6 +16,7 @@ import (
 // the completion cycle (and Result.Cycles) includes it. Its recover absorbs
 // an abort's unwind and keeps any other panic as the processor's error.
 func (p *Proc) start(prog Program) {
+	p.runs = true
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -25,9 +25,7 @@ func (p *Proc) start(prog Program) {
 					p.err = r
 				}
 			}
-			p.done = true
-			p.stats.Finished = p.eng.Now()
-			p.m.finished.Add(1)
+			p.finish()
 		}()
 		if p.m.aborting {
 			return
@@ -35,16 +33,13 @@ func (p *Proc) start(prog Program) {
 		prog(p)
 		p.sync()
 	})
-	p.eng.AtStep(0, p, 0)
+	p.eng.AtStep(0, p, stepResume)
 }
 
-// step switches to the program's coroutine, handing it w, and returns when
-// the program parks on its next operation (or finishes). Called from the
-// event loop only.
-func (p *Proc) step(w mem.Word) {
-	if p.done {
-		panic(fmt.Sprintf("core: step on finished processor %d", p.id))
-	}
+// resume switches to the program's coroutine, handing it w, and returns
+// when the program parks on its next operation (or finishes). Called from
+// the event loop only, through step.
+func (p *Proc) resume(w mem.Word) {
 	p.w = w
 	p.next()
 }

@@ -57,6 +57,8 @@ type Machine struct {
 	finished atomic.Int32
 	hist     *history.Recorder
 	onOp     func(proc int, o Op)
+	// words is what RunOps returns: each processor's word list.
+	words [][]mem.Word
 }
 
 // NewMachine builds a machine; it panics on an invalid configuration.
@@ -164,7 +166,7 @@ func (m *Machine) Reset(cfg Config) {
 		}
 		n.proc.reset()
 	}
-	m.running, m.aborting, m.hist, m.onOp = false, false, nil, nil
+	m.running, m.aborting, m.hist, m.onOp, m.words = false, false, nil, nil, m.words[:0]
 	m.finished.Store(0)
 	m.start(&cfg)
 }
@@ -303,7 +305,9 @@ func (m *Machine) WriteMemory(a mem.Addr, w mem.Word) {
 // ordinary Go control flow and the Proc's blocking primitives without data
 // races. A program must not call runtime.Goexit, nor t.FailNow or t.Fatal,
 // which call it: the coroutine hands a Goexit on to the goroutine that
-// resumed the program, which is the event loop or a lane worker.
+// resumed the program, which is the event loop or a lane worker. A program
+// that is only a fixed list of calls runs without a coroutine through
+// RunOps.
 type Program func(p *Proc)
 
 // Result summarizes a completed run.
@@ -341,7 +345,7 @@ func (e *ErrDeadlock) Error() string {
 // stopped early (cancellation, horizon, deadlock, a panicking event). Each
 // program is parked in its coroutine; a step with the abort flag set makes
 // it unwind via an abortSignal panic and finish, so no coroutine outlives
-// the run.
+// the run. An op list finishes where it stands.
 func (m *Machine) drainAborted() {
 	m.aborting = true
 	for i := range m.nodes {
@@ -363,12 +367,45 @@ func (m *Machine) Run(programs []Program) (Result, error) {
 // parked program is unwound, and the ctx error is returned. Cancellation
 // cannot perturb a completed run's determinism — it only ends a run early.
 func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, error) {
+	m.prepare(ctx, len(programs), "programs")
+	var err error
+	if m.par.Lanes() > 1 {
+		err = m.executeApart(programs)
+	} else {
+		err = m.execute(programs, nil)
+	}
+	return m.result(err)
+}
+
+// RunOps runs one list of primitive calls per processor, each call
+// performed as Proc.Do performs it, and returns the run's metrics and the
+// words the calls returned: words[i][j] is what ops[i][j] returned (after
+// an error, only the calls that completed have one). ops[i] runs on
+// processor i; a nil list idles that processor, while an empty one runs
+// as a program that makes no call does. The run is the one Run makes of
+// programs calling Do on each record — the same events, results and
+// observer reports — but the event loop performs the calls itself, so it
+// starts no coroutine or goroutine. The words live in the machine's memory
+// and stay valid until it is Reset. RunOps, like Run, may be called once
+// per NewMachine or Reset.
+func (m *Machine) RunOps(ops [][]Op) (Result, [][]mem.Word, error) {
+	m.prepare(context.Background(), len(ops), "op lists")
+	res, err := m.result(m.execute(nil, ops))
+	for i := range m.nodes {
+		m.words = append(m.words, m.nodes[i].proc.words)
+	}
+	return res, m.words, err
+}
+
+// prepare readies a run of n programs or op lists (named what), with ctx's
+// cancellation polled by the event loop.
+func (m *Machine) prepare(ctx context.Context, n int, what string) {
 	if m.running {
 		panic("core: Machine.Run called twice")
 	}
 	m.running = true
-	if len(programs) != m.cfg.Nodes {
-		panic(fmt.Sprintf("core: %d programs for %d nodes", len(programs), m.cfg.Nodes))
+	if n != m.cfg.Nodes {
+		panic(fmt.Sprintf("core: %d %s for %d nodes", n, what, m.cfg.Nodes))
 	}
 	if ctx.Done() != nil {
 		poll := func() error {
@@ -381,12 +418,11 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 		}
 		m.par.SetInterrupt(poll)
 	}
-	var err error
-	if m.par.Lanes() > 1 {
-		err = m.executeApart(programs)
-	} else {
-		err = m.execute(programs)
-	}
+}
+
+// result returns the metrics of a run that execute ended with err, or the
+// error: err itself, or a processor's panic.
+func (m *Machine) result(err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
@@ -403,12 +439,11 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 	st := m.net.Stats()
 	var utilSum float64
 	var utilN int
-	for i, prog := range programs {
-		if prog == nil {
-			continue
+	for i := range m.nodes {
+		if p := &m.nodes[i].proc; p.runs {
+			utilSum += p.Stats().Utilization()
+			utilN++
 		}
-		utilSum += m.nodes[i].proc.Stats().Utilization()
-		utilN++
 	}
 	res := Result{
 		Cycles:          m.Now(),
@@ -425,18 +460,24 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 	return res, nil
 }
 
-// execute starts the programs' coroutines and runs the event loop. When the
-// loop stops early or the queue drains with programs still parked, it
-// unwinds them and returns the loop's error or an *ErrDeadlock.
-func (m *Machine) execute(programs []Program) error {
+// execute starts the programs' coroutines, or the op lists, and runs the
+// event loop; a processor with neither idles. When the loop stops early or
+// the queue drains with programs still parked, it unwinds them and returns
+// the loop's error or an *ErrDeadlock.
+func (m *Machine) execute(programs []Program, lists [][]Op) error {
 	active := 0
-	for i, prog := range programs {
-		if prog == nil {
-			m.nodes[i].proc.done = true
+	for i := range m.nodes {
+		p := &m.nodes[i].proc
+		switch {
+		case programs != nil && programs[i] != nil:
+			p.start(programs[i])
+		case lists != nil && lists[i] != nil:
+			p.startOps(lists[i])
+		default:
+			p.done = true
 			continue
 		}
 		active++
-		m.nodes[i].proc.start(prog)
 	}
 	m.finished.Store(int32(m.cfg.Nodes - active))
 	if err := m.runEvents(); err != nil {
@@ -455,13 +496,14 @@ func (m *Machine) execute(programs []Program) error {
 	return nil
 }
 
-// executeApart is execute on a fresh goroutine, for a run on many lanes.
-// The runtime resumes a coroutine only under the OS-thread locking it was
-// made under, and lane workers resume the programs on threads of their
-// own, so the coroutines must not be made on a caller that may be locked
-// to its thread (runtime.LockOSThread). The caller waits, and a panic
-// raised on the goroutine is re-raised on the caller once execute has
-// unwound the programs.
+// executeApart is execute on a fresh goroutine, for programs run on many
+// lanes. The runtime resumes a coroutine only under the OS-thread locking
+// it was made under, and lane workers resume the programs on threads of
+// their own, so the coroutines must not be made on a caller that may be
+// locked to its thread (runtime.LockOSThread). The caller waits, and a
+// panic raised on the goroutine is re-raised on the caller once execute
+// has unwound the programs. Op lists make no coroutine and need none of
+// this.
 func (m *Machine) executeApart(programs []Program) error {
 	var (
 		err   error
@@ -471,7 +513,7 @@ func (m *Machine) executeApart(programs []Program) error {
 	go func() {
 		defer close(done)
 		defer func() { fault = recover() }()
-		err = m.execute(programs)
+		err = m.execute(programs, nil)
 	}()
 	<-done
 	if fault != nil {

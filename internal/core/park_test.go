@@ -180,6 +180,12 @@ var allocProgs = []Program{
 	func(p *Proc) { p.WriteGlobal(32, 1); p.FlushBuffer(); p.ReadGlobal(0) },
 }
 
+// allocOps is allocProgs written as records, for RunOps.
+var allocOps = [][]Op{
+	{{Kind: OpWriteGlobal, Addr: 0, Val: 1}, {Kind: OpFlush}, {Kind: OpReadGlobal, Addr: 32}},
+	{{Kind: OpWriteGlobal, Addr: 32, Val: 1}, {Kind: OpFlush}, {Kind: OpReadGlobal, Addr: 0}},
+}
+
 // TestMachineAllocs pins the heap allocations of building and running a
 // 2-node machine, the shape of a litmus replay. Most of them are per node:
 // its controllers, and its processor's coroutine and completion callbacks.
@@ -199,11 +205,13 @@ func TestMachineAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkProcPark measures the handoff between a program and the event
-// loop: one processor issues back-to-back blocking reads that hit in its
-// WBI cache, so each read parks the program once and its completion event
-// resumes it. ns/park is the run's wall time, machine build excluded, over
-// its parks.
+// BenchmarkProcPark measures the handoff between a processor's calls and
+// the event loop: one processor issues back-to-back blocking reads that hit
+// in its WBI cache, so each read waits once and its completion event goes
+// on with the next. runner=program runs them as a program, which parks on
+// its coroutine and is resumed; runner=RunOps runs them as an op list,
+// which the event loop performs itself. ns/park is the run's wall time,
+// machine build excluded, over its waits.
 func BenchmarkProcPark(b *testing.B) {
 	const reads = 4096
 	prog := func(p *Proc) {
@@ -211,16 +219,30 @@ func BenchmarkProcPark(b *testing.B) {
 			p.Read(100)
 		}
 	}
-	b.ReportAllocs()
-	var parks uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := NewMachine(wbiConfig(2))
-		b.StartTimer()
-		if _, err := m.Run([]Program{prog, nil}); err != nil {
-			b.Fatal(err)
-		}
-		parks += m.Proc(0).parks
+	list := make([]Op, reads)
+	for i := range list {
+		list[i] = Op{Kind: OpRead, Addr: 100}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(parks), "ns/park")
+	for _, runner := range []string{"program", "RunOps"} {
+		b.Run("runner="+runner, func(b *testing.B) {
+			b.ReportAllocs()
+			var parks uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := NewMachine(wbiConfig(2))
+				b.StartTimer()
+				var err error
+				if runner == "program" {
+					_, err = m.Run([]Program{prog, nil})
+				} else {
+					_, _, err = m.RunOps([][]Op{list, nil})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				parks += m.Proc(0).parks
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(parks), "ns/park")
+		})
+	}
 }

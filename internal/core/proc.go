@@ -13,11 +13,12 @@ import (
 // the program until the modeled operation completes, advancing the
 // simulation clock underneath.
 //
-// Each program runs as a coroutine (iter.Pull) that the event loop switches
+// A Program runs as a coroutine (iter.Pull) that the event loop switches
 // into and out of: the program runs only between a step and its next park,
 // while the loop that resumed it waits, so programs need no synchronization
 // of their own. Proc methods must only be called from within the
-// processor's own Program.
+// processor's own Program. An op list (Machine.RunOps) needs no coroutine:
+// the event loop performs its calls itself.
 type Proc struct {
 	id int
 	m  *Machine
@@ -25,11 +26,21 @@ type Proc struct {
 	// eng is the engine this processor schedules on: its node's lane, the
 	// machine's only lane on a serial run.
 	eng *sim.Engine
-	// next resumes the program's coroutine and yield parks it; w is the
-	// word the resuming step hands to the parked program.
+	// runs marks a processor given a program or an op list; one given
+	// neither idles.
+	runs bool
+	// next resumes a program's coroutine and yield parks it; w is the word
+	// the resuming step hands to the parked program.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	w     mem.Word
+	// list is the op list the processor runs on the event loop instead of a
+	// program: pc indexes the next call to begin, begun marks a call begun
+	// and not yet ended, and words holds the word each ended call returned.
+	list  []Op
+	pc    int
+	begun bool
+	words []mem.Word
 	done  bool
 	err   any
 
@@ -45,18 +56,20 @@ type Proc struct {
 	hopIdx int
 	lag    sim.Time
 
-	// op is the blocking primitive the program is parked on. The program
-	// records it and parks once; the last hop of the replay issues it
-	// from the event loop (see block). issuedAt is the cycle it was
-	// issued, from which its stall is charged; opPanic carries a panic
-	// raised at issue back to the program. flushing marks a CP-Synch
-	// operation waiting for its write buffer to drain: cb0 then continues
-	// the operation instead of resuming the program.
+	// op is the blocking primitive the current call issues: the last hop
+	// of the replay issues it from the event loop (see block). begunAt is
+	// the processor's logical time when the call began, and issuedAt the
+	// cycle the call was issued, from which end charges its wait; opPanic
+	// carries a panic raised at issue on the event loop back to the call,
+	// which re-raises it. bufWait marks an operation waiting on its write
+	// buffer, for a slot or for the buffer to drain: cb0 then re-enters
+	// issue instead of ending the call.
 	op       pendingOp
+	begunAt  sim.Time
 	issuedAt sim.Time
 	opPanic  any
-	flushing bool
-	// parks counts the times the program yielded to the event loop.
+	bufWait  bool
+	// parks counts the times the program waited on the event loop.
 	parks uint64
 
 	// cb0 and cbW are the controller completion callbacks, allocated once
@@ -117,10 +130,11 @@ func (p *Proc) Stats() ProcStats { return p.stats }
 func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 	p.id, p.m, p.n, p.eng = n.id, m, n, eng
 	p.cb0 = func() {
-		if p.flushing {
-			// A CP-Synch operation's write buffer has drained:
-			// release or arrive from here, as the resumed program
-			// would have.
+		if p.bufWait {
+			// The write buffer has freed a slot or drained: go on with
+			// the operation from here, as the resumed program would
+			// have.
+			p.bufWait = false
 			p.issueOnLoop()
 			return
 		}
@@ -132,11 +146,12 @@ func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 
 // reset returns the processor to the state init leaves it in: no program,
 // nothing batched or pending, every count zero. Its wiring, completion
-// callbacks and the hop list's memory are kept.
+// callbacks and the memory of its hop and word lists are kept.
 func (p *Proc) reset() {
-	p.next, p.yield, p.w, p.done, p.err = nil, nil, 0, false, nil
+	p.runs, p.next, p.yield, p.w = false, nil, nil, 0
+	p.list, p.pc, p.begun, p.words, p.done, p.err = nil, 0, false, p.words[:0], false, nil
 	p.hops, p.hopIdx, p.lag = p.hops[:0], 0, 0
-	p.op, p.issuedAt, p.opPanic, p.flushing, p.parks = pendingOp{}, 0, nil, false, 0
+	p.op, p.begunAt, p.issuedAt, p.opPanic, p.bufWait, p.parks = pendingOp{}, 0, 0, nil, false, 0
 	p.Ops, p.PrivHits, p.PrivMisses, p.stats = 0, 0, 0, ProcStats{}
 }
 
@@ -144,12 +159,13 @@ func (p *Proc) reset() {
 // cycles not yet replayed into it.
 func (p *Proc) now() sim.Time { return p.eng.Now() + p.lag }
 
-// maxBatch bounds how many local delays accumulate before a forced replay.
-// Without the bound a program that never touches shared state (for example
-// one spinning in Think) would starve the event loop, making the horizon and
-// run-context interrupts unreachable. The forced sync schedules the same
-// events at the same instants a single larger batch would, so the bound has
-// no observable effect on results.
+// maxBatch bounds how many local delays accumulate before a forced replay,
+// which follows the call that filled the batch. Without the bound a
+// program that never touches shared state (for example one spinning in
+// Think) would starve the event loop, making the horizon and run-context
+// interrupts unreachable. The forced replay schedules the same events at
+// the same instants a single larger batch would, so the bound has no
+// observable effect on results.
 const maxBatch = 1024
 
 // local charges c cycles of purely local time: no yield, no event — the
@@ -161,18 +177,14 @@ func (p *Proc) local(c sim.Time) {
 	p.hops = append(p.hops, c)
 	p.lag += c
 	p.stats.Busy += c
-	if len(p.hops) >= maxBatch {
-		p.sync()
-	}
 }
 
 // sync replays the accumulated local delays into the engine clock and
-// returns with the clock at the processor's logical time. It must be called
-// before any interaction with shared simulation state (network, write
-// buffer, controllers). The replay is a chain of typed events — hop i
-// schedules hop i+1 when it fires — reproducing the exact (time, sequence)
-// event structure the unbatched kernel produced, which keeps runs
-// bit-identical.
+// returns with the clock at the processor's logical time: a program calls
+// it when it ends and after a call that fills the batch. The replay is a
+// chain of typed events — hop i schedules hop i+1 when it fires —
+// reproducing the exact (time, sequence) event structure the unbatched
+// kernel produced, which keeps runs bit-identical.
 func (p *Proc) sync() {
 	if len(p.hops) == 0 {
 		return
@@ -217,43 +229,223 @@ func (p *Proc) OnStep(last uint64) {
 	p.step(0)
 }
 
-// pendingOp is a blocking primitive as the program records it for issue,
+// step hands w to the processor's program and returns when the program
+// waits on its next call or finishes: a coroutine is switched to, and an
+// op list continues on the event loop. Called from the event loop only.
+func (p *Proc) step(w mem.Word) {
+	if p.done {
+		panic(fmt.Sprintf("core: step on finished processor %d", p.id))
+	}
+	if p.list != nil {
+		p.advance(w)
+		return
+	}
+	p.resume(w)
+}
+
+// finish marks the processor's program done at the current cycle.
+func (p *Proc) finish() {
+	p.done = true
+	p.stats.Finished = p.eng.Now()
+	p.m.finished.Add(1)
+}
+
+// startOps readies the processor to run list on the event loop and
+// schedules its first step, at the instant a program's coroutine would
+// take its first.
+func (p *Proc) startOps(list []Op) {
+	p.runs, p.list = true, list
+	if cap(p.words) < len(list) {
+		p.words = make([]mem.Word, 0, len(list))
+	}
+	p.eng.AtStep(0, p, stepResume)
+}
+
+// advance runs the op list on the event loop, as a program calling Do on
+// each record would: it ends the call begun before, handing it w, and
+// begins the next, until a call waits or the list ends. A full batch of
+// local time is replayed after the call that filled it, and the list's
+// trailing local time before it finishes. A panic a call raises is the
+// processor's error, as a program's is, and an abort drain finishes the
+// list where it stands.
+func (p *Proc) advance(w mem.Word) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = r
+			p.finish()
+		}
+	}()
+	if p.m.aborting {
+		p.finish()
+		return
+	}
+	for {
+		if p.begun {
+			p.begun = false
+			p.words = append(p.words, p.end(p.list[p.pc-1], w))
+			if len(p.hops) >= maxBatch {
+				break
+			}
+		}
+		if p.pc == len(p.list) {
+			if len(p.hops) == 0 {
+				p.finish()
+				return
+			}
+			break
+		}
+		var waits bool
+		w, waits = p.begin(p.list[p.pc], nil)
+		p.pc++
+		p.begun = true
+		if waits {
+			p.parks++
+			return
+		}
+	}
+	// Wait for the replay of the batched local time, as a program's sync
+	// does.
+	p.replay(stepResume)
+	p.parks++
+}
+
+// pendingOp is a blocking primitive as the call records it for issue,
 // with an RMW's function.
 type pendingOp struct {
 	Op
 	rmw func(mem.Word) mem.Word
 }
 
-// block issues the pending operation p.op and parks the program once until
-// it completes, charging the cycles from issue to completion to cat. With
-// no local time batched the program issues inline. Otherwise it schedules
-// the replay and parks at once, and the last hop issues the operation from
+// do is the one path every primitive a program calls takes, with rmw an
+// RMW's function (nil: fetch-and-add of o.Val): begin, then, if the call
+// waits, a park until the event loop hands its word over, then end; a
+// call that fills the batch of local time then replays it. An op list
+// takes the same begin and end on the event loop (advance).
+func (p *Proc) do(o Op, rmw func(mem.Word) mem.Word) mem.Word {
+	w, waits := p.begin(o, rmw)
+	if waits {
+		w = p.wait()
+	}
+	w = p.end(o, w)
+	if len(p.hops) >= maxBatch {
+		p.sync()
+	}
+	return w
+}
+
+// begin starts the call o: it checks the machine, counts the call, shows
+// it to the OnOp observer and runs the kind's own arm, or issues it,
+// reading the kind's facts from opKinds. It returns the word of a call
+// that completes at once, or reports that the call waits: the event loop
+// then hands the call's word to the step that ends it. No arm calls
+// another primitive: local time inside one is charged with local, so each
+// call is counted and shown exactly once.
+func (p *Proc) begin(o Op, rmw func(mem.Word) mem.Word) (w mem.Word, waits bool) {
+	if int(o.Kind) >= len(opKinds) {
+		panic(fmt.Sprintf("core: unknown op kind %d", o.Kind))
+	}
+	k := &opKinds[o.Kind]
+	if k.only != everyMachine && k.only != p.m.cfg.Protocol {
+		panic(fmt.Sprintf("core: %s is not a primitive of the %v machine", k.name, p.m.cfg.Protocol))
+	}
+	p.issuedAt = p.eng.Now()
+	if o.Kind == OpThink && o.Val == 0 {
+		return 0, false // no time passes: nothing to count, show or record
+	}
+	wbi := p.m.cfg.Protocol == ProtoWBI
+	p.Ops += k.ops
+	if p.m.onOp != nil {
+		if rmw != nil {
+			// Normalize the RMW to fetch-and-add by probing its function
+			// at zero: exact for fetch-and-add and test-and-set from a
+			// free lock, an approximation for other functions, which a
+			// record cannot carry. The probe, and the history record's
+			// new value in end, run only for a consumer that is
+			// installed, so an unobserved RMW calls its function once,
+			// at the cache.
+			o.Val = rmw(0)
+		}
+		p.m.onOp(p.id, o)
+	}
+	p.begunAt = p.now()
+	switch {
+	case o.Kind == OpThink:
+		p.local(sim.Time(o.Val))
+	case o.Kind == OpPrivate:
+		p.privateRef(o.Hit)
+	case o.Kind == OpFlush && wbi:
+		// WBI writes are already strongly consistent: nothing to flush.
+	case (o.Kind == OpRead || o.Kind == OpWrite || o.Kind == OpWriteGlobal) && p.HoldsLock(o.Addr):
+		w = p.lockCached(o)
+	default:
+		if wbi {
+			// A coherent read is already globally fresh, and a coherent
+			// write already strongly consistent.
+			switch o.Kind {
+			case OpReadGlobal:
+				o.Kind = OpRead
+			case OpWriteGlobal:
+				o.Kind = OpWrite
+			}
+		}
+		if o.Kind == OpRMW && rmw == nil {
+			d := o.Val
+			rmw = func(w mem.Word) mem.Word { return w + d }
+		}
+		p.op = pendingOp{Op: o, rmw: rmw}
+		waits = p.block()
+	}
+	return w, waits
+}
+
+// block issues the pending operation and reports whether the call waits
+// for it to complete. Every wait a primitive makes is this one: FLUSH-
+// BUFFER and WRITE-GLOBAL included, since the write buffer drains on its
+// own schedule, and batched local time must be replayed before observing
+// it or a pump completion due before the processor's logical now would be
+// missed. With no local time batched the call issues inline. Otherwise
+// block schedules the replay, and the last hop issues the operation from
 // the event loop. That is the event in which a program woken by the hop
 // would have issued it, with the same controller calls in the same order,
 // so runs stay bit-identical; only the wake-up in between is gone.
-func (p *Proc) block(cat stallCat) mem.Word {
+func (p *Proc) block() bool {
 	if len(p.hops) > 0 {
 		p.replay(stepIssue)
-	} else {
-		p.issuedAt = p.eng.Now()
-		if !p.issue() {
-			return 0
-		}
+		return true
 	}
-	w := p.wait()
+	return p.issue()
+}
+
+// end completes the call o, whose word is w, once it no longer waits: it
+// re-raises a panic its issue raised on the event loop, charges the
+// cycles from issue to completion to the kind's stall category, and
+// writes the call's history record.
+func (p *Proc) end(o Op, w mem.Word) mem.Word {
 	if r := p.opPanic; r != nil {
 		p.opPanic = nil
 		panic(r)
 	}
-	p.charge(cat, p.eng.Now()-p.issuedAt)
+	k := &opKinds[o.Kind]
+	p.charge(k.stall, p.eng.Now()-p.issuedAt)
+	if h := p.m.hist; h != nil && k.hist != histNone {
+		r := history.Op{Proc: p.id, Addr: o.Addr, Value: w, Start: p.begunAt, End: p.now()}
+		switch k.hist {
+		case histWrite:
+			r.Write, r.Value = true, o.Val
+		case histRMW:
+			r.Write, r.RMW, r.Value, r.Prev = true, true, p.op.rmw(w), w
+		}
+		h.Record(r)
+	}
 	return w
 }
 
 // issue hands the pending operation to its controller and reports whether
-// the program must wait for a completion callback; a flush that finds the
-// write buffer empty completes at once. UNLOCK and BARRIER flush first:
-// while the buffer is not empty issue registers cb0 with it, and cb0
-// re-enters issue once it drains, to release or arrive.
+// the call must wait for a completion callback; a flush that finds the
+// write buffer empty, and a WRITE-GLOBAL the buffer admits under BC,
+// complete at once. The CBL machine's WRITE-GLOBAL, UNLOCK and BARRIER may
+// wait on the write buffer first: issue then registers cb0 with it, and
+// cb0 re-enters issue once the buffer has a slot or has drained.
 func (p *Proc) issue() bool {
 	o, n := &p.op, p.n
 	switch o.Kind {
@@ -285,11 +477,30 @@ func (p *Proc) issue() bool {
 		}
 	case OpRMW:
 		n.wbiN.RMW(o.Addr, o.rmw, p.cbW)
+	case OpWriteGlobal:
+		// The CBL machine's: the write enters the write buffer.
+		if !n.buf.Add(p.m.geom.BlockOf(o.Addr), p.m.geom.WordIndex(o.Addr), o.Val) {
+			// Bounded buffer full: try again once an ack frees a slot.
+			p.bufWait = true
+			n.buf.OnSpace(p.cb0)
+			return true
+		}
+		if p.m.cfg.Consistency != SC {
+			// Under BC the processor continues after a cache cycle, so
+			// the write's interval ends locally though it is performed
+			// later (exactly why BC histories fail a linearizability
+			// check).
+			p.local(p.m.cfg.Timing.CacheHit)
+			return false
+		}
+		// Under SC the processor stalls until the memory acknowledgment:
+		// the admitted write waits for the buffer to drain, as
+		// FLUSH-BUFFER does.
+		o.Kind = OpFlush
+		fallthrough
 	default: // OpFlush, OpUnlock, OpBarrier
-		if p.flushing {
-			p.flushing = false
-		} else if !n.buf.Empty() {
-			p.flushing = true
+		if !n.buf.Empty() {
+			p.bufWait = true
 			n.buf.OnEmpty(p.cb0)
 			return true
 		}
@@ -316,8 +527,8 @@ func (p *Proc) issueOnLoop() {
 }
 
 // tryIssue is issue with any panic it raises (a full lock cache, an unlock
-// of a lock not held) handed back to the program, which re-raises it, so
-// Run reports it as that processor's error exactly as when the program
+// of a lock not held) handed back to the call, which re-raises it in end,
+// so Run reports it as that processor's error exactly as when the call
 // issues inline.
 func (p *Proc) tryIssue() (pending bool) {
 	defer func() {
@@ -334,15 +545,6 @@ func (p *Proc) tryIssue() (pending bool) {
 // event). It is absorbed by the recover in start and never reported as a
 // program error.
 type abortSignal struct{}
-
-// waitAs parks the program and charges the elapsed cycles to a stall
-// category.
-func (p *Proc) waitAs(cat stallCat) mem.Word {
-	start := p.eng.Now()
-	w := p.wait()
-	p.charge(cat, p.eng.Now()-start)
-	return w
-}
 
 // charge adds d stalled cycles to a category.
 func (p *Proc) charge(cat stallCat, d sim.Time) {
@@ -371,90 +573,7 @@ func (p *Proc) Machine() *Machine { return p.m }
 // for every other kind. An RMW record performs fetch-and-add of Val. Each
 // named primitive method is Do of its record, so Do of a captured or
 // parsed trace replays the calls that made it.
-func (p *Proc) Do(o Op) mem.Word {
-	if o.Kind == OpRMW {
-		d := o.Val
-		return p.do(o, func(w mem.Word) mem.Word { return w + d })
-	}
-	return p.do(o, nil)
-}
-
-// do is the one path every primitive takes, with rmw an RMW's function. It
-// checks the machine, counts the call, shows it to the OnOp observer, runs
-// the kind's own arm and records its history, each once, reading the
-// kind's facts from opKinds. No arm calls another primitive: local time
-// inside one is charged with local, so each call the program makes is
-// counted and shown exactly once.
-func (p *Proc) do(o Op, rmw func(mem.Word) mem.Word) mem.Word {
-	if int(o.Kind) >= len(opKinds) {
-		panic(fmt.Sprintf("core: unknown op kind %d", o.Kind))
-	}
-	k := &opKinds[o.Kind]
-	if k.only != everyMachine && k.only != p.m.cfg.Protocol {
-		panic(fmt.Sprintf("core: %s is not a primitive of the %v machine", k.name, p.m.cfg.Protocol))
-	}
-	if o.Kind == OpThink && o.Val == 0 {
-		return 0 // no time passes: nothing to count, show or record
-	}
-	wbi := p.m.cfg.Protocol == ProtoWBI
-	p.Ops += k.ops
-	if p.m.onOp != nil {
-		if rmw != nil {
-			// Normalize the RMW to fetch-and-add by probing its function
-			// at zero: exact for fetch-and-add and test-and-set from a
-			// free lock, an approximation for other functions, which a
-			// record cannot carry. The probe, and the history record's
-			// new value below, run only for a consumer that is
-			// installed, so an unobserved RMW calls its function once,
-			// at the cache.
-			o.Val = rmw(0)
-		}
-		p.m.onOp(p.id, o)
-	}
-	start := p.now()
-	var w mem.Word
-	switch {
-	case o.Kind == OpThink:
-		p.local(sim.Time(o.Val))
-	case o.Kind == OpPrivate:
-		p.privateRef(o.Hit)
-	case o.Kind == OpFlush && wbi:
-		// WBI writes are already strongly consistent: nothing to flush.
-	case (o.Kind == OpRead || o.Kind == OpWrite || o.Kind == OpWriteGlobal) && p.HoldsLock(o.Addr):
-		w = p.lockCached(o)
-	case o.Kind == OpWriteGlobal && !wbi:
-		p.writeGlobal(o.Addr, o.Val)
-	default:
-		// Every other arm blocks, FLUSH-BUFFER included: the buffer
-		// drains on its own schedule, so batched local time must be
-		// replayed before observing it, or a pump completion due before
-		// the processor's logical now would be missed. block issues the
-		// operation after the replay.
-		if wbi {
-			// A coherent read is already globally fresh, and a coherent
-			// write already strongly consistent.
-			switch o.Kind {
-			case OpReadGlobal:
-				o.Kind = OpRead
-			case OpWriteGlobal:
-				o.Kind = OpWrite
-			}
-		}
-		p.op = pendingOp{Op: o, rmw: rmw}
-		w = p.block(k.stall)
-	}
-	if h := p.m.hist; h != nil && k.hist != histNone {
-		r := history.Op{Proc: p.id, Addr: o.Addr, Value: w, Start: start, End: p.now()}
-		switch k.hist {
-		case histWrite:
-			r.Write, r.Value = true, o.Val
-		case histRMW:
-			r.Write, r.RMW, r.Value, r.Prev = true, true, rmw(w), w
-		}
-		h.Record(r)
-	}
-	return w
-}
+func (p *Proc) Do(o Op) mem.Word { return p.do(o, nil) }
 
 // privateRef is the arm of a private reference, costed as PrivateRef
 // describes.
@@ -493,31 +612,6 @@ func (p *Proc) lockCached(o Op) mem.Word {
 	}
 	p.local(p.m.cfg.Timing.CacheHit)
 	return w
-}
-
-// writeGlobal is the CBL machine's WRITE-GLOBAL arm: the write enters the
-// write buffer. Under BC the processor continues after a cache cycle, so
-// the write's interval ends locally though it is performed later (exactly
-// why BC histories fail a linearizability check); under SC it stalls
-// until the memory acknowledgment. Admission to the buffer may stall more
-// than once, so it stays on the program side of the hand-off.
-func (p *Proc) writeGlobal(a mem.Addr, w mem.Word) {
-	p.sync()
-	b := p.m.geom.BlockOf(a)
-	wi := p.m.geom.WordIndex(a)
-	for !p.n.buf.Add(b, wi, w) {
-		// Bounded buffer full: stall until an ack frees a slot.
-		p.n.buf.OnSpace(p.cb0)
-		p.waitAs(catMem)
-	}
-	if p.m.cfg.Consistency == SC {
-		if !p.n.buf.Empty() {
-			p.n.buf.OnEmpty(p.cb0)
-			p.waitAs(catMem)
-		}
-		return
-	}
-	p.local(p.m.cfg.Timing.CacheHit)
 }
 
 // Think models c cycles of local computation. The delay is batched: it

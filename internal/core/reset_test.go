@@ -396,6 +396,27 @@ func TestResetAllocs(t *testing.T) {
 	}
 }
 
+// TestResetRunOpsAllocs is TestResetAllocs with the programs run as op
+// lists through RunOps: with no coroutine to make, what a pooled litmus
+// seed allocates is what the protocols make.
+func TestResetRunOpsAllocs(t *testing.T) {
+	cfg := DefaultConfig(2)
+	m := NewMachine(cfg)
+	if _, _, err := m.RunOps(allocOps); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		m.Reset(cfg)
+		if _, _, err := m.RunOps(allocOps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 10
+	if got != want {
+		t.Errorf("2-node Reset+RunOps made %v allocations, want %v", got, want)
+	}
+}
+
 // builtMachine keeps BenchmarkMachineBuild's builds from being optimized
 // away.
 var builtMachine *Machine

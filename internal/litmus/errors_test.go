@@ -67,6 +67,16 @@ func TestCompileRejections(t *testing.T) {
 			c.Procs[1][1].Reg = "r"
 		}, "reuses register"},
 		{"register on write", func(c *Test) { c.Procs[0][0].Reg = "r9" }, "does not fill a register"},
+		{"val on read", func(c *Test) { c.Procs[1][0].Val = 5 }, "P1[0]: read takes no val"},
+		{"loc on flush", func(c *Test) {
+			c.Procs[0] = append(c.Procs[0], Stmt{Op: "flush", Loc: "x"})
+		}, "P0[2]: flush takes no loc"},
+		{"val on write-lock", func(c *Test) {
+			c.Procs[0] = append([]Stmt{{Op: "write-lock", Loc: "l", Val: 1}}, c.Procs[0]...)
+		}, "P0[0]: write-lock takes no val"},
+		{"val on unlock", func(c *Test) {
+			c.Procs[0] = append(c.Procs[0], Stmt{Op: "write-lock", Loc: "l"}, Stmt{Op: "unlock", Loc: "l", Val: 2})
+		}, "P0[3]: unlock takes no val"},
 		{"unbalanced lock", func(c *Test) {
 			c.Procs[0] = append(c.Procs[0], Stmt{Op: "unlock", Loc: "l"})
 		}, "litmus mp:"},

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ssmp/internal/bccheck"
@@ -30,9 +31,10 @@ type LocSpec struct {
 // Stmt is one instruction. Op is the lower-case primitive name ("read",
 // "write", "read-global", "write-global", "read-update", "reset-update",
 // "flush", "read-lock", "write-lock", "unlock", "barrier"). Loc names a
-// location (for "barrier", a barrier; omitted for "flush"). Val is the
-// value written. Reg optionally names the register a reading op fills
-// (default r0, r1, ... per processor).
+// location (for "barrier", a barrier; "flush" takes none). Val is the
+// value written, and only "write" and "write-global" take one. Reg
+// optionally names the register a reading op fills (default r0, r1, ...
+// per processor).
 type Stmt struct {
 	Op  string `json:"op"`
 	Loc string `json:"loc,omitempty"`
@@ -173,8 +175,14 @@ func (t *Test) compile() (*compiled, error) {
 			if !ok {
 				return nil, fmt.Errorf("litmus %s: P%d[%d]: unknown op %q", t.Name, p, i, st.Op)
 			}
+			if st.Val != 0 && op != bccheck.OpWrite && op != bccheck.OpWriteGlobal {
+				return nil, fmt.Errorf("litmus %s: P%d[%d]: %s takes no val", t.Name, p, i, st.Op)
+			}
 			switch op {
 			case bccheck.OpFlush:
+				if st.Loc != "" {
+					return nil, fmt.Errorf("litmus %s: P%d[%d]: flush takes no loc", t.Name, p, i)
+				}
 			case bccheck.OpBarrier:
 				if st.Loc == "" {
 					return nil, fmt.Errorf("litmus %s: P%d[%d]: barrier needs a name", t.Name, p, i)
@@ -325,16 +333,42 @@ func (t *Test) compile() (*compiled, error) {
 // register tokens in processor and program order, then observed memory in
 // observe order.
 func (c *compiled) format(o bccheck.Outcome) string {
-	var tok []string
+	var buf [128]byte
+	b := buf[:0]
 	for p, regs := range o.Regs {
 		for i, v := range regs {
-			tok = append(tok, fmt.Sprintf("P%d:%s=%d", p, c.regNames[p][i], v))
+			b = c.appendReg(b, p, i, v)
 		}
 	}
 	for i, v := range o.Mem {
-		tok = append(tok, fmt.Sprintf("%s=%d", c.t.Observe[i], v))
+		b = c.appendObserved(b, i, v)
 	}
-	return strings.Join(tok, " ")
+	return string(b)
+}
+
+// appendReg appends the token "P<p>:<reg>=<v>" of processor p's i-th
+// register to an outcome.
+func (c *compiled) appendReg(b []byte, p, i int, v uint64) []byte {
+	if len(b) > 0 {
+		b = append(b, ' ')
+	}
+	b = append(b, 'P')
+	b = strconv.AppendInt(b, int64(p), 10)
+	b = append(b, ':')
+	b = append(b, c.regNames[p][i]...)
+	b = append(b, '=')
+	return strconv.AppendUint(b, v, 10)
+}
+
+// appendObserved appends the token "<loc>=<v>" of the i-th observed
+// location to an outcome.
+func (c *compiled) appendObserved(b []byte, i int, v uint64) []byte {
+	if len(b) > 0 {
+		b = append(b, ' ')
+	}
+	b = append(b, c.t.Observe[i]...)
+	b = append(b, '=')
+	return strconv.AppendUint(b, v, 10)
 }
 
 // canon parses a user-written outcome string (tokens in any order) and

@@ -48,10 +48,11 @@ var kindOf = [...]core.OpKind{
 }
 
 // lower turns a compiled program into the primitive calls its simulator
-// runs perform: a data op names its word, and a barrier its address with
-// every processor as a participant.
+// runs perform, one list per node of the machine that runs it (nil for a
+// node no processor uses): a data op names its word, and a barrier its
+// address with every processor as a participant.
 func lower(prog bccheck.Program) [][]core.Op {
-	ops := make([][]core.Op, len(prog))
+	ops := make([][]core.Op, machineNodes(len(prog)))
 	for p, instrs := range prog {
 		ops[p] = make([]core.Op, len(instrs))
 		for i, in := range instrs {
@@ -90,16 +91,22 @@ func machine(cfg core.Config) *core.Machine {
 	return core.NewMachine(cfg)
 }
 
-// simConfig is the machine a run of the test takes: the default machine
-// with the fewest nodes (a power of two, at least 2) that seats every
-// processor, under the given jitter seed (0 = the canonical deterministic
-// schedule) and fault configuration (zero = a reliable fabric).
-func (c *compiled) simConfig(seed uint64, faults network.FaultConfig) core.Config {
+// machineNodes is the fewest nodes (a power of two, at least 2) that seat
+// procs processors.
+func machineNodes(procs int) int {
 	nodes := 2
-	for nodes < len(c.prog) {
+	for nodes < procs {
 		nodes <<= 1
 	}
-	cfg := core.DefaultConfig(nodes)
+	return nodes
+}
+
+// simConfig is the machine a run of the test takes: the default machine
+// with the fewest nodes that seats every processor, under the given jitter
+// seed (0 = the canonical deterministic schedule) and fault configuration
+// (zero = a reliable fabric).
+func (c *compiled) simConfig(seed uint64, faults network.FaultConfig) core.Config {
+	cfg := core.DefaultConfig(machineNodes(len(c.prog)))
 	cfg.Jitter = seed
 	cfg.Faults = faults
 	return cfg
@@ -126,42 +133,52 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 
 // simulate runs the test on m, a machine in its initial state, and returns
 // the outcome in canonical syntax, the execution graph when trace is set,
-// and the run's result.
+// and the run's result. The event loop performs the test's calls itself
+// (core.Machine.RunOps).
 func (c *compiled) simulate(m *core.Machine, trace bool) (string, *bccheck.Graph, core.Result, error) {
-	nproc := len(c.prog)
 	var rec *history.Recorder
 	if trace {
 		rec = m.EnableHistory()
 	}
-	for n, v := range c.t.Init {
-		m.WriteMemory(dataAddr(c.locOf[n]), mem.Word(v))
-	}
-	ops := c.lowered()
-	regs := make([][]uint64, nproc)
-	progs := make([]core.Program, m.Config().Nodes)
-	for p := 0; p < nproc; p++ {
-		progs[p] = func(pr *core.Proc) {
-			for i, o := range ops[p] {
-				if w := pr.Do(o); c.prog[p][i].Op.Reads() {
-					regs[p] = append(regs[p], uint64(w))
-				}
-			}
-		}
-	}
-	res, err := m.Run(progs)
+	c.writeInit(m)
+	res, words, err := m.RunOps(c.lowered())
 	if err != nil {
 		return "", nil, core.Result{}, err
-	}
-	o := bccheck.Outcome{Regs: regs}
-	for _, n := range c.t.Observe {
-		o.Mem = append(o.Mem, uint64(m.ReadMemory(dataAddr(c.locOf[n]))))
 	}
 	var graph *bccheck.Graph
 	if trace {
 		graph = rec.Graph(machineBlockWords)
 		graph.Names = c.opts.LocName
 	}
-	return c.format(o), graph, res, nil
+	return c.outcome(m, words), graph, res, nil
+}
+
+// writeInit writes the test's initial values into m's memory.
+func (c *compiled) writeInit(m *core.Machine) {
+	for n, v := range c.t.Init {
+		m.WriteMemory(dataAddr(c.locOf[n]), mem.Word(v))
+	}
+}
+
+// outcome renders the outcome of a run on m in canonical syntax, with
+// words[p][i] the word processor p's call i returned: the reading calls'
+// words fill the registers, and m's memory gives the observed locations.
+func (c *compiled) outcome(m *core.Machine, words [][]mem.Word) string {
+	var buf [128]byte
+	b := buf[:0]
+	for p, instrs := range c.prog {
+		r := 0
+		for i, in := range instrs {
+			if in.Op.Reads() {
+				b = c.appendReg(b, p, r, uint64(words[p][i]))
+				r++
+			}
+		}
+	}
+	for i, n := range c.t.Observe {
+		b = c.appendObserved(b, i, uint64(m.ReadMemory(dataAddr(c.locOf[n]))))
+	}
+	return string(b)
 }
 
 // RunSim executes the test once on the simulator under the given jitter

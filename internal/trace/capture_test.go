@@ -54,14 +54,7 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 
 	// Replay on a fresh machine.
 	m2 := core.NewMachine(mkCfg())
-	replayProgs, err := tr.Programs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := m2.Run(replayProgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := replay(t, m2, tr)
 
 	if res1.Cycles != res2.Cycles {
 		t.Fatalf("replay cycles %d != original %d", res2.Cycles, res1.Cycles)
@@ -101,11 +94,5 @@ func TestCaptureRMWNormalization(t *testing.T) {
 	}
 	// Replay accumulates the same total.
 	m2 := core.NewMachine(cfg)
-	progs2, err := b.Trace().Programs(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Run(progs2); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, m2, b.Trace())
 }

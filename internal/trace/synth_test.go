@@ -55,14 +55,7 @@ func TestSynthesizedCBLTraceReplays(t *testing.T) {
 	cfg := core.DefaultConfig(4)
 	cfg.CacheSets = 64
 	m := core.NewMachine(cfg)
-	progs, err := tr2.Programs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, m, tr2)
 	if res.Cycles == 0 || res.Messages == 0 {
 		t.Fatalf("implausible replay: %+v", res)
 	}
@@ -88,11 +81,5 @@ func TestSynthesizedWBITraceReplays(t *testing.T) {
 	cfg.Protocol = core.ProtoWBI
 	cfg.CacheSets = 64
 	m := core.NewMachine(cfg)
-	progs, err := tr.Programs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(progs); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, m, tr)
 }

@@ -1,7 +1,8 @@
 // Package trace implements trace-driven simulation, the evaluation
 // alternative the paper names as future work (§6): a compact text format
-// for per-processor memory-reference traces, a writer and parser for it,
-// and a replayer that turns traces into machine programs.
+// for per-processor memory-reference traces, and a writer and parser for
+// it. A parsed trace replays with core.Machine.RunOps, one processor's
+// events as its op list.
 //
 // Format: line-oriented, '#' comments, a `proc <id>` header (0 <= id <
 // MaxProcs) starting each processor's section, then one event per line,
@@ -186,25 +187,4 @@ func Parse(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// Programs turns the trace into machine programs (one per processor; nil
-// for processors without a section) that perform each event with
-// core.Proc.Do. The machine must have at least len(Procs) nodes.
-func (t *Trace) Programs(nodes int) ([]core.Program, error) {
-	if len(t.Procs) > nodes {
-		return nil, fmt.Errorf("trace: %d processor sections for %d nodes", len(t.Procs), nodes)
-	}
-	progs := make([]core.Program, nodes)
-	for i, ops := range t.Procs {
-		if len(ops) == 0 {
-			continue
-		}
-		progs[i] = func(p *core.Proc) {
-			for _, o := range ops {
-				p.Do(o)
-			}
-		}
-	}
-	return progs, nil
 }

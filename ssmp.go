@@ -305,13 +305,14 @@ type (
 	// Trace is a per-processor memory-reference trace.
 	Trace = trace.Trace
 	// TraceEvent is one trace record: the record of one primitive call,
-	// which Proc.Do performs.
+	// which Proc.Do performs. Machine.RunOps runs one list of them per
+	// processor.
 	TraceEvent = core.Op
 )
 
 // CaptureTrace attaches a primitive-stream recorder to a machine (call
-// before Run); the returned builder's Trace method yields a replayable
-// trace after the run.
+// before Run); the returned builder's Trace method yields a trace after
+// the run, whose per-processor lists replay with Machine.RunOps.
 func CaptureTrace(m *Machine) *trace.Builder { return trace.Capture(m) }
 
 // Series is a named (x, y) curve produced by the harness.
