@@ -73,13 +73,14 @@ synczoo:
 # (with the replays on pooled, reset machines checked against fresh ones,
 # the RunOps replays against coroutine programs, and violation
 # explanations replayed under their fault planes), bounded
-# fuzzes of the two parsers of outside input (the litmus test JSON and
-# the trace text format), then a bounded fuzz of random programs against
-# the axiomatic model.
+# fuzzes of the three decoders of outside input (the litmus test JSON,
+# the trace text format and the daemon's job specs), then a bounded fuzz
+# of random programs against the axiomatic model.
 litmus:
 	$(GO) test -race -run 'TestCorpus|TestFuzz|TestShrink|Reuse|Explain|RunOps' ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/litmus/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 10s ./internal/server/
 	$(GO) run ./cmd/ssmp litmus fuzz -budget 30s
 
 # Farm-corpus gate: the committed generated corpus (300+ canonical tests,

@@ -59,17 +59,13 @@ func (h *Home) Handles(k msg.Kind) bool { return k == msg.BarrierArrive }
 // update (the barrier counter lives in memory).
 func (h *Home) Handle(m *msg.Msg) { h.station.ProcessAfter(h.f.Time.TMem, h, m) }
 
-// OnDeliver implements sim.Receiver: an arrival has passed the station, or
-// a release built by process has had its directory check and goes out.
-func (h *Home) OnDeliver(p any) {
-	if m := p.(*msg.Msg); m.Kind == msg.BarrierRelease {
-		h.f.Send(m)
-	} else {
-		h.process(m)
-	}
-}
+// OnDeliver implements sim.Receiver: an arrival has passed the station.
+func (h *Home) OnDeliver(p any) { h.process(p.(*msg.Msg)) }
 
 func (h *Home) process(m *msg.Msg) {
+	if m.Kind != msg.BarrierArrive {
+		panic(fmt.Sprintf("barrier: home %d cannot handle %v", h.id, m.Kind))
+	}
 	a := mem.Addr(m.Aux)
 	if h.geom.Home(h.geom.BlockOf(a)) != h.id {
 		panic(fmt.Sprintf("barrier: address %d handled by wrong home %d", a, h.id))
@@ -98,7 +94,7 @@ func (h *Home) process(m *msg.Msg) {
 	delete(h.eps, a)
 	h.Episodes++
 	for _, n := range ep.arrived {
-		h.station.Process(h, &msg.Msg{Kind: msg.BarrierRelease, Src: h.id, Dst: n, Aux: uint64(a)})
+		h.station.Send(msg.Msg{Kind: msg.BarrierRelease, Src: h.id, Dst: n, Aux: uint64(a)})
 	}
 }
 
@@ -134,7 +130,7 @@ func (u *Unit) Arrive(a mem.Addr, participants int, done func()) {
 	}
 	u.waiting[a] = done
 	u.f.RMR.RemoteRef(u.id)
-	u.f.Send(&msg.Msg{
+	u.f.Send(msg.Msg{
 		Kind: msg.BarrierArrive, Src: u.id, Dst: u.geom.Home(u.geom.BlockOf(a)),
 		Aux: uint64(a), Acks: participants,
 	})
@@ -145,6 +141,9 @@ func (u *Unit) Handles(k msg.Kind) bool { return k == msg.BarrierRelease }
 
 // Handle processes a release.
 func (u *Unit) Handle(m *msg.Msg) {
+	if m.Kind != msg.BarrierRelease {
+		panic(fmt.Sprintf("barrier: node %d cannot handle %v", u.id, m.Kind))
+	}
 	a := mem.Addr(m.Aux)
 	done := u.waiting[a]
 	if done == nil {

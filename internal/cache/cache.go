@@ -257,28 +257,23 @@ func (c *Cache) Allocate(b mem.Block) (line *Line, victim Victim, evicted bool) 
 	return pick, victim, evicted
 }
 
-// Invalidate drops block b from the cache, returning the line's final state
-// (for write-back decisions) and whether it was present.
-func (c *Cache) Invalidate(b mem.Block) (Victim, bool) {
+// Invalidate drops block b from the cache and reports whether it was
+// present. The line's words are left as they were, unread: whoever needs
+// them reads the line before invalidating it.
+func (c *Cache) Invalidate(b mem.Block) bool {
 	set := c.set(b)
 	for i := range set {
 		if set[i].Valid && set[i].Block == b {
-			v := Victim{
-				Block:  b,
-				Data:   append([]mem.Word(nil), set[i].Data...),
-				Dirty:  set[i].Dirty,
-				Update: set[i].Update,
-			}
 			set[i].Valid = false
 			set[i].Dirty = 0
 			set[i].Update = false
 			set[i].Mode = msg.LockNone
 			set[i].Held = false
 			set[i].ResetPointers()
-			return v, true
+			return true
 		}
 	}
-	return Victim{}, false
+	return false
 }
 
 // ForEach calls fn for every valid line, in set order.

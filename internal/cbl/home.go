@@ -2,10 +2,12 @@ package cbl
 
 import (
 	"fmt"
+	"slices"
 
 	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
+	"ssmp/internal/sim"
 )
 
 // waiter is one member of a lock queue: either holding the lock or waiting
@@ -34,9 +36,12 @@ type Home struct {
 	// that arrived before the direct-handoff notification that makes
 	// their sender a holder in the home's view (messages from different
 	// sources are not mutually ordered), which re-apply as soon as the
-	// enabling dequeue lands. Each map is nil until its first entry.
+	// enabling dequeue lands. A deferred message is a copy with its own
+	// copy of its payload. Each map is nil until its first entry.
 	queues   map[mem.Block][]waiter
-	deferred map[mem.Block][]*msg.Msg
+	deferred map[mem.Block][]msg.Msg
+	// grants holds the grants waiting out the memory read.
+	grants grants
 
 	// Grants counts grants issued; Handoffs counts grants issued as a
 	// result of a release (as opposed to immediate grants on request).
@@ -51,17 +56,19 @@ func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Hom
 		f: f, id: id, geom: geom, store: store,
 		station: fabric.NewStation(f),
 	}
+	h.grants.h = h
 	h.Reset()
 	return h
 }
 
-// Reset returns the controller to the state NewHome builds: no lock queue
-// or deferred release, the station idle, every counter zero. The store is
-// kept; its owner resets it.
+// Reset returns the controller to the state NewHome builds: no lock queue,
+// deferred release or grant in flight, the station idle, every counter
+// zero. The store is kept; its owner resets it.
 func (h *Home) Reset() {
 	h.station.Reset()
 	clear(h.queues)
 	clear(h.deferred)
+	h.grants.reset()
 	h.Grants, h.Handoffs = 0, 0
 }
 
@@ -134,12 +141,15 @@ func (h *Home) process(m *msg.Msg) {
 	}
 }
 
-// deferMsg holds m until drainDeferred re-applies it.
+// deferMsg holds a copy of m, with its own copy of m's payload, until
+// drainDeferred re-applies it.
 func (h *Home) deferMsg(m *msg.Msg) {
 	if h.deferred == nil {
-		h.deferred = make(map[mem.Block][]*msg.Msg)
+		h.deferred = make(map[mem.Block][]msg.Msg)
 	}
-	h.deferred[m.Block] = append(h.deferred[m.Block], m)
+	d := *m
+	d.Data = slices.Clone(m.Data)
+	h.deferred[m.Block] = append(h.deferred[m.Block], d)
 }
 
 // allHoldingReaders reports whether every queue member is a holding reader.
@@ -167,7 +177,7 @@ func (h *Home) request(b mem.Block, node int, mode msg.LockMode, seq uint64) {
 		// acquisition epoch so a late forward cannot attach to a later
 		// tenure of the same node.
 		tail := q[len(q)-1]
-		h.f.Send(&msg.Msg{Kind: msg.LockFwd, Src: h.id, Dst: tail.node, Block: b, Requester: node, Mode: mode, Seq: tail.seq})
+		h.f.Send(msg.Msg{Kind: msg.LockFwd, Src: h.id, Dst: tail.node, Block: b, Requester: node, Mode: mode, Seq: tail.seq})
 	}
 	if h.queues == nil {
 		h.queues = make(map[mem.Block][]waiter)
@@ -182,12 +192,48 @@ func (h *Home) request(b mem.Block, node int, mode msg.LockMode, seq uint64) {
 // read time.
 func (h *Home) grant(b mem.Block, node int, mode msg.LockMode) {
 	h.Grants++
-	h.f.Eng.After(h.f.Time.TMem, func() {
-		h.f.Send(&msg.Msg{
-			Kind: msg.LockGrant, Src: h.id, Dst: node, Block: b,
-			Data: h.store.ReadBlock(b), Mode: mode,
-		})
-	})
+	h.grants.after(h.f.Time.TMem, msg.Msg{Kind: msg.LockGrant, Src: h.id, Dst: node, Block: b, Mode: mode})
+}
+
+// grants is a slot table of the grants waiting out the memory read; a
+// grant's slot rides in its typed event's arg, so a grant allocates
+// nothing once the table has grown to the most grants ever in flight at
+// once.
+type grants struct {
+	h     *Home
+	slots []msg.Msg
+	free  []uint64
+}
+
+// reset empties the table, keeping its memory.
+func (g *grants) reset() {
+	clear(g.slots)
+	g.slots, g.free = g.slots[:0], g.free[:0]
+}
+
+// after sends m, carrying its block's data as memory holds it then, d
+// cycles from now. It draws the same time, sequence number and jitter key
+// as the closure form eng.After would.
+func (g *grants) after(d sim.Time, m msg.Msg) {
+	var i uint64
+	if k := len(g.free); k > 0 {
+		i, g.free = g.free[k-1], g.free[:k-1]
+		g.slots[i] = m
+	} else {
+		i = uint64(len(g.slots))
+		g.slots = append(g.slots, m)
+	}
+	g.h.f.Eng.AfterStep(d, g, i)
+}
+
+// OnStep implements sim.Stepper: slot i's grant reads its block and goes
+// out.
+func (g *grants) OnStep(i uint64) {
+	m := g.slots[i]
+	g.slots[i] = msg.Msg{}
+	g.free = append(g.free, i)
+	m.Data = g.h.store.Block(m.Block)
+	g.h.f.Send(m)
 }
 
 // holdingHere reports whether the home currently records node as a holder.
@@ -232,18 +278,20 @@ func (h *Home) drainDeferred(b mem.Block) {
 				ok = h.holdingHere(b, m.Src)
 			case msg.LockReq:
 				ok = !h.inQueue(b, m.Src)
+			default:
+				panic(fmt.Sprintf("cbl: home %d deferred %v", h.id, m.Kind))
 			}
 			if !ok {
 				continue
 			}
-			h.deferred[b] = append(append([]*msg.Msg(nil), q[:i]...), q[i+1:]...)
+			h.deferred[b] = slices.Delete(q, i, i+1)
 			if len(h.deferred[b]) == 0 {
 				delete(h.deferred, b)
 			}
 			if m.Kind == msg.LockReq {
 				h.request(m.Block, m.Src, m.Mode, m.Seq)
 			} else {
-				h.applyRelease(m)
+				h.applyRelease(&m)
 			}
 			applied = true
 			break
@@ -275,9 +323,10 @@ func (h *Home) release(b mem.Block, node int, handedOff bool) {
 		}
 		q[1].holding = true
 		h.Handoffs++
-		h.queues[b] = q[1:]
+		head := q[1].node
+		h.queues[b] = slices.Delete(q, 0, 1)
 		// Pointer fidelity: the new head's prev becomes nil.
-		h.f.Send(&msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: q[1].node, Block: b, Requester: msg.NoNeighbor, Mode: msg.LockRead})
+		h.f.Send(msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: head, Block: b, Requester: msg.NoNeighbor, Mode: msg.LockRead})
 		return
 	}
 
@@ -292,18 +341,17 @@ func (h *Home) release(b mem.Block, node int, handedOff bool) {
 		next = q[idx+1].node
 	}
 	if prev != msg.NoNeighbor {
-		h.f.Send(&msg.Msg{Kind: msg.SetNextPtr, Src: h.id, Dst: prev, Block: b, Requester: next, Mode: msg.LockRead})
+		h.f.Send(msg.Msg{Kind: msg.SetNextPtr, Src: h.id, Dst: prev, Block: b, Requester: next, Mode: msg.LockRead})
 	}
 	if next != msg.NoNeighbor {
-		h.f.Send(&msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: next, Block: b, Requester: prev, Mode: msg.LockRead})
+		h.f.Send(msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: next, Block: b, Requester: prev, Mode: msg.LockRead})
 	}
 
-	q = append(q[:idx], q[idx+1:]...)
+	q = slices.Delete(q, idx, idx+1)
+	h.queues[b] = q // an empty queue keeps its memory for the next lock
 	if len(q) == 0 {
-		delete(h.queues, b)
 		return
 	}
-	h.queues[b] = q
 
 	// Grant wave: if no holders remain, grant the head waiter; a read
 	// head pulls every consecutive read waiter with it ("the lock release

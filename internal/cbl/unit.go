@@ -160,7 +160,7 @@ func (u *Unit) Lock(a mem.Addr, mode msg.LockMode, done func()) error {
 	u.waiting[b] = done
 	u.epoch[b]++
 	u.f.RMR.RemoteRef(u.id)
-	u.f.Send(&msg.Msg{Kind: msg.LockReq, Src: u.id, Dst: u.geom.Home(b), Block: b, Mode: mode, Seq: u.epoch[b]})
+	u.f.Send(msg.Msg{Kind: msg.LockReq, Src: u.id, Dst: u.geom.Home(b), Block: b, Mode: mode, Seq: u.epoch[b]})
 	return nil
 }
 
@@ -185,24 +185,23 @@ func (u *Unit) Unlock(a mem.Addr, done func()) error {
 		// until a release finds no waiting writer, which is safe: a
 		// write holder's copy is authoritative while it exists.
 		u.DirectHandoffs++
-		u.f.Send(&msg.Msg{
+		u.f.Send(msg.Msg{
 			Kind: msg.LockGrant, Src: u.id, Dst: u.next[b].node, Block: b,
-			Data: append([]mem.Word(nil), l.Data...), Mode: msg.LockWrite,
-			Mask: l.Dirty,
+			Data: l.Data, Mode: msg.LockWrite, Mask: l.Dirty,
 		})
-		u.f.Send(&msg.Msg{Kind: msg.LockDequeue, Src: u.id, Dst: home, Block: b, Mode: l.Mode, Aux: 1})
+		u.f.Send(msg.Msg{Kind: msg.LockDequeue, Src: u.id, Dst: home, Block: b, Mode: l.Mode, Aux: 1})
 		delete(u.next, b)
 		u.lc.Release(b)
 		u.f.Eng.After(u.f.Time.CacheHit, done)
 		return nil
 	}
 	if l.Dirty.Any() {
-		u.f.Send(&msg.Msg{
+		u.f.Send(msg.Msg{
 			Kind: msg.UnlockToHome, Src: u.id, Dst: home, Block: b,
-			Data: append([]mem.Word(nil), l.Data...), Mask: l.Dirty, Mode: l.Mode,
+			Data: l.Data, Mask: l.Dirty, Mode: l.Mode,
 		})
 	} else {
-		u.f.Send(&msg.Msg{Kind: msg.LockDequeue, Src: u.id, Dst: home, Block: b, Mode: l.Mode})
+		u.f.Send(msg.Msg{Kind: msg.LockDequeue, Src: u.id, Dst: home, Block: b, Mode: l.Mode})
 	}
 	delete(u.next, b)
 	u.lc.Release(b)
@@ -260,7 +259,7 @@ func (u *Unit) process(m *msg.Msg) {
 			}
 			u.next[m.Block] = nextInfo{node: m.Requester, mode: m.Mode}
 		}
-		u.f.Send(&msg.Msg{Kind: msg.LockLinked, Src: u.id, Dst: m.Requester, Block: m.Block})
+		u.f.Send(msg.Msg{Kind: msg.LockLinked, Src: u.id, Dst: m.Requester, Block: m.Block})
 
 	case msg.LockLinked:
 		if l := u.lc.Lookup(m.Block); l != nil && !l.Held {

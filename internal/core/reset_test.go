@@ -373,11 +373,11 @@ func perturb(v reflect.Value) {
 }
 
 // TestResetAllocs pins the heap allocations of resetting a 2-node machine
-// and running TestMachineAllocs's programs on it: what a litmus sweep pays
-// per seed once its machine is pooled. What remains is per run, not per
-// build: each processor's coroutine, the messages, and the directory
-// entries and cache-line copies the protocols make. The write buffers'
-// queues and waiter lists keep their memory across runs.
+// and running TestMachineAllocs's programs on it: what a pooled machine
+// pays per run of closure programs. What remains is each processor's
+// coroutine. The messages are records from the fabric's free list, and the
+// write buffers' queues and waiter lists, the stores' blocks and the
+// controllers' tables keep their memory across runs.
 func TestResetAllocs(t *testing.T) {
 	cfg := DefaultConfig(2)
 	m := NewMachine(cfg)
@@ -390,15 +390,15 @@ func TestResetAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 34
+	const want = 24
 	if got != want {
 		t.Errorf("2-node Reset+Run made %v allocations, want %v", got, want)
 	}
 }
 
 // TestResetRunOpsAllocs is TestResetAllocs with the programs run as op
-// lists through RunOps: with no coroutine to make, what a pooled litmus
-// seed allocates is what the protocols make.
+// lists through RunOps: with no coroutine to make and the protocols making
+// nothing per transaction, a pooled litmus seed allocates nothing.
 func TestResetRunOpsAllocs(t *testing.T) {
 	cfg := DefaultConfig(2)
 	m := NewMachine(cfg)
@@ -411,10 +411,128 @@ func TestResetRunOpsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 10
+	const want = 0
 	if got != want {
 		t.Errorf("2-node Reset+RunOps made %v allocations, want %v", got, want)
 	}
+}
+
+// wbiAllocOps is a 2-node op list in which both processors write, RMW and
+// read the same two blocks, so misses, ownership transfers, forwards and
+// invalidations all recur.
+var wbiAllocOps = [][]Op{
+	{{Kind: OpWrite, Addr: 0, Val: 1}, {Kind: OpRMW, Addr: 32, Val: 1}, {Kind: OpRead, Addr: 32}, {Kind: OpWrite, Addr: 1, Val: 2}},
+	{{Kind: OpWrite, Addr: 32, Val: 1}, {Kind: OpRMW, Addr: 0, Val: 1}, {Kind: OpRead, Addr: 0}, {Kind: OpWrite, Addr: 33, Val: 2}},
+}
+
+// checkResetRunOpsAllocs pins the heap allocations of resetting a machine
+// built from cfg and running ops on it.
+func checkResetRunOpsAllocs(t *testing.T, cfg Config, ops [][]Op, want float64) {
+	t.Helper()
+	m := NewMachine(cfg)
+	if _, _, err := m.RunOps(ops); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		m.Reset(cfg)
+		if _, _, err := m.RunOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != want {
+		t.Errorf("%d-node %v Reset+RunOps made %v allocations, want %v", cfg.Nodes, cfg.Protocol, got, want)
+	}
+}
+
+// TestResetAllocsWBI pins Reset+RunOps on a 2-node WBI machine. The WBI
+// controllers make nothing per transaction. What remains is the directory
+// entry, with its sharer set, of each of the two blocks, which a Reset
+// empties the directory of, and the fetch-and-add function Proc makes for
+// each RMW record.
+func TestResetAllocsWBI(t *testing.T) {
+	checkResetRunOpsAllocs(t, wbiConfig(2), wbiAllocOps, 6)
+}
+
+// TestResetAllocsFaults pins Reset+RunOps of allocOps on a 2-node machine
+// with the fault plane on. Its messages, acks, retransmissions and
+// duplicates are records from the free list; what remains is what each run
+// builds anew: the fault plane's link streams and the reliable transport's
+// tables and their rows.
+func TestResetAllocsFaults(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Faults = resetFaults(3)
+	checkResetRunOpsAllocs(t, cfg, allocOps, 14)
+}
+
+// spareLens returns the length of each fabric's free list of message
+// records: the root's, then each lane view's.
+func spareLens(m *Machine) []int {
+	lens := []int{reflect.ValueOf(m.fab).Elem().FieldByName("spare").Len()}
+	for _, v := range m.views {
+		lens = append(lens, reflect.ValueOf(v).Elem().FieldByName("spare").Len())
+	}
+	return lens
+}
+
+// TestSpareBounded runs the same programs on one machine for 20 rounds of
+// Reset and Run. On one lane a record goes back to the free list it came
+// from, so after the first round no fabric's list may grow: a record made
+// outside the list, or one returned twice, would add to it every round.
+// It covers a CBL machine with locks and a barrier, a WBI machine, and the
+// fault plane's drops, duplicates and retransmissions. On many lanes
+// records move from the views of sending nodes to those of receiving
+// ones, and Reset deals them out again, so the lists' total settles
+// within the node count times the first round's.
+func TestSpareBounded(t *testing.T) {
+	faulty := cblConfig(4)
+	faulty.Faults = resetFaults(3)
+	lanes := cblConfig(4)
+	lanes.SimWorkers = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"cbl", cblConfig(4)}, {"wbi", wbiConfig(4)}, {"faults", faulty}, {"lanes", lanes}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			m := NewMachine(cfg)
+			var first []int
+			for round := 1; round <= 20; round++ {
+				if round > 1 {
+					m.Reset(cfg)
+				}
+				if _, err := m.Run(resetProgA(cfg.Protocol, cfg.Nodes, false)); err != nil {
+					t.Fatal(err)
+				}
+				lens := spareLens(m)
+				if round == 1 {
+					first = lens
+					if sum(lens) == 0 {
+						t.Fatal("no record went back to a free list")
+					}
+					continue
+				}
+				if cfg.SimWorkers > 0 {
+					if sum(lens) > cfg.Nodes*sum(first) {
+						t.Fatalf("round %d: free lists hold %v records, %v after round 1", round, lens, first)
+					}
+					continue
+				}
+				for i := range lens {
+					if lens[i] > first[i] {
+						t.Fatalf("round %d: free list %d holds %d records, %d after round 1", round, i, lens[i], first[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+func sum(s []int) int {
+	n := 0
+	for _, v := range s {
+		n += v
+	}
+	return n
 }
 
 // builtMachine keeps BenchmarkMachineBuild's builds from being optimized

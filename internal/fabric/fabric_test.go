@@ -23,7 +23,7 @@ func TestSendCountsAndDelivers(t *testing.T) {
 			}
 		})
 	}
-	f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2})
+	f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +32,50 @@ func TestSendCountsAndDelivers(t *testing.T) {
 	}
 	if f.Coll.Kind(msg.LockReq) != 1 {
 		t.Fatal("message not counted")
+	}
+}
+
+// TestSendRecyclesRecords: a delivered message's record goes back to the
+// free list and carries a later message, so steady sending allocates
+// nothing, and a fault-plane duplicate, one record delivered twice, goes
+// back once.
+func TestSendRecyclesRecords(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := network.DefaultConfig(4)
+	cfg.Faults = network.FaultConfig{Seed: 3, Rates: network.FaultRates{Dup: 0.5}}
+	f := New(eng, network.New(eng, cfg), DefaultTiming())
+	sent, got := 0, 0
+	for i := 0; i < 4; i++ {
+		f.Attach(i, func(m *msg.Msg) {
+			if len(m.Data) != 4 || m.Data[3] != 4 {
+				t.Fatalf("delivered payload %v", m.Data)
+			}
+			got++
+		})
+	}
+	data := []mem.Word{1, 2, 3, 4}
+	round := func() {
+		for i := 0; i < 8; i++ {
+			f.Send(msg.Msg{Kind: msg.UpdateProp, Src: 0, Dst: 1 + i%3, Data: data})
+			sent++
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Errorf("a round of sends made %v allocations, want 0", allocs)
+	}
+	if got <= sent {
+		t.Fatalf("%d deliveries of %d messages: no duplicate", got, sent)
+	}
+	onList := map[*msg.Msg]bool{}
+	for _, m := range f.spare {
+		if onList[m] {
+			t.Fatal("a record is on the free list twice")
+		}
+		onList[m] = true
 	}
 }
 

@@ -30,12 +30,18 @@ package fabric
 // and CBL-grant messages from corrupting subscriber and waiter lists: a
 // second UpdateProp or LockGrant never reaches the controller at all.
 //
+// Records: the sender keeps a by-value copy of each unacknowledged message
+// in its slot, with a data buffer the slot keeps, since the record it sent
+// goes back to a free list once delivered. A retransmission sends a fresh
+// record copied from the slot. The receiver takes back each ack and each
+// suppressed duplicate itself, and a held-back record once it has been
+// delivered.
+//
 // Determinism: timers are simulation events, sequence numbers are assigned
 // in injection order, and the fault plane is seeded — so a (config, fault
 // seed) pair names one exact execution, reproducible bit-for-bit.
 
 import (
-	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/msg"
 	"ssmp/internal/sim"
@@ -77,12 +83,13 @@ type pendKey struct {
 }
 
 // outstanding is one slot of the transport's table of unacknowledged
-// messages: the message, its current retransmit timeout and the handle of
-// its armed timer. The slot's index is the argument of that timer's typed
-// event (transport.OnStep), so arming a timer allocates nothing. A freed
-// slot joins the free list threaded through the table, as in completions.
+// messages: a copy of the message, its current retransmit timeout and the
+// handle of its armed timer. The slot's index is the argument of that
+// timer's typed event (transport.OnStep), so arming a timer allocates
+// nothing. A freed slot joins the free list threaded through the table, as
+// in completions, and keeps its copy's data buffer for its next message.
 type outstanding struct {
-	m     *msg.Msg
+	m     msg.Msg
 	rto   sim.Time
 	timer sim.Handle
 	next  int32 // while the slot is free: 1 + the next free slot, or 0
@@ -159,8 +166,9 @@ func (f *Fabric) FaultCounters() metrics.FaultCounters {
 	return c
 }
 
-// track assigns m its per-link sequence number and arms the retransmit
-// timer. Node-local bypass messages are exempt: they cannot be faulted.
+// track assigns m its per-link sequence number, keeps a copy of it for
+// retransmission and arms the retransmit timer. Node-local bypass messages
+// are exempt: they cannot be faulted.
 func (t *transport) track(m *msg.Msg) {
 	row := t.tx[m.Src]
 	if row == nil {
@@ -176,8 +184,11 @@ func (t *transport) track(m *msg.Msg) {
 	i := t.free - 1
 	t.free = t.slots[i].next
 	t.pending[pendKey{m.Src*t.n + m.Dst, m.XSeq}] = i
-	t.slots[i] = outstanding{m: m, rto: t.cfg.RTO}
-	t.slots[i].timer = t.f.Eng.AfterStep(t.cfg.RTO, t, uint64(i))
+	o := &t.slots[i]
+	buf := o.m.Data
+	*o = outstanding{m: *m, rto: t.cfg.RTO}
+	o.m.Data = append(buf[:0], m.Data...)
+	o.timer = t.f.Eng.AfterStep(t.cfg.RTO, t, uint64(i))
 }
 
 // OnStep implements sim.Stepper as slot i's retransmit timer, which fires
@@ -189,13 +200,9 @@ func (t *transport) track(m *msg.Msg) {
 func (t *transport) OnStep(i uint64) {
 	o := &t.slots[i]
 	t.retries++
-	clone := *o.m
-	if len(o.m.Data) > 0 {
-		// The receiver of the original copy owns its Data; the clone
-		// must not alias a slice another node may now be holding.
-		clone.Data = append([]mem.Word(nil), o.m.Data...)
-	}
-	t.f.sendRaw(&clone)
+	// The record first sent may be back on a free list and carrying
+	// another message: retransmit a fresh record made from the slot.
+	t.f.sendRaw(t.f.take(&o.m))
 	if o.rto < t.cfg.RTOMax {
 		o.rto = min(o.rto*2, t.cfg.RTOMax)
 	}
@@ -207,7 +214,7 @@ func (t *transport) OnStep(i uint64) {
 // retransmitted original is suppressed and re-acked.
 func (t *transport) sendAck(node, src int, ls uint64) {
 	t.acksSent++
-	t.f.sendRaw(&msg.Msg{Kind: msg.NetAck, Src: node, Dst: src, XSeq: ls})
+	t.f.sendRaw(t.f.take(&msg.Msg{Kind: msg.NetAck, Src: node, Dst: src, XSeq: ls}))
 }
 
 // ack retires the pending entry a NetAck names, cancelling its retransmit
@@ -220,22 +227,26 @@ func (t *transport) ack(a *msg.Msg) {
 		return
 	}
 	delete(t.pending, k)
-	t.slots[i].timer.Cancel()
-	t.slots[i] = outstanding{next: t.free}
+	o := &t.slots[i]
+	o.timer.Cancel()
+	*o = outstanding{m: msg.Msg{Data: o.m.Data[:0]}, next: t.free}
 	t.free = i + 1
 }
 
 // receive is the receiver-side transport: ack processing, duplicate
 // suppression, and per-link FIFO reassembly. h is the node's protocol
-// dispatch.
+// dispatch. Every record that reaches receive goes back to the free list
+// here: an ack or a suppressed duplicate at once, a delivered message once
+// h returns, a held one once it is delivered.
 func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 	if m.Kind == msg.NetAck {
 		t.ack(m)
+		t.f.free(m)
 		return
 	}
 	if m.XSeq == 0 {
 		// Node-local bypass messages are untracked and unfaultable.
-		h(m)
+		t.deliver(h, m)
 		return
 	}
 	row := t.rx[node]
@@ -252,9 +263,10 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 		// retransmission whose original got through). The re-ack above
 		// stops the sender's timer if the first ack was lost.
 		t.dupSuppressed++
+		t.f.free(m)
 	case ls == l.expect+1:
 		l.expect = ls
-		h(m)
+		t.deliver(h, m)
 		// Drain any held successors the gap was blocking.
 		for {
 			nm, ok := l.hold[l.expect+1]
@@ -263,7 +275,7 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 			}
 			delete(l.hold, l.expect+1)
 			l.expect++
-			h(nm)
+			t.deliver(h, nm)
 		}
 	default:
 		// Early: a predecessor is still missing (dropped or delayed).
@@ -274,9 +286,16 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 		}
 		if _, dup := l.hold[ls]; dup {
 			t.dupSuppressed++
+			t.f.free(m)
 			return
 		}
 		l.hold[ls] = m
 		t.reordered++
 	}
+}
+
+// deliver hands m to the node's dispatch h, then lets go of it.
+func (t *transport) deliver(h func(*msg.Msg), m *msg.Msg) {
+	h(m)
+	t.f.free(m)
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"ssmp/internal/mem"
@@ -10,8 +11,10 @@ import (
 )
 
 // mkTransport builds a fabric with the reliable transport over a (possibly
-// faulty) network and attaches a recording handler to every node.
-func mkTransport(tb testing.TB, nodes int, faults network.FaultConfig) (*sim.Engine, *Fabric, [][]*msg.Msg) {
+// faulty) network and attaches a recording handler to every node. A
+// handler borrows each message for its call, so the recorder keeps copies,
+// each with its own copy of the payload.
+func mkTransport(tb testing.TB, nodes int, faults network.FaultConfig) (*sim.Engine, *Fabric, [][]msg.Msg) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	cfg := network.DefaultConfig(nodes)
@@ -19,17 +22,21 @@ func mkTransport(tb testing.TB, nodes int, faults network.FaultConfig) (*sim.Eng
 	nw := network.New(eng, cfg)
 	f := New(eng, nw, DefaultTiming())
 	f.EnableTransport(TransportConfig{})
-	got := make([][]*msg.Msg, nodes)
+	got := make([][]msg.Msg, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
-		f.Attach(i, func(m *msg.Msg) { got[i] = append(got[i], m) })
+		f.Attach(i, func(m *msg.Msg) {
+			c := *m
+			c.Data = slices.Clone(m.Data)
+			got[i] = append(got[i], c)
+		})
 	}
 	return eng, f, got
 }
 
 // checkFIFO asserts node dst received exactly blocks 0..count-1 from src, in
 // order (senders stamp the send index into Block).
-func checkFIFO(t *testing.T, got []*msg.Msg, src, count int) {
+func checkFIFO(t *testing.T, got []msg.Msg, src, count int) {
 	t.Helper()
 	n := 0
 	for _, m := range got {
@@ -50,7 +57,7 @@ func TestTransportPassthroughNoFaults(t *testing.T) {
 	eng, f, got := mkTransport(t, 4, network.FaultConfig{})
 	const count = 20
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -70,7 +77,7 @@ func TestTransportSurvivesDrops(t *testing.T) {
 	eng, f, got := mkTransport(t, 4, faults)
 	const count = 60
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -90,7 +97,7 @@ func TestTransportSuppressesDuplicates(t *testing.T) {
 	eng, f, got := mkTransport(t, 4, faults)
 	const count = 60
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -112,7 +119,7 @@ func TestTransportRestoresFIFOUnderDelay(t *testing.T) {
 	eng, f, got := mkTransport(t, 4, faults)
 	const count = 60
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -137,9 +144,9 @@ func TestTransportFullChaosAllLinks(t *testing.T) {
 	const count = 40
 	// Bidirectional traffic on several links, including the ack paths.
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
-		f.Send(&msg.Msg{Kind: msg.LockGrant, Src: 2, Dst: 0, Block: mem.Block(i)})
-		f.Send(&msg.Msg{Kind: msg.UpdateProp, Src: 1, Dst: 3, Block: mem.Block(i),
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockGrant, Src: 2, Dst: 0, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.UpdateProp, Src: 1, Dst: 3, Block: mem.Block(i),
 			Data: []mem.Word{mem.Word(i)}})
 	}
 	if err := eng.Run(); err != nil {
@@ -184,7 +191,7 @@ func TestTransportLocalBypassUntracked(t *testing.T) {
 	eng, f, got := mkTransport(t, 4, faults)
 	const count = 25
 	for i := 0; i < count; i++ {
-		f.Send(&msg.Msg{Kind: msg.LockReq, Src: 1, Dst: 1, Block: mem.Block(i)})
+		f.Send(msg.Msg{Kind: msg.LockReq, Src: 1, Dst: 1, Block: mem.Block(i)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -220,7 +227,7 @@ func TestTransportBackoffIsBounded(t *testing.T) {
 	faults := network.FaultConfig{Seed: 21, Rates: network.FaultRates{Drop: 0.8}}
 	eng, f, got := mkTransport(t, 4, faults)
 	f.xp.cfg = TransportConfig{RTO: 8, RTOMax: 32}
-	f.Send(&msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2})
+	f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +256,7 @@ type chaosRound struct {
 func (c *chaosRound) OnStep(r uint64) {
 	for src := 0; src < c.nodes; src++ {
 		dst := (src + 1 + int(r)%(c.nodes-1)) % c.nodes
-		c.f.Send(&msg.Msg{Kind: msg.LockReq, Src: src, Dst: dst, Block: mem.Block(int(r)*c.nodes + src)})
+		c.f.Send(msg.Msg{Kind: msg.LockReq, Src: src, Dst: dst, Block: mem.Block(int(r)*c.nodes + src)})
 	}
 }
 

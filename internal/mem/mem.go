@@ -119,7 +119,10 @@ func (s *Store) Reset() {
 // Geometry returns the store's geometry.
 func (s *Store) Geometry() Geometry { return s.geom }
 
-func (s *Store) block(b Block) []Word {
+// Block returns block b's words in the store itself, touching the block if
+// it is new. A sender hands them to fabric.Send, which copies them into its
+// message; nothing may modify them or keep them.
+func (s *Store) Block(b Block) []Word {
 	blk, ok := s.blocks[b]
 	if !ok {
 		if s.blocks == nil {
@@ -138,27 +141,18 @@ func (s *Store) block(b Block) []Word {
 // ReadBlock copies the block's contents into a fresh slice.
 func (s *Store) ReadBlock(b Block) []Word {
 	out := make([]Word, s.geom.BlockWords)
-	copy(out, s.block(b))
+	copy(out, s.Block(b))
 	return out
-}
-
-// ReadBlockInto copies the block's contents into dst, which must have
-// length BlockWords.
-func (s *Store) ReadBlockInto(b Block, dst []Word) {
-	if len(dst) != s.geom.BlockWords {
-		panic(fmt.Sprintf("mem: ReadBlockInto dst len %d, want %d", len(dst), s.geom.BlockWords))
-	}
-	copy(dst, s.block(b))
 }
 
 // ReadWord returns one word.
 func (s *Store) ReadWord(a Addr) Word {
-	return s.block(s.geom.BlockOf(a))[s.geom.WordIndex(a)]
+	return s.Block(s.geom.BlockOf(a))[s.geom.WordIndex(a)]
 }
 
 // WriteWord stores one word.
 func (s *Store) WriteWord(a Addr, w Word) {
-	s.block(s.geom.BlockOf(a))[s.geom.WordIndex(a)] = w
+	s.Block(s.geom.BlockOf(a))[s.geom.WordIndex(a)] = w
 }
 
 // Merge writes only the words selected by mask from src into the block.
@@ -168,7 +162,7 @@ func (s *Store) Merge(b Block, src []Word, mask DirtyMask) {
 	if len(src) != s.geom.BlockWords {
 		panic(fmt.Sprintf("mem: Merge src len %d, want %d", len(src), s.geom.BlockWords))
 	}
-	blk := s.block(b)
+	blk := s.Block(b)
 	for i := range blk {
 		if mask.Has(i) {
 			blk[i] = src[i]

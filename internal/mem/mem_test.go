@@ -207,20 +207,16 @@ func TestReadBlockIsACopy(t *testing.T) {
 	}
 }
 
-func TestReadBlockInto(t *testing.T) {
+func TestBlockIsTheStores(t *testing.T) {
 	s := NewStore(g4)
-	s.WriteBlock(2, []Word{5, 6, 7, 8})
-	dst := make([]Word, 4)
-	s.ReadBlockInto(2, dst)
-	if dst[2] != 7 {
-		t.Fatalf("ReadBlockInto = %v", dst)
+	blk := s.Block(2)
+	if len(blk) != 4 || s.Blocks() != 1 {
+		t.Fatalf("Block of a new block: %v, %d blocks touched", blk, s.Blocks())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short dst did not panic")
-		}
-	}()
-	s.ReadBlockInto(2, make([]Word, 3))
+	s.WriteWord(g4.BaseAddr(2)+1, 7)
+	if blk[1] != 7 {
+		t.Fatal("Block does not show a later write")
+	}
 }
 
 func TestBlocksCounter(t *testing.T) {

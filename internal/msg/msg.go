@@ -278,8 +278,16 @@ func (m LockMode) Compatible(o LockMode) bool {
 const NoNeighbor = -1
 
 // Msg is the wire message. Fields beyond Kind/Src/Dst/Block are used only by
-// the kinds that need them. Msg values are passed by pointer through the
-// network; a message is owned by its receiver once delivered.
+// the kinds that need them.
+//
+// A sender builds a Msg value and hands it to fabric.Send, which copies it,
+// payload included, into a record from the fabric's free list; the network
+// carries that record. A handler, and a fabric.OnSend observer, borrows
+// the record only for the length of its call and never keeps it past the
+// call: the fabric takes the record back after the last handler, zeroes it
+// and hands it to a later Send. Whatever a controller keeps, it keeps by
+// value, with its own copy of any payload. A record that a stale pointer
+// still reaches reads as KindInvalid, which every controller refuses.
 type Msg struct {
 	Kind Kind
 	// Src is the sending node; Dst the receiving node.
@@ -312,6 +320,26 @@ type Msg struct {
 	// when the fault plane is active. For NetAck it names the acknowledged
 	// message's XSeq. Protocol controllers never read or write it.
 	XSeq uint64
+
+	// refs counts the record's holders beyond the first: a fault-plane
+	// duplicate is a second delivery of the same record.
+	refs int32
+}
+
+// Retain adds a holder to a record: each holder lets go of it with one
+// Release.
+func (m *Msg) Retain() { m.refs++ }
+
+// Release lets go of one holder and reports whether it was the last. The
+// last Release zeroes the record, keeping its payload buffer for the next
+// message the record carries.
+func (m *Msg) Release() bool {
+	if m.refs > 0 {
+		m.refs--
+		return false
+	}
+	*m = Msg{Data: m.Data[:0]}
+	return true
 }
 
 // Words returns the payload size in words for network cost purposes.

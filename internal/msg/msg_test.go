@@ -86,3 +86,29 @@ func TestLockModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestRelease: only the last of a record's holders frees it, and a freed
+// record reads as KindInvalid with its payload buffer kept for reuse.
+func TestRelease(t *testing.T) {
+	m := &Msg{Kind: UpdateProp, Src: 1, Block: 9, Data: []mem.Word{1, 2, 3, 4}}
+	buf := &m.Data[0]
+	m.Retain()
+	if m.Release() {
+		t.Fatal("the first of two holders freed the record")
+	}
+	if m.Kind != UpdateProp || m.Block != 9 || len(m.Data) != 4 {
+		t.Fatalf("a record still held was changed: %+v", m)
+	}
+	if !m.Release() {
+		t.Fatal("the last holder did not free the record")
+	}
+	if m.Kind != KindInvalid || m.Src != 0 || m.Block != 0 || len(m.Data) != 0 {
+		t.Fatalf("freed record not zeroed: %+v", m)
+	}
+	if cap(m.Data) != 4 || &m.Data[:1][0] != buf {
+		t.Fatal("freed record lost its payload buffer")
+	}
+	if !m.Release() {
+		t.Fatal("a freed record, taken again, is not held once")
+	}
+}

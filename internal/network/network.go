@@ -401,6 +401,7 @@ func (n *Network) Send(src, dst, words int, payload any) {
 		}
 		done += v.extra
 		if v.dup {
+			retain(payload)
 			n.deliverAt(eng, done+v.dupAt, src, dst, payload)
 		}
 	}
@@ -454,6 +455,7 @@ func (n *Network) arbitrate() {
 		if !q.v.drop {
 			done += q.v.extra
 			if q.v.dup {
+				retain(q.payload)
 				n.postArbitrated(q, done+q.v.dupAt)
 			}
 			n.postArbitrated(q, done)
@@ -542,6 +544,16 @@ func (n *Network) postArbitrated(q *pendSend, t sim.Time) {
 		panic(fmt.Sprintf("network: no handler attached at node %d", q.dst))
 	}
 	n.par.PostKeyed(q.src, q.dst, t, q.jit, q.seq, &n.inbox[q.dst], q.payload)
+}
+
+// retain adds a holder to a payload that counts its holders (a fabric's
+// pooled message record, msg.Msg): a duplicated message is one payload
+// delivered twice, and each delivery lets go of it once. The arbiter calls
+// it only at the window barrier, while no lane runs.
+func retain(payload any) {
+	if r, ok := payload.(interface{ Retain() }); ok {
+		r.Retain()
+	}
 }
 
 // port is a per-node delivery endpoint implementing sim.Receiver, so message

@@ -2,6 +2,7 @@ package ruc
 
 import (
 	"fmt"
+	"slices"
 
 	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
@@ -102,9 +103,9 @@ func (h *Home) process(m *msg.Msg) {
 			h.subscribe(m)
 			return
 		}
-		h.f.Send(&msg.Msg{
+		h.f.Send(msg.Msg{
 			Kind: msg.ReadMissReply, Src: h.id, Dst: m.Src,
-			Block: m.Block, Data: h.store.ReadBlock(m.Block),
+			Block: m.Block, Data: h.store.Block(m.Block),
 		})
 
 	case msg.WriteBack:
@@ -114,10 +115,10 @@ func (h *Home) process(m *msg.Msg) {
 		}
 
 	case msg.ReadGlobalReq:
-		h.f.Send(&msg.Msg{
+		h.f.Send(msg.Msg{
 			Kind: msg.ReadGlobalReply, Src: h.id, Dst: m.Src,
 			Block: m.Block, WordIdx: m.WordIdx,
-			Word: h.store.ReadBlock(m.Block)[m.WordIdx],
+			Word: h.store.ReadWord(h.geom.BaseAddr(m.Block) + mem.Addr(m.WordIdx)),
 		})
 
 	case msg.WriteGlobalReq:
@@ -125,11 +126,10 @@ func (h *Home) process(m *msg.Msg) {
 		// The ack signals that the write is performed at memory; chain
 		// propagation proceeds asynchronously (§2: the requester needn't
 		// wait for the operation to be globally performed).
-		h.f.Send(&msg.Msg{Kind: msg.WriteGlobalAck, Src: h.id, Dst: m.Src, Block: m.Block, Seq: m.Seq})
+		h.f.Send(msg.Msg{Kind: msg.WriteGlobalAck, Src: h.id, Dst: m.Src, Block: m.Block, Seq: m.Seq})
 		if chain := h.subs[m.Block]; len(chain) > 0 {
 			h.Propagations++
-			data := h.store.ReadBlock(m.Block)
-			h.f.Send(&msg.Msg{Kind: msg.UpdateProp, Src: h.id, Dst: chain[0], Block: m.Block, Data: data})
+			h.f.Send(msg.Msg{Kind: msg.UpdateProp, Src: h.id, Dst: chain[0], Block: m.Block, Data: h.store.Block(m.Block)})
 		}
 
 	case msg.ReadUpdateReq:
@@ -155,9 +155,9 @@ func (h *Home) subscribe(m *msg.Msg) {
 		// Idempotent re-subscription (the node's line lost its update
 		// bit without the home hearing, e.g. a replaced line
 		// re-subscribing before the reset was processed).
-		h.f.Send(&msg.Msg{
+		h.f.Send(msg.Msg{
 			Kind: msg.ReadUpdateReply, Src: h.id, Dst: m.Src,
-			Block: m.Block, Data: h.store.ReadBlock(m.Block),
+			Block: m.Block, Data: h.store.Block(m.Block),
 			Aux: uint64(int64(nextOf(chain, m.Src))),
 		})
 		return
@@ -165,14 +165,17 @@ func (h *Home) subscribe(m *msg.Msg) {
 	if h.subs == nil {
 		h.subs = make(map[mem.Block][]int)
 	}
-	h.subs[m.Block] = append([]int{m.Src}, chain...)
-	h.f.Send(&msg.Msg{
+	chain = append(chain, 0)
+	copy(chain[1:], chain)
+	chain[0] = m.Src
+	h.subs[m.Block] = chain
+	h.f.Send(msg.Msg{
 		Kind: msg.ReadUpdateReply, Src: h.id, Dst: m.Src,
-		Block: m.Block, Data: h.store.ReadBlock(m.Block),
+		Block: m.Block, Data: h.store.Block(m.Block),
 		Aux: uint64(int64(oldHead)),
 	})
 	if oldHead != msg.NoNeighbor {
-		h.f.Send(&msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: oldHead, Block: m.Block, Requester: m.Src})
+		h.f.Send(msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: oldHead, Block: m.Block, Requester: m.Src})
 	}
 }
 
@@ -198,17 +201,13 @@ func (h *Home) unsubscribe(b mem.Block, node int) {
 	if idx < len(chain)-1 {
 		next = chain[idx+1]
 	}
-	chain = append(chain[:idx], chain[idx+1:]...)
-	if len(chain) == 0 {
-		delete(h.subs, b)
-	} else {
-		h.subs[b] = chain
-	}
+	// An empty chain keeps its memory for the next subscriber.
+	h.subs[b] = slices.Delete(chain, idx, idx+1)
 	if prev != msg.NoNeighbor {
-		h.f.Send(&msg.Msg{Kind: msg.SetNextPtr, Src: h.id, Dst: prev, Block: b, Requester: next})
+		h.f.Send(msg.Msg{Kind: msg.SetNextPtr, Src: h.id, Dst: prev, Block: b, Requester: next})
 	}
 	if next != msg.NoNeighbor {
-		h.f.Send(&msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: next, Block: b, Requester: prev})
+		h.f.Send(msg.Msg{Kind: msg.SetPrevPtr, Src: h.id, Dst: next, Block: b, Requester: prev})
 	}
 }
 

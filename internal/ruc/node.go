@@ -21,10 +21,14 @@ type Node struct {
 	cache   *cache.Cache
 	station fabric.Station
 
-	// pendBlock/pendDone hold the single outstanding demand request.
+	// The single outstanding demand request: its kind, block and word,
+	// and its completion: pendDone, or for a write that missed, pendWrote
+	// once pendVal is written into the fetched line.
 	pendBlock mem.Block
 	pendWord  int
 	pendDone  func(mem.Word)
+	pendWrote func()
+	pendVal   mem.Word
 	pendKind  msg.Kind
 
 	// onGlobalAck retires write-buffer entries; wired by the machine.
@@ -57,6 +61,7 @@ func NewNode(f *fabric.Fabric, id int, geom mem.Geometry, c *cache.Cache) *Node 
 func (n *Node) Reset() {
 	n.station.Reset()
 	n.pendBlock, n.pendWord, n.pendDone, n.pendKind = 0, 0, nil, 0
+	n.pendWrote, n.pendVal = nil, 0
 	n.UpdatesApplied, n.UpdatesDropped = 0, 0
 }
 
@@ -67,16 +72,31 @@ func (n *Node) SetGlobalAckHandler(fn func(seq uint64)) { n.onGlobalAck = fn }
 // Cache exposes the node's cache (for inspection by tests and the machine).
 func (n *Node) Cache() *cache.Cache { return n.cache }
 
+// outstanding reports whether a demand request is outstanding.
+func (n *Node) outstanding() bool { return n.pendDone != nil || n.pendWrote != nil }
+
 func (n *Node) setPending(k msg.Kind, b mem.Block, word int, done func(mem.Word)) {
-	if n.pendDone != nil {
+	if n.outstanding() {
 		panic(fmt.Sprintf("ruc: node %d issued %v with %v outstanding", n.id, k, n.pendKind))
 	}
 	n.pendKind, n.pendBlock, n.pendWord, n.pendDone = k, b, word, done
 }
 
 func (n *Node) completePending(k msg.Kind, b mem.Block, w mem.Word) {
-	if n.pendDone == nil || n.pendKind != k || n.pendBlock != b {
+	if !n.outstanding() || n.pendKind != k || n.pendBlock != b {
 		panic(fmt.Sprintf("ruc: node %d got %v reply for block %d with no matching request", n.id, k, b))
+	}
+	if wrote := n.pendWrote; wrote != nil {
+		// Write-allocate: the fetched line takes the written word.
+		n.pendWrote = nil
+		l := n.cache.Peek(b)
+		if l == nil {
+			panic("ruc: write-allocate line vanished")
+		}
+		l.Data[n.pendWord] = n.pendVal
+		l.Dirty.Set(n.pendWord)
+		wrote()
+		return
 	}
 	done := n.pendDone
 	n.pendDone = nil
@@ -96,7 +116,7 @@ func (n *Node) Read(a mem.Addr, done func(mem.Word)) {
 	}
 	n.setPending(msg.ReadMiss, b, wi, done)
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{Kind: msg.ReadMiss, Src: n.id, Dst: n.geom.Home(b), Block: b})
+	n.f.Send(msg.Msg{Kind: msg.ReadMiss, Src: n.id, Dst: n.geom.Home(b), Block: b})
 }
 
 // Write performs the WRITE primitive: a private write with write-allocate.
@@ -111,17 +131,10 @@ func (n *Node) Write(a mem.Addr, w mem.Word, done func()) {
 		n.f.Eng.After(n.f.Time.CacheHit, done)
 		return
 	}
-	n.setPending(msg.ReadMiss, b, wi, func(mem.Word) {
-		l := n.cache.Peek(b)
-		if l == nil {
-			panic("ruc: write-allocate line vanished")
-		}
-		l.Data[wi] = w
-		l.Dirty.Set(wi)
-		done()
-	})
+	n.setPending(msg.ReadMiss, b, wi, nil)
+	n.pendWrote, n.pendVal = done, w
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{Kind: msg.ReadMiss, Src: n.id, Dst: n.geom.Home(b), Block: b})
+	n.f.Send(msg.Msg{Kind: msg.ReadMiss, Src: n.id, Dst: n.geom.Home(b), Block: b})
 }
 
 // ReadGlobal performs READ-GLOBAL: reads the word from main memory,
@@ -131,7 +144,7 @@ func (n *Node) ReadGlobal(a mem.Addr, done func(mem.Word)) {
 	wi := n.geom.WordIndex(a)
 	n.setPending(msg.ReadGlobalReq, b, wi, done)
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{Kind: msg.ReadGlobalReq, Src: n.id, Dst: n.geom.Home(b), Block: b, WordIdx: wi})
+	n.f.Send(msg.Msg{Kind: msg.ReadGlobalReq, Src: n.id, Dst: n.geom.Home(b), Block: b, WordIdx: wi})
 }
 
 // IssueWriteGlobal transmits one write-buffer entry to the block's home.
@@ -144,7 +157,7 @@ func (n *Node) IssueWriteGlobal(e wbuf.Entry) {
 		l.Data[e.WordIdx] = e.Word
 	}
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{
+	n.f.Send(msg.Msg{
 		Kind: msg.WriteGlobalReq, Src: n.id, Dst: n.geom.Home(e.Block),
 		Block: e.Block, WordIdx: e.WordIdx, Word: e.Word, Seq: e.Seq,
 	})
@@ -163,7 +176,7 @@ func (n *Node) ReadUpdate(a mem.Addr, done func(mem.Word)) {
 	}
 	n.setPending(msg.ReadUpdateReq, b, wi, done)
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{Kind: msg.ReadUpdateReq, Src: n.id, Dst: n.geom.Home(b), Block: b})
+	n.f.Send(msg.Msg{Kind: msg.ReadUpdateReq, Src: n.id, Dst: n.geom.Home(b), Block: b})
 }
 
 // ResetUpdate performs RESET-UPDATE: cancels this node's subscription. The
@@ -180,7 +193,7 @@ func (n *Node) ResetUpdate(a mem.Addr, done func()) {
 	}
 	l.Update = false
 	n.f.RMR.RemoteRef(n.id)
-	n.f.Send(&msg.Msg{Kind: msg.ResetUpdateReq, Src: n.id, Dst: n.geom.Home(b), Block: b})
+	n.f.Send(msg.Msg{Kind: msg.ResetUpdateReq, Src: n.id, Dst: n.geom.Home(b), Block: b})
 	n.f.Eng.After(n.f.Time.CacheHit, done)
 }
 
@@ -204,12 +217,12 @@ func (n *Node) install(b mem.Block, data []mem.Word) *cache.Line {
 			if n.WholeLineWriteBack {
 				mask = mem.Full(n.geom.BlockWords)
 			}
-			n.f.Send(&msg.Msg{
+			n.f.Send(msg.Msg{
 				Kind: msg.WriteBack, Src: n.id, Dst: home,
 				Block: victim.Block, Data: victim.Data, Mask: mask, Aux: aux,
 			})
 		case victim.Update:
-			n.f.Send(&msg.Msg{Kind: msg.ResetUpdateReq, Src: n.id, Dst: home, Block: victim.Block})
+			n.f.Send(msg.Msg{Kind: msg.ResetUpdateReq, Src: n.id, Dst: home, Block: victim.Block})
 		}
 	}
 	return l
@@ -284,7 +297,7 @@ func (n *Node) process(m *msg.Msg) {
 		}
 		n.UpdatesApplied++
 		if l.Next != cache.NoNode && l.Next != n.id {
-			n.f.Send(&msg.Msg{Kind: msg.UpdateProp, Src: n.id, Dst: l.Next, Block: m.Block, Data: m.Data})
+			n.f.Send(msg.Msg{Kind: msg.UpdateProp, Src: n.id, Dst: l.Next, Block: m.Block, Data: m.Data})
 		}
 
 	case msg.SetPrevPtr:

@@ -2,25 +2,61 @@ package wbi
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
+	"ssmp/internal/sim"
 )
 
 // dirEntry is the central directory's state for one block.
 type dirEntry struct {
-	owner   int          // exclusive owner, -1 if none
-	sharers map[int]bool // shared copies (superset: silent S evictions leave stale bits)
+	owner int // exclusive owner, -1 if none
+	// sharers holds the shared copies (a superset: silent S evictions
+	// leave stale bits), one bit per node.
+	sharers nodeSet
 	// broadcast is the limited-directory overflow bit (Dir-i-B): the
 	// pointer set overflowed, so an exclusive request must invalidate by
 	// broadcast.
 	broadcast bool
 	// busy marks a read-forward in flight (awaiting the owner's memory
-	// update); requests queue behind it.
+	// update); requests queue behind it, as copies.
 	busy  bool
-	waitQ []*msg.Msg
+	waitQ []msg.Msg
+}
+
+// nodeSet is a set of node ids, one bit each.
+type nodeSet []uint64
+
+func newNodeSet(nodes int) nodeSet { return make(nodeSet, (nodes+63)/64) }
+
+func (s nodeSet) add(n int)    { s[n/64] |= 1 << (n % 64) }
+func (s nodeSet) remove(n int) { s[n/64] &^= 1 << (n % 64) }
+
+// len returns the number of nodes in the set.
+func (s nodeSet) len() int {
+	c := 0
+	for _, w := range s {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// next returns the least node in the set at or above n, or -1 if there is
+// none: for n := s.next(0); n >= 0; n = s.next(n + 1) visits the set in
+// ascending order.
+func (s nodeSet) next(n int) int {
+	for i := n / 64; i < len(s); i++ {
+		w := s[i]
+		if i == n/64 {
+			w &= ^uint64(0) << (n % 64)
+		}
+		if w != 0 {
+			return 64*i + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // Home is the directory-side WBI controller for the blocks homed at one
@@ -32,6 +68,8 @@ type Home struct {
 	store   *mem.Store
 	station fabric.Station
 	dir     map[mem.Block]*dirEntry // nil until the first entry
+	// replies holds the data replies waiting out the memory read.
+	replies replies
 
 	// MaxPointers caps the per-block sharer pointer count (the Dir-i-B
 	// limited directory the paper's directory-scalability discussion
@@ -50,16 +88,18 @@ type Home struct {
 // module.
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Home {
 	h := &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f)}
+	h.replies.h = h
 	h.Reset()
 	return h
 }
 
 // Reset returns the controller to the state NewHome builds: an empty
-// directory, the station idle and every counter zero. The store (reset by
-// its owner) and MaxPointers are kept.
+// directory, no reply in flight, the station idle and every counter zero.
+// The store (reset by its owner) and MaxPointers are kept.
 func (h *Home) Reset() {
 	h.station.Reset()
 	clear(h.dir)
+	h.replies.reset()
 	h.InvSent, h.Broadcasts = 0, 0
 }
 
@@ -69,7 +109,7 @@ func (h *Home) Store() *mem.Store { return h.store }
 func (h *Home) entry(b mem.Block) *dirEntry {
 	e, ok := h.dir[b]
 	if !ok {
-		e = &dirEntry{owner: -1, sharers: make(map[int]bool)}
+		e = &dirEntry{owner: -1, sharers: newNodeSet(h.geom.Nodes)}
 		if h.dir == nil {
 			h.dir = make(map[mem.Block]*dirEntry)
 		}
@@ -84,12 +124,11 @@ func (h *Home) Owner(b mem.Block) int { return h.entry(b).owner }
 // Sharers returns the directory's (inclusive) sharer set for a block, in
 // ascending node order.
 func (h *Home) Sharers(b mem.Block) []int {
-	e := h.entry(b)
 	var out []int
-	for n := range e.sharers {
+	s := h.entry(b).sharers
+	for n := s.next(0); n >= 0; n = s.next(n + 1) {
 		out = append(out, n)
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -114,10 +153,10 @@ func (h *Home) addSharer(e *dirEntry, n int) {
 	if e.broadcast {
 		return
 	}
-	e.sharers[n] = true
-	if h.MaxPointers > 0 && len(e.sharers) > h.MaxPointers {
+	e.sharers.add(n)
+	if h.MaxPointers > 0 && e.sharers.len() > h.MaxPointers {
 		e.broadcast = true
-		e.sharers = make(map[int]bool)
+		clear(e.sharers)
 	}
 }
 
@@ -130,9 +169,11 @@ func (h *Home) process(m *msg.Msg) {
 		e := h.entry(m.Block)
 		if e.busy || e.owner == m.Src {
 			// A forward is in flight, or the requester's own
-			// write-back hasn't arrived yet: queue and retry when
-			// the state settles.
-			e.waitQ = append(e.waitQ, m)
+			// write-back hasn't arrived yet: queue a copy and retry
+			// when the state settles.
+			q := *m
+			q.Data = nil // a request carries no payload
+			e.waitQ = append(e.waitQ, q)
 			return
 		}
 		if m.Kind == msg.GetS {
@@ -149,7 +190,7 @@ func (h *Home) process(m *msg.Msg) {
 		}
 		// A PutX from a stale owner raced with an ownership transfer;
 		// its data is superseded and discarded.
-		h.f.Send(&msg.Msg{Kind: msg.PutAck, Src: h.id, Dst: m.Src, Block: m.Block})
+		h.f.Send(msg.Msg{Kind: msg.PutAck, Src: h.id, Dst: m.Src, Block: m.Block})
 		h.drain(e)
 
 	case msg.OwnerDataMem:
@@ -161,7 +202,7 @@ func (h *Home) process(m *msg.Msg) {
 			if m.Aux == 1 {
 				// The owner served from its write-back buffer
 				// and retains no copy.
-				delete(e.sharers, m.Src)
+				e.sharers.remove(m.Src)
 			} else {
 				h.addSharer(e, m.Src)
 			}
@@ -184,22 +225,18 @@ func (h *Home) gets(e *dirEntry, m *msg.Msg) {
 		// update arrives.
 		e.busy = true
 		h.addSharer(e, m.Src)
-		h.f.Send(&msg.Msg{Kind: msg.FwdGetS, Src: h.id, Dst: e.owner, Block: m.Block, Requester: m.Src})
+		h.f.Send(msg.Msg{Kind: msg.FwdGetS, Src: h.id, Dst: e.owner, Block: m.Block, Requester: m.Src})
 		return
 	}
 	h.addSharer(e, m.Src)
-	b := m.Block
-	src := m.Src
-	h.f.Eng.After(h.f.Time.TMem, func() {
-		h.f.Send(&msg.Msg{Kind: msg.DataS, Src: h.id, Dst: src, Block: b, Data: h.store.ReadBlock(b)})
-	})
+	h.replies.after(h.f.Time.TMem, msg.Msg{Kind: msg.DataS, Src: h.id, Dst: m.Src, Block: m.Block})
 }
 
 // getx services an exclusive request.
 func (h *Home) getx(e *dirEntry, m *msg.Msg) {
 	if e.owner >= 0 {
 		// Ownership transfers through the current owner.
-		h.f.Send(&msg.Msg{Kind: msg.FwdGetX, Src: h.id, Dst: e.owner, Block: m.Block, Requester: m.Src})
+		h.f.Send(msg.Msg{Kind: msg.FwdGetX, Src: h.id, Dst: e.owner, Block: m.Block, Requester: m.Src})
 		e.owner = m.Src
 		return
 	}
@@ -214,53 +251,89 @@ func (h *Home) getx(e *dirEntry, m *msg.Msg) {
 			}
 			acks++
 			h.InvSent++
-			h.f.Send(&msg.Msg{Kind: msg.Inv, Src: h.id, Dst: n, Block: m.Block, Requester: m.Src})
+			h.f.Send(msg.Msg{Kind: msg.Inv, Src: h.id, Dst: n, Block: m.Block, Requester: m.Src})
 		}
 	} else {
-		// Deterministic invalidation order: map iteration order would
-		// otherwise leak into network timing.
-		sharers := make([]int, 0, len(e.sharers))
-		for n := range e.sharers {
-			sharers = append(sharers, n)
-		}
-		sort.Ints(sharers)
-		for _, n := range sharers {
+		// Ascending node order: a deterministic invalidation order.
+		for n := e.sharers.next(0); n >= 0; n = e.sharers.next(n + 1) {
 			if n == m.Src {
 				continue
 			}
 			acks++
 			h.InvSent++
-			h.f.Send(&msg.Msg{Kind: msg.Inv, Src: h.id, Dst: n, Block: m.Block, Requester: m.Src})
+			h.f.Send(msg.Msg{Kind: msg.Inv, Src: h.id, Dst: n, Block: m.Block, Requester: m.Src})
 		}
 	}
 	e.broadcast = false
-	e.sharers = make(map[int]bool)
+	clear(e.sharers)
 	e.owner = m.Src
-	b := m.Block
-	src := m.Src
-	h.f.Eng.After(h.f.Time.TMem, func() {
-		h.f.Send(&msg.Msg{Kind: msg.DataX, Src: h.id, Dst: src, Block: b, Data: h.store.ReadBlock(b), Acks: acks})
-	})
+	h.replies.after(h.f.Time.TMem, msg.Msg{Kind: msg.DataX, Src: h.id, Dst: m.Src, Block: m.Block, Acks: acks})
 }
 
-// drain retries queued requests after a state change.
-func (h *Home) drain(e *dirEntry) {
-	if e.busy || len(e.waitQ) == 0 {
-		return
+// replies is a slot table of the data replies waiting out the memory read;
+// a reply's slot rides in its typed event's arg, so a reply allocates
+// nothing once the table has grown to the most replies ever in flight at
+// once.
+type replies struct {
+	h     *Home
+	slots []msg.Msg
+	free  []uint64
+}
+
+// reset empties the table, keeping its memory.
+func (r *replies) reset() {
+	clear(r.slots)
+	r.slots, r.free = r.slots[:0], r.free[:0]
+}
+
+// after sends m, carrying its block's data as memory holds it then, d
+// cycles from now. It draws the same time, sequence number and jitter key
+// as the closure form eng.After would.
+func (r *replies) after(d sim.Time, m msg.Msg) {
+	var i uint64
+	if k := len(r.free); k > 0 {
+		i, r.free = r.free[k-1], r.free[:k-1]
+		r.slots[i] = m
+	} else {
+		i = uint64(len(r.slots))
+		r.slots = append(r.slots, m)
 	}
-	q := e.waitQ
-	e.waitQ = nil
-	for i, m := range q {
-		if e.busy || e.owner == m.Src {
-			// Still blocked: requeue the remainder in order.
-			e.waitQ = append(e.waitQ, q[i:]...)
-			return
+	r.h.f.Eng.AfterStep(d, r, i)
+}
+
+// OnStep implements sim.Stepper: slot i's reply reads its block and goes
+// out.
+func (r *replies) OnStep(i uint64) {
+	m := r.slots[i]
+	r.slots[i] = msg.Msg{}
+	r.free = append(r.free, i)
+	m.Data = r.h.store.Block(m.Block)
+	r.h.f.Send(m)
+}
+
+// drain retries queued requests after a state change: it serves them in
+// order until one is still blocked, which stays at the head of the queue
+// with those behind it.
+func (h *Home) drain(e *dirEntry) {
+	i := 0
+	for ; i < len(e.waitQ) && !e.busy; i++ {
+		m := &e.waitQ[i]
+		if e.owner == m.Src {
+			break
 		}
-		if m.Kind == msg.GetS {
+		switch m.Kind {
+		case msg.GetS:
 			h.gets(e, m)
-		} else {
+		case msg.GetX:
 			h.getx(e, m)
+		default:
+			panic(fmt.Sprintf("wbi: home %d queued %v", h.id, m.Kind))
 		}
+	}
+	if i > 0 {
+		n := copy(e.waitQ, e.waitQ[i:])
+		clear(e.waitQ[n:])
+		e.waitQ = e.waitQ[:n]
 	}
 }
 

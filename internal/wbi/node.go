@@ -11,15 +11,19 @@ import (
 
 // pending tracks the node's single outstanding coherence transaction.
 type pending struct {
-	isX      bool // GetX (write/RMW) vs GetS (read)
-	block    mem.Block
-	wordIdx  int
-	apply    func(old mem.Word) mem.Word // nil for reads
+	isX     bool // GetX (write/RMW) vs GetS (read)
+	block   mem.Block
+	wordIdx int
+	// A read completes with done, an RMW applies apply and completes with
+	// done, and a write stores val and completes with wrote.
+	apply    func(old mem.Word) mem.Word
 	done     func(mem.Word)
+	wrote    func()
+	val      mem.Word
 	needAcks int
 	gotAcks  int
 	dataIn   bool
-	data     []mem.Word
+	data     []mem.Word // the reply's block: a copy the record keeps
 	excl     bool
 	// poisoned marks a read whose reply was overtaken by an invalidation
 	// (the Inv was sent after the directory recorded us as a sharer but
@@ -27,9 +31,9 @@ type pending struct {
 	// with the — legally stale — value, but the line is not retained, so
 	// the next read fetches fresh data.
 	poisoned bool
-	// buffered holds forwarded requests that arrived while this
-	// transaction was still in flight; they are served on completion.
-	buffered []*msg.Msg
+	// buffered holds copies of the forwarded requests that arrived while
+	// this transaction was still in flight; they are served on completion.
+	buffered []msg.Msg
 }
 
 func (p *pending) complete() bool {
@@ -49,8 +53,14 @@ type Node struct {
 	geom    mem.Geometry
 	cache   *cache.Cache
 	station fabric.Station
-	pend    *pending
-	wb      map[mem.Block]wbEntry // nil until the first write-back
+	// pend is the outstanding transaction, one of txns, or nil. Two
+	// records alternate: completing one resumes the program, which may
+	// start the next transaction before the first has served its buffered
+	// forwards. next indexes the record the next transaction takes.
+	pend *pending
+	txns [2]pending
+	next int
+	wb   map[mem.Block]wbEntry // nil until the first write-back
 
 	// Invalidations counts Inv messages received (storm visibility).
 	Invalidations uint64
@@ -68,9 +78,19 @@ func NewNode(f *fabric.Fabric, id int, geom mem.Geometry, c *cache.Cache) *Node 
 // counted. The cache is kept; its owner resets it.
 func (n *Node) Reset() {
 	n.station.Reset()
-	n.pend = nil
+	n.pend, n.next = nil, 0
+	for i := range n.txns {
+		n.txns[i].clear()
+	}
 	clear(n.wb)
 	n.Invalidations = 0
+}
+
+// clear empties the transaction record for its next use, keeping the
+// memory of its data and buffered lists.
+func (p *pending) clear() {
+	clear(p.buffered)
+	*p = pending{data: p.data[:0], buffered: p.buffered[:0]}
 }
 
 // Cache exposes the node's cache.
@@ -86,7 +106,8 @@ func (n *Node) Read(a mem.Addr, done func(mem.Word)) {
 		n.f.AfterWord(n.f.Time.CacheHit, done, l.Data[wi])
 		return
 	}
-	n.start(&pending{block: b, wordIdx: wi, done: done})
+	p := n.start(false, b, wi)
+	p.done = done
 }
 
 // Write performs a strongly-consistent coherent write: a hit in M is local;
@@ -102,11 +123,8 @@ func (n *Node) Write(a mem.Addr, w mem.Word, done func()) {
 		n.f.Eng.After(n.f.Time.CacheHit, done)
 		return
 	}
-	n.start(&pending{
-		isX: true, block: b, wordIdx: wi,
-		apply: func(mem.Word) mem.Word { return w },
-		done:  func(mem.Word) { done() },
-	})
+	p := n.start(true, b, wi)
+	p.wrote, p.val = done, w
 }
 
 // RMW performs an atomic read-modify-write: the node acquires exclusive
@@ -123,20 +141,29 @@ func (n *Node) RMW(a mem.Addr, op func(mem.Word) mem.Word, done func(old mem.Wor
 		n.f.AfterWord(n.f.Time.CacheHit, done, old)
 		return
 	}
-	n.start(&pending{isX: true, block: b, wordIdx: wi, apply: op, done: done})
+	p := n.start(true, b, wi)
+	p.apply, p.done = op, done
 }
 
-func (n *Node) start(p *pending) {
+// start issues a GetX (isX) or GetS for word wi of block b and returns the
+// transaction's record, for the caller to name its completion: the request
+// reaches the home in a later event, so nothing completes before then.
+func (n *Node) start(isX bool, b mem.Block, wi int) *pending {
 	if n.pend != nil {
 		panic(fmt.Sprintf("wbi: node %d issued a request with one outstanding", n.id))
 	}
+	p := &n.txns[n.next]
+	n.next ^= 1
+	p.clear()
+	p.isX, p.block, p.wordIdx = isX, b, wi
 	n.pend = p
 	n.f.RMR.RemoteRef(n.id)
 	kind := msg.GetS
-	if p.isX {
+	if isX {
 		kind = msg.GetX
 	}
-	n.f.Send(&msg.Msg{Kind: kind, Src: n.id, Dst: n.geom.Home(p.block), Block: p.block})
+	n.f.Send(msg.Msg{Kind: kind, Src: n.id, Dst: n.geom.Home(b), Block: b})
+	return p
 }
 
 // install places the completed transaction's block into the cache and
@@ -159,17 +186,25 @@ func (n *Node) finish() {
 	}
 	l.Excl = p.excl
 	old := l.Data[p.wordIdx]
-	if p.apply != nil {
+	switch {
+	case p.apply != nil:
 		l.Data[p.wordIdx] = p.apply(old)
 		l.Dirty.Set(p.wordIdx)
+	case p.wrote != nil:
+		l.Data[p.wordIdx] = p.val
+		l.Dirty.Set(p.wordIdx)
 	}
-	buffered := p.buffered
 	n.pend = nil
-	done := p.done
-	done(old)
-	// Serve forwarded requests that queued behind the acquisition.
-	for _, m := range buffered {
-		n.process(m)
+	if p.wrote != nil {
+		p.wrote()
+	} else {
+		p.done(old)
+	}
+	// Serve forwarded requests that queued behind the acquisition. The
+	// resumed program may have started the next transaction, on the
+	// other record.
+	for i := range p.buffered {
+		n.process(&p.buffered[i])
 	}
 }
 
@@ -190,7 +225,7 @@ func (n *Node) evictDirty(v cache.Victim) {
 		n.wb = make(map[mem.Block]wbEntry)
 	}
 	n.wb[v.Block] = wbEntry{data: v.Data}
-	n.f.Send(&msg.Msg{
+	n.f.Send(msg.Msg{
 		Kind: msg.PutX, Src: n.id, Dst: n.geom.Home(v.Block),
 		Block: v.Block, Data: v.Data, Mask: v.Dirty,
 	})
@@ -220,7 +255,7 @@ func (n *Node) process(m *msg.Msg) {
 			panic(fmt.Sprintf("wbi: node %d data reply for %d without request", n.id, m.Block))
 		}
 		p.dataIn = true
-		p.data = m.Data
+		p.data = append(p.data[:0], m.Data...)
 		// OwnerData answers both FwdGetS and FwdGetX; exclusivity
 		// follows the pending request's kind.
 		p.excl = p.isX
@@ -234,7 +269,7 @@ func (n *Node) process(m *msg.Msg) {
 			panic(fmt.Sprintf("wbi: node %d DataX for %d without GetX", n.id, m.Block))
 		}
 		p.dataIn = true
-		p.data = m.Data
+		p.data = append(p.data[:0], m.Data...)
 		p.excl = true
 		p.needAcks = m.Acks
 		if p.complete() {
@@ -258,7 +293,7 @@ func (n *Node) process(m *msg.Msg) {
 			// The in-flight read reply is already superseded.
 			p.poisoned = true
 		}
-		n.f.Send(&msg.Msg{Kind: msg.InvAck, Src: n.id, Dst: m.Requester, Block: m.Block})
+		n.f.Send(msg.Msg{Kind: msg.InvAck, Src: n.id, Dst: m.Requester, Block: m.Block})
 
 	case msg.FwdGetS:
 		n.serveFwd(m, false)
@@ -279,28 +314,33 @@ func (n *Node) process(m *msg.Msg) {
 // buffers the request until it completes.
 func (n *Node) serveFwd(m *msg.Msg, exclusive bool) {
 	if l := n.cache.Peek(m.Block); l != nil && l.Excl {
-		data := append([]mem.Word(nil), l.Data...)
+		// Send copies the line's words, so the data leaves before the
+		// line is given up.
+		if !exclusive {
+			// Downgrade updates memory so the directory can serve
+			// future readers.
+			n.f.Send(msg.Msg{Kind: msg.OwnerDataMem, Src: n.id, Dst: n.geom.Home(m.Block), Block: m.Block, Data: l.Data, Mask: mem.Full(n.geom.BlockWords)})
+		}
+		n.f.Send(msg.Msg{Kind: msg.OwnerData, Src: n.id, Dst: m.Requester, Block: m.Block, Data: l.Data})
 		if exclusive {
 			n.cache.Invalidate(m.Block)
 		} else {
 			l.Excl = false
 			l.Dirty = 0
-			// Downgrade updates memory so the directory can serve
-			// future readers.
-			n.f.Send(&msg.Msg{Kind: msg.OwnerDataMem, Src: n.id, Dst: n.geom.Home(m.Block), Block: m.Block, Data: data, Mask: mem.Full(n.geom.BlockWords)})
 		}
-		n.f.Send(&msg.Msg{Kind: msg.OwnerData, Src: n.id, Dst: m.Requester, Block: m.Block, Data: data})
 		return
 	}
 	if e, ok := n.wb[m.Block]; ok {
 		if !exclusive {
-			n.f.Send(&msg.Msg{Kind: msg.OwnerDataMem, Src: n.id, Dst: n.geom.Home(m.Block), Block: m.Block, Data: e.data, Mask: mem.Full(n.geom.BlockWords), Aux: 1})
+			n.f.Send(msg.Msg{Kind: msg.OwnerDataMem, Src: n.id, Dst: n.geom.Home(m.Block), Block: m.Block, Data: e.data, Mask: mem.Full(n.geom.BlockWords), Aux: 1})
 		}
-		n.f.Send(&msg.Msg{Kind: msg.OwnerData, Src: n.id, Dst: m.Requester, Block: m.Block, Data: e.data})
+		n.f.Send(msg.Msg{Kind: msg.OwnerData, Src: n.id, Dst: m.Requester, Block: m.Block, Data: e.data})
 		return
 	}
 	if p := n.pend; p != nil && p.block == m.Block {
-		p.buffered = append(p.buffered, m)
+		q := *m
+		q.Data = nil // a forward carries no payload
+		p.buffered = append(p.buffered, q)
 		return
 	}
 	panic(fmt.Sprintf("wbi: node %d forwarded %v for %d it does not own", n.id, m.Kind, m.Block))
