@@ -30,8 +30,9 @@ bench:
 # One-iteration benchmark smoke: proves the bench paths (simulator kernel,
 # the Figure 4-7 sweeps, the event kernel's own loop and its queue at the
 # figure sweep's shape, the program/event-loop handoff, exploration engine,
-# the reliable transport under faults and the litmus seed sweep) build and
-# run; used by CI, where timing numbers would be noise anyway.
+# the reliable transport under faults, the litmus seed sweep and the KV
+# service on pooled machines under chaos) build and run; used by CI, where
+# timing numbers would be noise anyway.
 bench-smoke:
 	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Figure[4-7]$$' -benchtime=1x -run=^$$ .
@@ -39,6 +40,7 @@ bench-smoke:
 	$(GO) test -bench=ProcPark -benchtime=1x -run=^$$ ./internal/core/
 	$(GO) test -bench=TransportChaos -benchtime=1x -run=^$$ ./internal/fabric/
 	$(GO) test -bench=Sweep -benchtime=1x -run=^$$ ./internal/litmus/
+	$(GO) test '-bench=^BenchmarkRun$$' -benchtime=1x -run=^$$ ./internal/kvapp/
 
 # Deterministic-counter gate: the whole-system benchmark's own tests
 # (bench/, a separate module) smoke every workload and compare the

@@ -59,6 +59,10 @@ type Machine struct {
 	onOp     func(proc int, o Op)
 	// words is what RunOps returns: each processor's word list.
 	words [][]mem.Word
+	// shelf is the pool shelf of the machine's shape once the pool has
+	// handed the machine out or taken it, so putting it back needs no
+	// lookup.
+	shelf *shelf
 }
 
 // NewMachine builds a machine; it panics on an invalid configuration.
@@ -98,7 +102,7 @@ func NewMachine(cfg Config) *Machine {
 		n.id, n.store = i, mem.NewStore(geom)
 		nodeFab := fab
 		if lanes > 1 {
-			nodeFab = fab.View(par.Lane(i))
+			nodeFab = fab.View(par.Lane(i), i)
 			m.views = append(m.views, nodeFab)
 		}
 		nodeEng := nodeFab.Eng

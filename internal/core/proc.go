@@ -310,10 +310,18 @@ func (p *Proc) advance(w mem.Word) {
 }
 
 // pendingOp is a blocking primitive as the call records it for issue,
-// with an RMW's function.
+// with an RMW's function: nil for a fetch-and-add of Val.
 type pendingOp struct {
 	Op
 	rmw func(mem.Word) mem.Word
+}
+
+// apply returns the word the RMW writes over w.
+func (o *pendingOp) apply(w mem.Word) mem.Word {
+	if o.rmw == nil {
+		return w + o.Val
+	}
+	return o.rmw(w)
 }
 
 // do is the one path every primitive a program calls takes, with rmw an
@@ -388,10 +396,6 @@ func (p *Proc) begin(o Op, rmw func(mem.Word) mem.Word) (w mem.Word, waits bool)
 				o.Kind = OpWrite
 			}
 		}
-		if o.Kind == OpRMW && rmw == nil {
-			d := o.Val
-			rmw = func(w mem.Word) mem.Word { return w + d }
-		}
 		p.op = pendingOp{Op: o, rmw: rmw}
 		waits = p.block()
 	}
@@ -433,7 +437,7 @@ func (p *Proc) end(o Op, w mem.Word) mem.Word {
 		case histWrite:
 			r.Write, r.Value = true, o.Val
 		case histRMW:
-			r.Write, r.RMW, r.Value, r.Prev = true, true, p.op.rmw(w), w
+			r.Write, r.RMW, r.Value, r.Prev = true, true, p.op.apply(w), w
 		}
 		h.Record(r)
 	}
@@ -476,7 +480,11 @@ func (p *Proc) issue() bool {
 			panic(fmt.Sprintf("core: processor %d %v on %d: %v", p.id, mode, o.Addr, err))
 		}
 	case OpRMW:
-		n.wbiN.RMW(o.Addr, o.rmw, p.cbW)
+		if o.rmw == nil {
+			n.wbiN.FetchAdd(o.Addr, o.Val, p.cbW)
+		} else {
+			n.wbiN.RMW(o.Addr, o.rmw, p.cbW)
+		}
 	case OpWriteGlobal:
 		// The CBL machine's: the write enters the write buffer.
 		if !n.buf.Add(p.m.geom.BlockOf(o.Addr), p.m.geom.WordIndex(o.Addr), o.Val) {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
 	"ssmp/internal/network"
@@ -121,12 +122,21 @@ func checkResetMatchesFresh(t *testing.T, workers int) {
 }
 
 func checkReset(t *testing.T, cfgA, cfgB Config, spin bool) {
-	nodes := cfgA.Nodes
 	reused := NewMachine(cfgA)
-	_, err := reused.Run(resetProgA(cfgA.Protocol, nodes, spin))
+	_, err := reused.Run(resetProgA(cfgA.Protocol, cfgA.Nodes, spin))
 	if spin != (err != nil) {
 		t.Fatalf("program A (spin %v): %v", spin, err)
 	}
+	checkResetRun(t, reused, cfgB)
+}
+
+// checkResetRun resets reused, a machine whose run is over, to cfgB, runs
+// program B on it and on a fresh machine built from cfgB, and checks that
+// nothing observable tells the two apart, before the run or after it. It
+// returns the run's result.
+func checkResetRun(t *testing.T, reused *Machine, cfgB Config) Result {
+	t.Helper()
+	nodes := cfgB.Nodes
 	reused.Reset(cfgB)
 	fresh := NewMachine(cfgB)
 	if d := stateDiff(fresh, reused); d != "" {
@@ -184,13 +194,50 @@ func checkReset(t *testing.T, cfgA, cfgB Config, spin bool) {
 	if d := stateDiff(fresh, reused); d != "" {
 		t.Fatalf("reset machine's state after the run differs from a fresh one's: %s", d)
 	}
+	return resR
+}
+
+// TestPDESResetChainsFaultSeeds resets one four-lane machine from one
+// fault seed to another, over and over, each time after a run under the
+// seed before, and checks each run against a fresh machine's as
+// TestResetMatchesFresh does. The rates are high enough that every run
+// retransmits and holds early arrivals back, so the lane views' transport
+// tables and the fault plane's streams, all kept and reset in place, are
+// used by every run and grow differently from seed to seed.
+func TestPDESResetChainsFaultSeeds(t *testing.T) {
+	for _, proto := range []Protocol{ProtoCBL, ProtoWBI} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.CacheSets, cfg.Protocol, cfg.SimWorkers, cfg.Horizon = 16, proto, 2, 30_000
+			faults := func(seed uint64) network.FaultConfig {
+				return network.FaultConfig{Seed: seed, Rates: network.FaultRates{Drop: 0.2, Dup: 0.2, Delay: 0.3}}
+			}
+			cfg.Faults = faults(3)
+			m := NewMachine(cfg)
+			if _, err := m.Run(resetProgA(proto, cfg.Nodes, false)); err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []uint64{7, 11, 3, 7} {
+				cfg.Faults = faults(seed)
+				f := checkResetRun(t, m, cfg).Faults
+				if f.Retries == 0 || f.Reordered == 0 {
+					t.Fatalf("seed %d: fault counters %+v: the run must retransmit and reorder", seed, f)
+				}
+			}
+		})
+	}
 }
 
 // stateDiff walks every field reachable from two machines and returns the
 // path of the first difference, or "". Func values compare only by being
-// nil or not, and a field named spare — the memory a Reset keeps for reuse
-// — is skipped. Slices and maps compare by length and elements, so a
-// reset's empty slice equals a fresh nil one.
+// nil or not. A field named spare or kept is skipped: it holds only memory
+// a Reset keeps for reuse, which a fresh machine has not built yet — the
+// free lists of message records, directory entries and store blocks
+// (spare), and a fabric's reliable transport or the network's fault plane
+// while it is off (kept; while on, it is also the fabric's xp or the
+// network's faults, and walked there). Slices and maps compare by length
+// and elements, so a reset's empty slice equals a fresh nil one, and
+// memory a Reset keeps past a slice's length goes unseen.
 func stateDiff(a, b *Machine) string {
 	w := walker{seen: map[walkKey]bool{}}
 	return w.diff("Machine", reflect.ValueOf(a), reflect.ValueOf(b))
@@ -236,7 +283,7 @@ func (w walker) diff(path string, a, b reflect.Value) string {
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			f := a.Type().Field(i)
-			if f.Name == "spare" {
+			if f.Name == "spare" || f.Name == "kept" {
 				continue
 			}
 			if d := w.diff(path+"."+f.Name, a.Field(i), b.Field(i)); d != "" {
@@ -426,63 +473,80 @@ var wbiAllocOps = [][]Op{
 }
 
 // checkResetRunOpsAllocs pins the heap allocations of resetting a machine
-// built from cfg and running ops on it.
-func checkResetRunOpsAllocs(t *testing.T, cfg Config, ops [][]Op, want float64) {
+// built from cfg and running ops on it, and returns the result of the
+// last run.
+func checkResetRunOpsAllocs(t *testing.T, cfg Config, ops [][]Op, want float64) Result {
 	t.Helper()
 	m := NewMachine(cfg)
 	if _, _, err := m.RunOps(ops); err != nil {
 		t.Fatal(err)
 	}
+	var res Result
 	got := testing.AllocsPerRun(20, func() {
 		m.Reset(cfg)
-		if _, _, err := m.RunOps(ops); err != nil {
+		var err error
+		if res, _, err = m.RunOps(ops); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got != want {
 		t.Errorf("%d-node %v Reset+RunOps made %v allocations, want %v", cfg.Nodes, cfg.Protocol, got, want)
 	}
+	return res
 }
 
-// TestResetAllocsWBI pins Reset+RunOps on a 2-node WBI machine. The WBI
-// controllers make nothing per transaction. What remains is the directory
-// entry, with its sharer set, of each of the two blocks, which a Reset
-// empties the directory of, and the fetch-and-add function Proc makes for
-// each RMW record.
+// TestResetAllocsWBI pins Reset+RunOps on a 2-node WBI machine: the WBI
+// controllers make nothing per transaction, a Reset keeps each block's
+// directory entry and sharer set for the next run, and an RMW record
+// performs its fetch-and-add with no function made for it.
 func TestResetAllocsWBI(t *testing.T) {
-	checkResetRunOpsAllocs(t, wbiConfig(2), wbiAllocOps, 6)
+	checkResetRunOpsAllocs(t, wbiConfig(2), wbiAllocOps, 0)
 }
 
 // TestResetAllocsFaults pins Reset+RunOps of allocOps on a 2-node machine
-// with the fault plane on. Its messages, acks, retransmissions and
-// duplicates are records from the free list; what remains is what each run
-// builds anew: the fault plane's link streams and the reliable transport's
-// tables and their rows.
+// with the fault plane on, on one lane and on two, under a fault seed
+// whose run drops, duplicates and retransmits. Its messages, acks,
+// retransmissions and duplicates are records from the free list, a
+// dropped record goes back to it at once, and a Reset reseeds the fault
+// plane and empties the reliable transport's tables in place.
 func TestResetAllocsFaults(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Faults = resetFaults(3)
-	checkResetRunOpsAllocs(t, cfg, allocOps, 14)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Faults = resetFaults(6)
+			cfg.SimWorkers = workers
+			f := checkResetRunOpsAllocs(t, cfg, allocOps, 0).Faults
+			if f.Dropped == 0 || f.Duplicated == 0 || f.Retries == 0 {
+				t.Errorf("fault counters %+v: the run must drop, duplicate and retransmit", f)
+			}
+		})
+	}
 }
 
-// spareLens returns the length of each fabric's free list of message
-// records: the root's, then each lane view's.
-func spareLens(m *Machine) []int {
-	lens := []int{reflect.ValueOf(m.fab).Elem().FieldByName("spare").Len()}
-	for _, v := range m.views {
-		lens = append(lens, reflect.ValueOf(v).Elem().FieldByName("spare").Len())
+// spareRecords returns the addresses of the records in the free lists of
+// message records: the root fabric's, then each lane view's.
+func spareRecords(m *Machine) []uintptr {
+	var recs []uintptr
+	for _, f := range append([]*fabric.Fabric{m.fab}, m.views...) {
+		l := reflect.ValueOf(f).Elem().FieldByName("spare")
+		for i := 0; i < l.Len(); i++ {
+			recs = append(recs, l.Index(i).Pointer())
+		}
 	}
-	return lens
+	return recs
 }
 
 // TestSpareBounded runs the same programs on one machine for 20 rounds of
-// Reset and Run. On one lane a record goes back to the free list it came
-// from, so after the first round no fabric's list may grow: a record made
-// outside the list, or one returned twice, would add to it every round.
-// It covers a CBL machine with locks and a barrier, a WBI machine, and the
-// fault plane's drops, duplicates and retransmissions. On many lanes
-// records move from the views of sending nodes to those of receiving
-// ones, and Reset deals them out again, so the lists' total settles
-// within the node count times the first round's.
+// Reset and Run. On one lane every record a round makes goes back to the
+// free list, and the same run takes and returns the same records every
+// round, so after the first round the list must hold exactly the records
+// it held then: a record made outside the list, one lost (a dropped
+// message never taken back) or one returned twice would show. It covers a
+// CBL machine with locks and a barrier, a WBI machine, and the fault
+// plane's drops, duplicates and retransmissions. On many lanes records
+// move from the views of sending nodes to those of receiving ones, and
+// Reset deals them out again, so the lists' total settles within the node
+// count times the first round's.
 func TestSpareBounded(t *testing.T) {
 	faulty := cblConfig(4)
 	faulty.Faults = resetFaults(3)
@@ -495,44 +559,47 @@ func TestSpareBounded(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
 			m := NewMachine(cfg)
-			var first []int
+			first := map[uintptr]bool{}
 			for round := 1; round <= 20; round++ {
 				if round > 1 {
 					m.Reset(cfg)
 				}
-				if _, err := m.Run(resetProgA(cfg.Protocol, cfg.Nodes, false)); err != nil {
+				res, err := m.Run(resetProgA(cfg.Protocol, cfg.Nodes, false))
+				if err != nil {
 					t.Fatal(err)
 				}
-				lens := spareLens(m)
+				if cfg.Faults.Enabled() && (res.Faults.Dropped == 0 || res.Faults.Duplicated == 0 || res.Faults.Retries == 0) {
+					t.Fatalf("fault counters %+v: the run must drop, duplicate and retransmit", res.Faults)
+				}
+				recs := spareRecords(m)
 				if round == 1 {
-					first = lens
-					if sum(lens) == 0 {
+					for _, r := range recs {
+						first[r] = true
+					}
+					if len(first) == 0 {
 						t.Fatal("no record went back to a free list")
 					}
 					continue
 				}
 				if cfg.SimWorkers > 0 {
-					if sum(lens) > cfg.Nodes*sum(first) {
-						t.Fatalf("round %d: free lists hold %v records, %v after round 1", round, lens, first)
+					if len(recs) > cfg.Nodes*len(first) {
+						t.Fatalf("round %d: free lists hold %d records, %d after round 1", round, len(recs), len(first))
 					}
 					continue
 				}
-				for i := range lens {
-					if lens[i] > first[i] {
-						t.Fatalf("round %d: free list %d holds %d records, %d after round 1", round, i, lens[i], first[i])
+				made := 0
+				for _, r := range recs {
+					if !first[r] {
+						made++
 					}
+				}
+				if made > 0 || len(recs) != len(first) {
+					t.Fatalf("round %d: free lists hold %d records, %d of them made after round 1; %d after round 1",
+						round, len(recs), made, len(first))
 				}
 			}
 		})
 	}
-}
-
-func sum(s []int) int {
-	n := 0
-	for _, v := range s {
-		n += v
-	}
-	return n
 }
 
 // builtMachine keeps BenchmarkMachineBuild's builds from being optimized

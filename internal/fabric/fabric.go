@@ -12,8 +12,9 @@
 // station's receiver has processed it. The reliable transport takes back
 // the acks and the duplicates it suppresses itself. A fault-plane duplicate
 // is one record delivered twice (msg.Msg.Retain), returned after the
-// second delivery. So once the free list has grown to the most records
-// ever in flight at once, sending a message allocates nothing.
+// second delivery, and a record the fault plane drops comes back to the
+// sender at once. So once the free list has grown to the most records ever
+// in flight at once, sending a message allocates nothing, faults or not.
 package fabric
 
 import (
@@ -58,8 +59,13 @@ type Fabric struct {
 	// neither mutate nor keep it.
 	OnSend func(*msg.Msg)
 	// xp is the reliable transport, enabled alongside the network's fault
-	// plane (see transport.go); nil otherwise.
-	xp *transport
+	// plane (see transport.go); nil otherwise. kept holds its memory from
+	// the first EnableTransport on, across Reset.
+	xp   *transport
+	kept *transport
+	// node is the node a lane view serves, or -1 on a root, which serves
+	// every node unless it has views.
+	node int
 	// hits holds the word-carrying completions scheduled by AfterWord.
 	hits completions
 	// spare is the free list of message records. Send takes from it, and
@@ -74,16 +80,17 @@ type Fabric struct {
 
 // New builds a fabric over an engine and network.
 func New(eng *sim.Engine, net *network.Network, t Timing) *Fabric {
-	f := &Fabric{Eng: eng, Net: net, Time: t, Coll: &metrics.Collector{}, RMR: metrics.NewRMRAccount(net.Nodes())}
+	f := &Fabric{Eng: eng, Net: net, Time: t, Coll: &metrics.Collector{}, RMR: metrics.NewRMRAccount(net.Nodes()), node: -1}
 	f.Reset()
 	return f
 }
 
 // Reset returns the fabric to the state New builds, keeping its memory:
 // the message collector, RMR rows and completion table are empty, OnSend is
-// unset, and the reliable transport is off until EnableTransport builds a
-// new one. Attached handlers and the free list of message records are
-// kept. A view's RMR account is its root's, which resetting either clears.
+// unset, and the reliable transport is emptied and off until
+// EnableTransport turns it on again. Attached handlers, the free list of
+// message records and the transport's tables are kept. A view's RMR
+// account is its root's, which resetting either clears.
 //
 // Resetting a root also deals its views' free records out evenly again.
 // A run leaves them on the views of the nodes that received more than they
@@ -95,6 +102,9 @@ func (f *Fabric) Reset() {
 	f.RMR.Reset()
 	f.OnSend = nil
 	f.hits.reset()
+	if f.kept != nil {
+		f.kept.reset()
+	}
 	f.xp = nil
 	if len(f.views) > 0 {
 		for _, v := range f.views {
@@ -111,17 +121,17 @@ func (f *Fabric) Reset() {
 	}
 }
 
-// View returns a per-node fabric bound to one lane engine of a parallel
-// (PDES) run. The view shares the network, the timing parameters, and the
-// RMR account with the root fabric — RMR rows are per-processor and only
-// ever written by the owning node's lane — but owns its message collector
-// and, once EnableTransport is called on it, its own transport instance (a
-// node's transport touches only the sender state of its outgoing links and
-// the receiver state of its incoming ones, and acks always land back on the
-// sending node's view). Fold merges a view's counters into the root after
-// the run.
-func (f *Fabric) View(eng *sim.Engine) *Fabric {
-	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR}
+// View returns the fabric of node, bound to that node's lane engine in a
+// parallel (PDES) run. The view shares the network, the timing parameters,
+// and the RMR account with the root fabric — RMR rows are per-processor and
+// only ever written by the owning node's lane — but owns its message
+// collector and, once EnableTransport is called on it, its own transport
+// instance (a node's transport touches only the sender state of its
+// outgoing links and the receiver state of its incoming ones, and acks
+// always land back on the sending node's view). Fold merges a view's
+// counters into the root after the run.
+func (f *Fabric) View(eng *sim.Engine, node int) *Fabric {
+	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR, node: node}
 	f.views = append(f.views, v)
 	return v
 }
@@ -189,7 +199,11 @@ func (f *Fabric) sendRaw(m *msg.Msg) {
 	if f.OnSend != nil {
 		f.OnSend(m)
 	}
-	f.Net.Send(m.Src, m.Dst, m.Words(), m)
+	if f.Net.Send(m.Src, m.Dst, m.Words(), m) {
+		// Dropped by the fault plane: a tracked message lives on as
+		// its transport slot's copy, so the record is free at once.
+		f.free(m)
+	}
 }
 
 // AfterWord schedules done(w) d cycles from now as a typed event, so a

@@ -32,10 +32,18 @@ package fabric
 //
 // Records: the sender keeps a by-value copy of each unacknowledged message
 // in its slot, with a data buffer the slot keeps, since the record it sent
-// goes back to a free list once delivered. A retransmission sends a fresh
-// record copied from the slot. The receiver takes back each ack and each
-// suppressed duplicate itself, and a held-back record once it has been
-// delivered.
+// goes back to a free list once delivered or dropped. A retransmission
+// sends a fresh record copied from the slot. The receiver takes back each
+// ack and each suppressed duplicate itself, and a held-back record once it
+// has been delivered.
+//
+// Tables: each link's state is addressed by sequence number, with no
+// hashing. The sender's window holds the slots of the link's messages
+// from the oldest unacknowledged one on, so an ack finds its slot by
+// subtraction; the receiver's holds the early arrivals from the first one
+// after the gap. A fabric's transport keeps the rows of the links its own
+// nodes send and receive on, and Reset keeps every table's memory for the
+// next run.
 //
 // Determinism: timers are simulation events, sequence numbers are assigned
 // in injection order, and the fault plane is seeded — so a (config, fault
@@ -76,12 +84,6 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	return c
 }
 
-// pendKey identifies an unacknowledged message: its link and sequence.
-type pendKey struct {
-	link int // src*nodes + dst
-	ls   uint64
-}
-
 // outstanding is one slot of the transport's table of unacknowledged
 // messages: a copy of the message, its current retransmit timeout and the
 // handle of its armed timer. The slot's index is the argument of that
@@ -95,31 +97,44 @@ type outstanding struct {
 	next  int32 // while the slot is free: 1 + the next free slot, or 0
 }
 
-// rxLink is the receiver's state for one incoming link.
+// txLink is the sender's state for one outgoing link. Every sequence up to
+// acked has been acknowledged; win[k] is 1 + the slot of sequence
+// acked+1+k, or 0 once that one is acked too, so the link's last sequence
+// issued is acked+len(win). The window drops its acked front as acks
+// arrive.
+type txLink struct {
+	acked uint64
+	win   []int32
+}
+
+// rxLink is the receiver's state for one incoming link: the last sequence
+// delivered, and the early arrivals held until the gap before them fills,
+// hold[k] holding sequence expect+2+k or nil.
 type rxLink struct {
-	expect uint64              // last sequence delivered
-	hold   map[uint64]*msg.Msg // early arrivals, held until the gap fills
+	expect uint64
+	hold   []*msg.Msg
 }
 
 // transport is the per-fabric reliable-delivery state. Per-link state lives
-// in n-wide rows: the sender's sequence counters by source node (tx[src],
-// indexed by destination) and the receiver's reassembly state by
-// destination node (rx[dst], indexed by source), each row built on that
-// node's first send or receipt. A lane view sends from and receives at its
-// own node only, so it builds one row of each. Unacknowledged messages live
-// in a slot table; pending maps (link, sequence) to a slot, so tracking a
-// message allocates nothing once the table has grown to the most messages
-// ever in flight at once.
+// in rows of n links, one row per node the fabric serves: the sender's by
+// source node (tx, indexed by destination within a row) and the
+// receiver's by destination node (rx, indexed by source). A root fabric
+// on one lane serves every node; a lane view serves its own node, so its
+// tables hold one row each; a root whose nodes all run on views serves
+// none and keeps only the counters its views are folded into.
+// Unacknowledged messages live in a slot table, so tracking a message
+// allocates nothing once the tables have grown to the most messages ever
+// in flight at once.
 type transport struct {
 	f   *Fabric
 	cfg TransportConfig
 	n   int
+	lo  int // the first node served: a node's row is node-lo
 
-	tx      [][]uint64 // sender: [src][dst] last sequence issued on the link
-	rx      [][]rxLink // receiver: [dst][src] the link's reassembly state
-	pending map[pendKey]int32
-	slots   []outstanding
-	free    int32 // 1 + index of the first free slot; 0 when none is free
+	tx    []txLink // [(src-lo)*n + dst]
+	rx    []rxLink // [(dst-lo)*n + src]
+	slots []outstanding
+	free  int32 // 1 + index of the first free slot; 0 when none is free
 
 	retries       uint64
 	dupSuppressed uint64
@@ -127,20 +142,45 @@ type transport struct {
 	acksSent      uint64
 }
 
-// EnableTransport activates a new reliable transport on this fabric. It
-// must be called before any Send. A view does not inherit its root's
-// transport: the machine enables the root's and each view's itself. A zero
-// config field takes its default.
+// EnableTransport activates the reliable transport on this fabric, as a
+// new one starts: no message tracked and every counter zero. It must be
+// called before any Send. A view does not inherit its root's transport:
+// the machine enables the root's and each view's itself. A zero config
+// field takes its default. The transport's tables are built on the first
+// call and kept from then on; Reset turns the transport off and empties
+// them.
 func (f *Fabric) EnableTransport(cfg TransportConfig) {
-	n := f.Net.Nodes()
-	f.xp = &transport{
-		f:       f,
-		cfg:     cfg.withDefaults(),
-		n:       n,
-		tx:      make([][]uint64, n),
-		rx:      make([][]rxLink, n),
-		pending: make(map[pendKey]int32),
+	if f.kept == nil {
+		n := f.Net.Nodes()
+		t := &transport{f: f, n: n}
+		switch {
+		case f.node >= 0:
+			t.lo, t.tx, t.rx = f.node, make([]txLink, n), make([]rxLink, n)
+		case len(f.views) == 0:
+			t.tx, t.rx = make([]txLink, n*n), make([]rxLink, n*n)
+		}
+		f.kept = t
 	}
+	f.xp = f.kept
+	f.xp.cfg = cfg.withDefaults()
+}
+
+// reset empties the transport, keeping its memory: no link has a sequence
+// issued, delivered, unacknowledged or held, no slot is in use and every
+// counter is zero. A held record is let go of; like a record in flight when
+// the run stopped, it is not returned to a free list.
+func (t *transport) reset() {
+	for i := range t.tx {
+		l := &t.tx[i]
+		l.acked, l.win = 0, l.win[:0]
+	}
+	for i := range t.rx {
+		l := &t.rx[i]
+		clear(l.hold)
+		l.expect, l.hold = 0, l.hold[:0]
+	}
+	t.slots, t.free = t.slots[:0], 0
+	t.retries, t.dupSuppressed, t.reordered, t.acksSent = 0, 0, 0, 0
 }
 
 // TransportStats reports the transport's recovery counters (zero when the
@@ -170,20 +210,22 @@ func (f *Fabric) FaultCounters() metrics.FaultCounters {
 // retransmission and arms the retransmit timer. Node-local bypass messages
 // are exempt: they cannot be faulted.
 func (t *transport) track(m *msg.Msg) {
-	row := t.tx[m.Src]
-	if row == nil {
-		row = make([]uint64, t.n)
-		t.tx[m.Src] = row
-	}
-	row[m.Dst]++
-	m.XSeq = row[m.Dst]
 	if t.free == 0 {
-		t.slots = append(t.slots, outstanding{})
+		// A slot past the table's length keeps its data buffer from the
+		// run before a Reset.
+		if k := len(t.slots); k < cap(t.slots) {
+			t.slots = t.slots[:k+1]
+			t.slots[k].next = 0
+		} else {
+			t.slots = append(t.slots, outstanding{})
+		}
 		t.free = int32(len(t.slots))
 	}
 	i := t.free - 1
 	t.free = t.slots[i].next
-	t.pending[pendKey{m.Src*t.n + m.Dst, m.XSeq}] = i
+	l := &t.tx[(m.Src-t.lo)*t.n+m.Dst]
+	l.win = append(l.win, i+1)
+	m.XSeq = l.acked + uint64(len(l.win))
 	o := &t.slots[i]
 	buf := o.m.Data
 	*o = outstanding{m: *m, rto: t.cfg.RTO}
@@ -217,16 +259,25 @@ func (t *transport) sendAck(node, src int, ls uint64) {
 	t.f.sendRaw(t.f.take(&msg.Msg{Kind: msg.NetAck, Src: node, Dst: src, XSeq: ls}))
 }
 
-// ack retires the pending entry a NetAck names, cancelling its retransmit
-// timer and freeing its slot. Acks for already-retired sequences
-// (duplicated or stale acks) are ignored.
+// ack retires the message a NetAck names, cancelling its retransmit timer
+// and freeing its slot. Acks for already-retired sequences (duplicated or
+// stale acks) are ignored.
 func (t *transport) ack(a *msg.Msg) {
-	k := pendKey{a.Dst*t.n + a.Src, a.XSeq}
-	i, ok := t.pending[k]
-	if !ok {
+	l := &t.tx[(a.Dst-t.lo)*t.n+a.Src]
+	k := a.XSeq - l.acked - 1
+	if a.XSeq <= l.acked || k >= uint64(len(l.win)) || l.win[k] == 0 {
 		return
 	}
-	delete(t.pending, k)
+	i := l.win[k] - 1
+	l.win[k] = 0
+	front := 0
+	for front < len(l.win) && l.win[front] == 0 {
+		front++
+	}
+	if front > 0 {
+		l.acked += uint64(front)
+		l.win = l.win[:copy(l.win, l.win[front:])]
+	}
 	o := &t.slots[i]
 	o.timer.Cancel()
 	*o = outstanding{m: msg.Msg{Data: o.m.Data[:0]}, next: t.free}
@@ -249,12 +300,7 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 		t.deliver(h, m)
 		return
 	}
-	row := t.rx[node]
-	if row == nil {
-		row = make([]rxLink, t.n)
-		t.rx[node] = row
-	}
-	l := &row[m.Src]
+	l := &t.rx[(node-t.lo)*t.n+m.Src]
 	ls := m.XSeq
 	t.sendAck(node, m.Src, ls)
 	switch {
@@ -267,29 +313,32 @@ func (t *transport) receive(node int, m *msg.Msg, h func(*msg.Msg)) {
 	case ls == l.expect+1:
 		l.expect = ls
 		t.deliver(h, m)
-		// Drain any held successors the gap was blocking.
-		for {
-			nm, ok := l.hold[l.expect+1]
-			if !ok {
-				return
-			}
-			delete(l.hold, l.expect+1)
+		// Drain any held successors the gap was blocking: hold[k] is
+		// now sequence expect+1 while k successors have been delivered.
+		k := 0
+		for k < len(l.hold) && l.hold[k] != nil {
 			l.expect++
-			t.deliver(h, nm)
+			t.deliver(h, l.hold[k])
+			k++
 		}
+		// hold[k], if any, is the new gap: the window restarts behind it.
+		rest := copy(l.hold, l.hold[min(k+1, len(l.hold)):])
+		clear(l.hold[rest:])
+		l.hold = l.hold[:rest]
 	default:
 		// Early: a predecessor is still missing (dropped or delayed).
 		// Hold this message until the sender's retransmission fills the
 		// gap, preserving the link's FIFO order.
-		if l.hold == nil {
-			l.hold = make(map[uint64]*msg.Msg)
+		k := int(ls - l.expect - 2)
+		for len(l.hold) <= k {
+			l.hold = append(l.hold, nil)
 		}
-		if _, dup := l.hold[ls]; dup {
+		if l.hold[k] != nil {
 			t.dupSuppressed++
 			t.f.free(m)
 			return
 		}
-		l.hold[ls] = m
+		l.hold[k] = m
 		t.reordered++
 	}
 }

@@ -171,8 +171,10 @@ func TestTransportFullChaosAllLinks(t *testing.T) {
 	// Drained clean: every message was acked, every slot freed, every
 	// retransmit timer cancelled. An ack path that leaks a slot fails here.
 	xp := f.xp
-	if len(xp.pending) != 0 {
-		t.Fatalf("%d messages still pending after drain", len(xp.pending))
+	for i, l := range xp.tx {
+		if len(l.win) != 0 {
+			t.Fatalf("link %d->%d: %d sequences still unacked after drain", i/4, i%4, len(l.win))
+		}
 	}
 	free := 0
 	for i := xp.free; i != 0 && free <= len(xp.slots); i = xp.slots[i-1].next {

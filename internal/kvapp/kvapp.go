@@ -432,20 +432,38 @@ func (c *client) cas(p *core.Proc, key int, expect mem.Word) (mem.Word, mem.Word
 	return read, wrote
 }
 
-// Run executes the spec on a fresh machine and checks the oracle. The
-// returned error covers machine failures only; oracle violations are
-// reported in Result.Oracle (and by Result.Check) so chaos sweeps can
-// distinguish "the fabric killed the run" from "the service returned a
-// non-sequentially-consistent answer".
+// Run executes the spec and checks the oracle. The returned error covers
+// machine failures only; oracle violations are reported in Result.Oracle
+// (and by Result.Check) so chaos sweeps can distinguish "the fabric killed
+// the run" from "the service returned a non-sequentially-consistent
+// answer". The machine comes from core's machine pool, in the state a
+// fresh build leaves it, so runs of one machine shape reuse a few
+// machines; it goes back once a successful run has been checked.
 func Run(ctx context.Context, spec Spec, opts RunOptions) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	algo, err := synczoo.LockAlgoByKey(spec.Lock)
+	cfg, algo, err := spec.config(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig(spec.Procs)
+	m := core.GetMachine(cfg)
+	res, err := runOn(ctx, m, spec, algo, opts)
+	if err != nil {
+		return nil, err
+	}
+	core.PutMachine(m)
+	return res, nil
+}
+
+// config returns the machine configuration a run of the spec under opts
+// takes and the spec's lock algorithm, or the spec's error.
+func (s Spec) config(opts RunOptions) (core.Config, synczoo.LockAlgo, error) {
+	if err := s.Validate(); err != nil {
+		return core.Config{}, synczoo.LockAlgo{}, err
+	}
+	algo, err := synczoo.LockAlgoByKey(s.Lock)
+	if err != nil {
+		return core.Config{}, synczoo.LockAlgo{}, err
+	}
+	cfg := core.DefaultConfig(s.Procs)
 	cfg.Protocol = algo.Proto
 	cfg.Jitter = opts.Jitter
 	cfg.Faults = opts.Faults
@@ -454,7 +472,12 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (*Result, error) {
 	if opts.Horizon > 0 {
 		cfg.Horizon = opts.Horizon
 	}
-	m := core.NewMachine(cfg)
+	return cfg, algo, nil
+}
+
+// runOn is Run on m, a machine in the state core.NewMachine builds for the
+// configuration spec.config(opts) returns with algo.
+func runOn(ctx context.Context, m *core.Machine, spec Spec, algo synczoo.LockAlgo, opts RunOptions) (*Result, error) {
 	lay := spec.build(algo, m.Geometry())
 	zipf := workload.NewZipf(spec.Keys, spec.Theta)
 	cbl := algo.Proto == core.ProtoCBL

@@ -5,10 +5,8 @@ package litmus
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ssmp/internal/bccheck"
@@ -75,22 +73,6 @@ func (c *compiled) lowered() [][]core.Op {
 	return lower(c.prog)
 }
 
-// machines holds the machines runSim has finished with, one pool per
-// node count (indexed by its log2), so a sweep's runs reuse a few machines
-// instead of building one per seed. A reset machine runs exactly as a
-// fresh one, so reuse changes no outcome.
-var machines [bits.UintSize]sync.Pool
-
-// machine returns a machine in the state core.NewMachine(cfg) builds: a
-// pooled one reset to cfg, or a fresh build when the pool has none.
-func machine(cfg core.Config) *core.Machine {
-	if m, ok := machines[bits.TrailingZeros(uint(cfg.Nodes))].Get().(*core.Machine); ok {
-		m.Reset(cfg)
-		return m
-	}
-	return core.NewMachine(cfg)
-}
-
 // machineNodes is the fewest nodes (a power of two, at least 2) that seat
 // procs processors.
 func machineNodes(procs int) int {
@@ -116,10 +98,11 @@ func (c *compiled) simConfig(seed uint64, faults network.FaultConfig) core.Confi
 // core.NewMachine(c.simConfig(seed, faults)) builds, and returns the
 // outcome in canonical syntax plus the run's fault counters. Only with
 // trace set does the run record a history, which the returned graph
-// renders. A machine whose run succeeded goes back to its pool.
+// renders. The machine comes from core's machine pool, so a sweep's runs
+// reuse a few machines instead of building one per seed, and a machine
+// whose run succeeded goes back to it.
 func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (string, *bccheck.Graph, metrics.FaultCounters, error) {
-	cfg := c.simConfig(seed, faults)
-	m := machine(cfg)
+	m := core.GetMachine(c.simConfig(seed, faults))
 	out, graph, res, err := c.simulate(m, trace)
 	if err != nil {
 		// The seed and fault config make the failure reproducible from the
@@ -127,7 +110,7 @@ func (c *compiled) runSim(seed uint64, faults network.FaultConfig, trace bool) (
 		return "", nil, metrics.FaultCounters{}, fmt.Errorf("litmus %s: jitter seed %d, %s: %w",
 			c.t.Name, seed, faults, err)
 	}
-	machines[bits.TrailingZeros(uint(cfg.Nodes))].Put(m)
+	core.PutMachine(m)
 	return out, graph, res.Faults, nil
 }
 

@@ -20,6 +20,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"ssmp/internal/sim"
 )
@@ -153,38 +154,52 @@ func splitmix64(x uint64) uint64 {
 // faultPlane is the per-network fault state: one PRNG stream per ordered
 // link, advanced once per decision. Stats are sharded by source node so
 // that under a parallel (lane-per-node) run each lane touches only its own
-// shard; a link's stream is likewise touched only by its source lane.
+// shard; a link's stream is likewise touched only by its source lane. A
+// link's rates are the config's Rates, or, when the config overrides some
+// links, the entry of a per-link table built from the overrides.
 type faultPlane struct {
 	cfg      FaultConfig
 	delayMax sim.Time
-	rates    []FaultRates // [src*n + dst]
+	rates    []FaultRates // [src*n + dst] with link overrides; empty without
 	streams  []uint64     // per-link splitmix64 state
 	n        int
 	stats    []FaultStats // [src]
 }
 
 func newFaultPlane(cfg FaultConfig, nodes int) *faultPlane {
-	p := &faultPlane{
-		cfg:      cfg,
-		delayMax: cfg.delayMax(),
-		rates:    make([]FaultRates, nodes*nodes),
-		streams:  make([]uint64, nodes*nodes),
-		n:        nodes,
-		stats:    make([]FaultStats, nodes),
-	}
+	p := &faultPlane{}
+	p.reset(cfg, nodes)
+	return p
+}
+
+// reset returns the plane to the state newFaultPlane(cfg, nodes) builds,
+// keeping its memory: every link's stream is reseeded and every count is
+// zero.
+func (p *faultPlane) reset(cfg FaultConfig, nodes int) {
+	p.cfg, p.delayMax, p.n = cfg, cfg.delayMax(), nodes
+	p.streams = slices.Grow(p.streams[:0], nodes*nodes)[:nodes*nodes]
+	p.stats = slices.Grow(p.stats[:0], nodes)[:nodes]
+	clear(p.stats)
 	for s := 0; s < nodes; s++ {
 		for d := 0; d < nodes; d++ {
-			i := s*nodes + d
-			p.rates[i] = cfg.Rates
-			if r, ok := cfg.Links[Link{s, d}]; ok {
-				p.rates[i] = r
-			}
 			// Decorrelate the link streams: each starts at an
 			// independent point derived from (seed, src, dst).
-			p.streams[i] = splitmix64(cfg.Seed ^ splitmix64(uint64(s)<<32|uint64(d)))
+			p.streams[s*nodes+d] = splitmix64(cfg.Seed ^ splitmix64(uint64(s)<<32|uint64(d)))
 		}
 	}
-	return p
+	p.rates = p.rates[:0]
+	if len(cfg.Links) == 0 {
+		return
+	}
+	p.rates = slices.Grow(p.rates, nodes*nodes)[:nodes*nodes]
+	for i := range p.rates {
+		p.rates[i] = cfg.Rates
+	}
+	for l, r := range cfg.Links {
+		if l.Src >= 0 && l.Src < nodes && l.Dst >= 0 && l.Dst < nodes {
+			p.rates[l.Src*nodes+l.Dst] = r
+		}
+	}
 }
 
 // draw advances link i's stream and returns a uniform value in [0,1).
@@ -212,7 +227,10 @@ type verdict struct {
 // sequence depends only on its own message order.
 func (p *faultPlane) judge(src, dst int) verdict {
 	i := src*p.n + dst
-	r := p.rates[i]
+	r := p.cfg.Rates
+	if len(p.rates) > 0 {
+		r = p.rates[i]
+	}
 	var v verdict
 	if u := p.draw(i); u < r.Drop {
 		v.drop = true

@@ -127,7 +127,8 @@ type Network struct {
 	bus      *sim.Resource    // bus topology: the single shared medium
 	handlers []Handler
 	inbox    []port       // per-node typed delivery endpoints
-	faults   *faultPlane  // nil while the fault plane is off
+	faults   *faultPlane  // the fault plane while it is on (kept), else nil
+	kept     *faultPlane  // the fault plane's memory, kept across Reset
 	shards   []Stats      // per-source-node counters, summed by Stats()
 	pend     [][]pendSend // contended lane mode: per-source deferred sends
 	arbCnt   []int        // replay scratch: where each cycle's sends start
@@ -231,9 +232,10 @@ func build(cfg Config) *Network {
 
 // Reset returns the network to the state New (or NewParallel) builds for
 // its configuration with the fault plane set to faults: every port, mesh
-// link and the bus idle, every counter zero, no send pending, and a new
-// fault plane seeded from faults, or none when faults is not enabled.
-// Attached handlers, the lane wiring and the topology's tables are kept.
+// link and the bus idle, every counter zero, no send pending, and the
+// fault plane seeded from faults, or off when faults is not enabled.
+// Attached handlers, the lane wiring, the topology's tables and the fault
+// plane's memory are kept: a plane once built is reseeded in place.
 // It panics on an invalid fault configuration.
 func (n *Network) Reset(faults FaultConfig) {
 	if err := faults.Validate(); err != nil {
@@ -263,7 +265,11 @@ func (n *Network) reset(faults FaultConfig) {
 	n.arbCnt, n.arbOrd = n.arbCnt[:0], n.arbOrd[:0]
 	n.faults = nil
 	if faults.Enabled() {
-		n.faults = newFaultPlane(faults, n.cfg.Nodes)
+		if n.kept == nil {
+			n.kept = &faultPlane{}
+		}
+		n.kept.reset(faults, n.cfg.Nodes)
+		n.faults = n.kept
 	}
 }
 
@@ -338,7 +344,9 @@ func (n *Network) route(src, dst int, lines []int) []int {
 // modeled latency. Node-local messages bypass the network entirely. In lane
 // mode Send must be called from src's lane; every counter it touches is
 // src's own shard, and cross-lane deliveries route through the coordinator.
-func (n *Network) Send(src, dst, words int, payload any) {
+// It reports whether the fault plane dropped the message: the network then
+// keeps no reference to payload, which goes back to the sender at once.
+func (n *Network) Send(src, dst, words int, payload any) (dropped bool) {
 	eng := n.engine
 	if n.par != nil {
 		eng = n.laneEng[src]
@@ -348,7 +356,7 @@ func (n *Network) Send(src, dst, words int, payload any) {
 	if src == dst && !n.cfg.DanceHall {
 		st.Local++
 		n.deliverAt(eng, now+n.cfg.LocalDelay, src, dst, payload)
-		return
+		return false
 	}
 	st.Messages++
 	st.Words += uint64(words)
@@ -369,13 +377,18 @@ func (n *Network) Send(src, dst, words int, payload any) {
 		// lane-local streams, in the same per-link order the serial engine
 		// would draw them. A zero-hop send (DanceHall same-node) acquires
 		// nothing and stays on the immediate path below.
+		// A dropped send still occupies its ports, so it is recorded
+		// without its payload.
 		q := pendSend{at: now, hold: hold, src: int32(src), dst: int32(dst), hops: int32(hops), payload: payload}
 		if n.faults != nil {
 			q.v = n.faults.judge(src, dst)
+			if q.v.drop {
+				q.payload = nil
+			}
 		}
 		q.jit, q.seq = n.par.DrawKey(int32(src))
 		n.pend[src] = append(n.pend[src], q)
-		return
+		return q.v.drop
 	}
 	var done sim.Time
 	switch {
@@ -397,7 +410,7 @@ func (n *Network) Send(src, dst, words int, payload any) {
 	if n.faults != nil {
 		v := n.faults.judge(src, dst)
 		if v.drop {
-			return
+			return true
 		}
 		done += v.extra
 		if v.dup {
@@ -406,6 +419,7 @@ func (n *Network) Send(src, dst, words int, payload any) {
 		}
 	}
 	n.deliverAt(eng, done, src, dst, payload)
+	return false
 }
 
 // sendPath walks the destination-tag route acquiring each output port in

@@ -82,8 +82,9 @@ type Parallel struct {
 	// its low 32; finished counts the window's lanes run to the end.
 	claim    atomic.Uint64
 	finished atomic.Int64
-	wake     chan struct{} // parked workers wait here while Run runs them
-	panics   []any         // per-lane captured panic values
+	wake     chan bool      // parked workers wait here: false wakes one, true ends it
+	workers  sync.WaitGroup // the workers Run started and has not yet ended
+	panics   []any          // per-lane captured panic values
 }
 
 // NewParallel returns a coordinator over n lane engines with the clock at
@@ -102,6 +103,7 @@ func NewParallel(n int) *Parallel {
 	} else {
 		p.lanes = make([]*Engine, n)
 		p.out = make([][]post, n)
+		p.wake = make(chan bool, n-1)
 		p.panics = make([]any, n)
 		p.nt = make([]Time, n)
 		p.lanes[0] = &p.lane0
@@ -313,24 +315,8 @@ func (p *Parallel) Run(workers int) error {
 		e.stopped = false
 	}
 	if workers > 1 {
-		p.wake = make(chan struct{}, workers-1)
-		var wg sync.WaitGroup
-		wg.Add(workers - 1)
-		for range workers - 1 {
-			go func() {
-				defer wg.Done()
-				for range p.wake {
-					if ran := p.drain(); ran > 0 {
-						p.finished.Add(ran)
-					}
-				}
-			}()
-		}
-		defer func() {
-			close(p.wake)
-			wg.Wait()
-			p.wake = nil
-		}()
+		p.startWorkers(workers - 1)
+		defer p.stopWorkers(workers - 1)
 	}
 
 	// nt caches every lane's next-event time between windows, so the
@@ -414,15 +400,58 @@ func (p *Parallel) runWindow(workers int) {
 	n := len(p.active)
 	p.finished.Store(0)
 	p.claim.Store((p.claim.Load()>>32+1)<<32 | uint64(n))
-	for range min(workers, n) - 1 {
-		select {
-		case p.wake <- struct{}{}:
-		default: // every worker is awake or has a wake-up queued
-		}
+	// Queue a wake-up for each worker the window can use that is neither
+	// awake nor already has one queued. The channel holds one per lane
+	// but the first, so the sends never block.
+	for range min(workers, n) - 1 - len(p.wake) {
+		p.wake <- false
 	}
 	p.finished.Add(p.drain())
 	for p.finished.Load() != int64(n) {
 		runtime.Gosched()
+	}
+}
+
+// laneWorkers hands each worker goroutine Run starts the coordinator it
+// serves. Starting a goroutine from a function value that holds its
+// coordinator allocates that value on every Run; laneWorker is a static
+// function, so starting it allocates nothing.
+var laneWorkers = make(chan *Parallel)
+
+// startWorkers starts k workers for a Run, each parked until a window
+// wakes it.
+func (p *Parallel) startWorkers(k int) {
+	p.workers.Add(k)
+	for range k {
+		go laneWorker()
+		laneWorkers <- p
+	}
+}
+
+// stopWorkers ends the k workers a Run started and returns once they have
+// exited. Each ends at the first exit token it takes, after any wake-up
+// queued before it.
+func (p *Parallel) stopWorkers(k int) {
+	for range k {
+		p.wake <- true
+	}
+	p.workers.Wait()
+}
+
+// laneWorker is a worker of Run's pool: it claims and runs the window's
+// lanes each time it is woken, until it takes an exit token. Which Run's
+// start made the goroutine is immaterial: every coordinator sent on
+// laneWorkers is taken by exactly one worker.
+func laneWorker() {
+	p := <-laneWorkers
+	defer p.workers.Done()
+	for exit := range p.wake {
+		if exit {
+			return
+		}
+		if ran := p.drain(); ran > 0 {
+			p.finished.Add(ran)
+		}
 	}
 }
 

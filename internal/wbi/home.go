@@ -68,6 +68,7 @@ type Home struct {
 	store   *mem.Store
 	station fabric.Station
 	dir     map[mem.Block]*dirEntry // nil until the first entry
+	spare   []*dirEntry             // emptied entries a Reset took out, reused before allocating
 	// replies holds the data replies waiting out the memory read.
 	replies replies
 
@@ -95,9 +96,17 @@ func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Hom
 
 // Reset returns the controller to the state NewHome builds: an empty
 // directory, no reply in flight, the station idle and every counter zero.
-// The store (reset by its owner) and MaxPointers are kept.
+// The store (reset by its owner) and MaxPointers are kept, and so are the
+// directory's entries, emptied, with their sharer sets and wait queues,
+// for the next blocks the directory tracks.
 func (h *Home) Reset() {
 	h.station.Reset()
+	for _, e := range h.dir {
+		clear(e.sharers)
+		clear(e.waitQ)
+		*e = dirEntry{owner: -1, sharers: e.sharers, waitQ: e.waitQ[:0]}
+		h.spare = append(h.spare, e)
+	}
 	clear(h.dir)
 	h.replies.reset()
 	h.InvSent, h.Broadcasts = 0, 0
@@ -109,7 +118,11 @@ func (h *Home) Store() *mem.Store { return h.store }
 func (h *Home) entry(b mem.Block) *dirEntry {
 	e, ok := h.dir[b]
 	if !ok {
-		e = &dirEntry{owner: -1, sharers: newNodeSet(h.geom.Nodes)}
+		if k := len(h.spare); k > 0 {
+			e, h.spare = h.spare[k-1], h.spare[:k-1]
+		} else {
+			e = &dirEntry{owner: -1, sharers: newNodeSet(h.geom.Nodes)}
+		}
 		if h.dir == nil {
 			h.dir = make(map[mem.Block]*dirEntry)
 		}

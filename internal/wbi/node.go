@@ -14,8 +14,10 @@ type pending struct {
 	isX     bool // GetX (write/RMW) vs GetS (read)
 	block   mem.Block
 	wordIdx int
-	// A read completes with done, an RMW applies apply and completes with
-	// done, and a write stores val and completes with wrote.
+	// A read completes with done, an RMW (rmw) applies apply, or adds val
+	// when apply is nil, and completes with done, and a write stores val
+	// and completes with wrote.
+	rmw      bool
 	apply    func(old mem.Word) mem.Word
 	done     func(mem.Word)
 	wrote    func()
@@ -131,18 +133,37 @@ func (n *Node) Write(a mem.Addr, w mem.Word, done func()) {
 // ownership, applies op to the addressed word, and returns the *old* value.
 // This is the fetch-and-Φ style primitive software locks are built from.
 func (n *Node) RMW(a mem.Addr, op func(mem.Word) mem.Word, done func(old mem.Word)) {
+	n.modify(a, op, 0, done)
+}
+
+// FetchAdd is RMW adding d to the word, with no function to call.
+func (n *Node) FetchAdd(a mem.Addr, d mem.Word, done func(old mem.Word)) {
+	n.modify(a, nil, d, done)
+}
+
+// modify is RMW of op, or, with op nil, FetchAdd of d.
+func (n *Node) modify(a mem.Addr, op func(mem.Word) mem.Word, d mem.Word, done func(old mem.Word)) {
 	b := n.geom.BlockOf(a)
 	wi := n.geom.WordIndex(a)
 	if l := n.cache.Lookup(b); l != nil && l.Excl {
 		n.f.RMR.LocalHit(n.id)
 		old := l.Data[wi]
-		l.Data[wi] = op(old)
+		l.Data[wi] = modified(op, d, old)
 		l.Dirty.Set(wi)
 		n.f.AfterWord(n.f.Time.CacheHit, done, old)
 		return
 	}
 	p := n.start(true, b, wi)
-	p.apply, p.done = op, done
+	p.rmw, p.apply, p.val, p.done = true, op, d, done
+}
+
+// modified is the word an RMW of op, or with op nil a FetchAdd of d,
+// writes over w.
+func modified(op func(mem.Word) mem.Word, d, w mem.Word) mem.Word {
+	if op == nil {
+		return w + d
+	}
+	return op(w)
 }
 
 // start issues a GetX (isX) or GetS for word wi of block b and returns the
@@ -187,8 +208,8 @@ func (n *Node) finish() {
 	l.Excl = p.excl
 	old := l.Data[p.wordIdx]
 	switch {
-	case p.apply != nil:
-		l.Data[p.wordIdx] = p.apply(old)
+	case p.rmw:
+		l.Data[p.wordIdx] = modified(p.apply, p.val, old)
 		l.Dirty.Set(p.wordIdx)
 	case p.wrote != nil:
 		l.Data[p.wordIdx] = p.val
