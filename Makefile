@@ -50,18 +50,19 @@ bench-smoke:
 bench-check:
 	$(GO) -C bench test ./...
 
-# PDES determinism gate: the parallel engine's unit tests, the window-merge
-# port-arbitration parity and replay-order suite, and every workers=1-vs-N
+# PDES determinism gate: the lane engine's unit tests, the window-merge
+# port-arbitration parity and replay-order suite, and every SimWorkers
 # equality property (engine, network, workload, harness, daemon, the KV
 # service under chaos) under the race detector. The bench line runs the
 # ideal and the contended stencil (the PDESStencil pattern substring-matches
-# PDESStencilContended) and the KV service.
+# PDESStencilContended) and the KV service on the serial engine (workers=0)
+# and on one lane per node (workers=1).
 pdes:
 	$(GO) test -race ./internal/sim/
 	$(GO) test -race -run 'PDES|Parallel|Stencil|SimWorkers|LaneArbitration|Arbitrate' \
 		./internal/core/ ./internal/network/ ./internal/workload/ ./internal/harness/ ./internal/server/ \
 		./internal/kvapp/
-	$(GO) test '-bench=PDES(Stencil|KV)/workers=(0|2)$$' -benchtime=1x -run=^$$ .
+	$(GO) test '-bench=PDES(Stencil|KV)/workers=(0|1)$$' -benchtime=1x -run=^$$ .
 
 # Synchronization-zoo litmus: the mutual-exclusion and barrier-separation
 # witnesses for every zoo algorithm, swept across jitter seeds under the

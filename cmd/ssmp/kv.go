@@ -21,9 +21,9 @@ const kvUsage = `usage:
 // execute on the simulated multiprocessor, serving a seeded synthetic
 // client population (Zipfian keys, bursty arrivals, get/put/CAS). run
 // executes one population and prints its latency and throughput; sweep
-// crosses processor counts with lock managers (-workers takes it to
-// hundreds of nodes on the PDES engine, which is lane-safe on the
-// contended network); soak crosses a corpus of populations with fault
+// crosses processor counts with lock managers (-workers >= 1 runs one PDES
+// lane per node, on one thread, which is lane-safe on the contended
+// network); soak crosses a corpus of populations with fault
 // seeds on a misbehaving interconnect and checks the
 // sequential-consistency oracle on every run.
 func (c *cli) kv(args []string) error {
@@ -60,7 +60,7 @@ func specFlags(fs *flag.FlagSet, def kvapp.Spec) (*kvapp.Spec, func()) {
 func runOptFlags(fs *flag.FlagSet) *kvapp.RunOptions {
 	o := &kvapp.RunOptions{}
 	fs.Uint64Var(&o.Jitter, "jitter", 0, "schedule jitter seed")
-	fs.IntVar(&o.SimWorkers, "workers", 0, "PDES engine workers (lane-safe on the contended network)")
+	fs.IntVar(&o.SimWorkers, "workers", 0, "PDES lanes: >= 1 runs one lane per node, on one thread (lane-safe on the contended network)")
 	fs.BoolVar(&o.IdealNetwork, "ideal", false, "ideal (contention-free) network (ablation)")
 	return o
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,15 +77,16 @@ func TestTraceTooManySections(t *testing.T) {
 	}
 }
 
-// TestSimMsgTraceNeedsOneLane pins that -msgtrace on a machine with more
-// than one lane is a one-line error, not a panic, while the bus, which
-// always runs one lane, still traces at any -workers.
-func TestSimMsgTraceNeedsOneLane(t *testing.T) {
-	code, _, log := runCmd("", "sim", "-procs", "4", "-workers", "2", "-msgtrace")
-	if code != 1 || !strings.HasPrefix(log, "ssmp sim: -msgtrace") || strings.Count(log, "\n") != 1 {
-		t.Fatalf("exit %d, stderr:\n%s", code, log)
+// TestSimMsgTraceOnLanes pins that -msgtrace traces every message on one
+// lane per node, one line per message the run counts, and on the bus,
+// which always runs one lane, at any -workers.
+func TestSimMsgTraceOnLanes(t *testing.T) {
+	code, out, log := runCmd("", "sim", "-procs", "4", "-workers", "2", "-msgtrace", "-tasks", "8")
+	if code != 0 || !strings.Contains(out, "engine:         parallel, 4 lanes") ||
+		!strings.Contains(out, fmt.Sprintf("messages:       %d\n", strings.Count(log, " -> "))) {
+		t.Fatalf("lanes: exit %d\n%s%s", code, out, log)
 	}
-	code, out, log := runCmd("", "sim", "-procs", "2", "-workers", "2", "-topology", "bus", "-msgtrace", "-tasks", "4")
+	code, out, log = runCmd("", "sim", "-procs", "2", "-workers", "2", "-topology", "bus", "-msgtrace", "-tasks", "4")
 	if code != 0 || !strings.Contains(out, "engine:         serial") || !strings.Contains(log, " -> ") {
 		t.Fatalf("bus: exit %d\n%s%s", code, out, log)
 	}

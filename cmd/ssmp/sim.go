@@ -28,10 +28,10 @@ func machineConfig(procs int, proto, cons string) (ssmp.Config, error) {
 }
 
 // sim runs one simulation of the paper's machine (or the WBI baseline)
-// under one workload model and prints the run's metrics. The stencil
-// workload with -workers runs one PDES lane per node, which is lane-safe
-// on the contended omega and mesh networks; the bus always runs one lane,
-// the serial run.
+// under one workload model and prints the run's metrics. Any -workers >= 1
+// runs one PDES lane per node, all on one thread, which is lane-safe on
+// the contended omega and mesh networks; the bus always runs one lane, the
+// serial run.
 func (c *cli) sim(args []string) (err error) {
 	fs := c.flags("sim")
 	procs := fs.Int("procs", 16, "processor count (power of two)")
@@ -50,8 +50,8 @@ func (c *cli) sim(args []string) (err error) {
 	writeUpdate := fs.Bool("write-update", false, "cbl: sender-initiated write-update coherence (ablation)")
 	dirPtrs := fs.Int("dir-pointers", 0, "wbi: limited directory pointer count (0 = full map)")
 	topology := fs.String("topology", "omega", "interconnect: omega | mesh | bus")
-	msgTrace := fs.Bool("msgtrace", false, "dump every message to stderr (serial runs only)")
-	workers := fs.Int("workers", 0, "parallel (PDES) engine workers; 0 = serial run (one lane)")
+	msgTrace := fs.Bool("msgtrace", false, "dump every message to stderr")
+	workers := fs.Int("workers", 0, "PDES lanes: >= 1 runs one lane per node, on one thread; 0 = serial run (one lane)")
 	jitter := fs.Uint64("jitter", 0, "schedule-jitter seed (0 = canonical schedule)")
 	cells := fs.Int("cells", 64, "stencil: cells per processor strip")
 	iters := fs.Int("iters", 20, "stencil: Jacobi iterations")
@@ -134,10 +134,6 @@ func (c *cli) sim(args []string) (err error) {
 
 	m := ssmp.NewMachine(cfg)
 	if *msgTrace {
-		// One trace stream cannot be written from concurrent lanes.
-		if m.Lanes() > 1 {
-			return fmt.Errorf("-msgtrace needs a serial run, but -workers %d runs %d lanes", *workers, m.Lanes())
-		}
 		m.TraceMessages(c.log)
 	}
 	res, err := m.Run(progs)
@@ -148,7 +144,7 @@ func (c *cli) sim(args []string) (err error) {
 	fmt.Fprintf(c.out, "machine:        %d-node %v (%v), %s workload, %s sync\n",
 		*procs, cfg.Protocol, cfg.Consistency, *wl, kitName)
 	if m.Lanes() > 1 {
-		fmt.Fprintf(c.out, "engine:         parallel, %d lanes, %d workers\n", m.Lanes(), *workers)
+		fmt.Fprintf(c.out, "engine:         parallel, %d lanes\n", m.Lanes())
 	} else {
 		fmt.Fprintf(c.out, "engine:         serial\n")
 	}

@@ -52,11 +52,11 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestPDESWorkerEquality: under the windowed parallel simulation engine
-// (lane mode) timing and traffic are bit-identical at every worker
-// count — the deterministic window merge, not the schedule, decides
-// event order. The serial engine (SimWorkers=0) is a different scheduler
-// and is allowed to differ in cycle counts, so the reference here is one
-// lane worker.
+// (lane mode) timing and traffic are bit-identical at every SimWorkers
+// >= 1 — the deterministic window merge, not the schedule, decides event
+// order. The serial engine (SimWorkers=0) is a different scheduler
+// and is allowed to differ in cycle counts, so the reference here is
+// SimWorkers=1.
 func TestPDESWorkerEquality(t *testing.T) {
 	mRef, rRef, err := run(true, 3, 1)
 	if err != nil {

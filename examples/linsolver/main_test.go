@@ -121,9 +121,9 @@ func TestJitterDeterminism(t *testing.T) {
 }
 
 // TestPDESWorkerEquality: under lane mode the run is bit-identical at
-// every worker count — cycles, traffic, and the solution word-for-word.
-// (The serial engine is a different scheduler; the reference is one lane
-// worker.)
+// every SimWorkers >= 1 — cycles, traffic, and the solution word-for-word.
+// (The serial engine is a different scheduler; the reference is
+// SimWorkers=1.)
 func TestPDESWorkerEquality(t *testing.T) {
 	mRef, lsRef, rRef, err := run(schemes[0], testProcs, testIters, 3, 1)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
-	"ssmp/internal/sim"
 )
 
 // waiter is one member of a lock queue: either holding the lock or waiting
@@ -40,8 +39,6 @@ type Home struct {
 	// copy of its payload. Each map is nil until its first entry.
 	queues   map[mem.Block][]waiter
 	deferred map[mem.Block][]msg.Msg
-	// grants holds the grants waiting out the memory read.
-	grants grants
 
 	// Grants counts grants issued; Handoffs counts grants issued as a
 	// result of a release (as opposed to immediate grants on request).
@@ -56,19 +53,18 @@ func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Hom
 		f: f, id: id, geom: geom, store: store,
 		station: fabric.NewStation(f),
 	}
-	h.grants.h = h
 	h.Reset()
 	return h
 }
 
-// Reset returns the controller to the state NewHome builds: no lock queue,
-// deferred release or grant in flight, the station idle, every counter
-// zero. The store is kept; its owner resets it.
+// Reset returns the controller to the state NewHome builds: no lock queue
+// or deferred release, the station idle, every counter zero (a grant still
+// waiting out its memory read is the fabric's, which its own Reset drops).
+// The store is kept; its owner resets it.
 func (h *Home) Reset() {
 	h.station.Reset()
 	clear(h.queues)
 	clear(h.deferred)
-	h.grants.reset()
 	h.Grants, h.Handoffs = 0, 0
 }
 
@@ -192,48 +188,7 @@ func (h *Home) request(b mem.Block, node int, mode msg.LockMode, seq uint64) {
 // read time.
 func (h *Home) grant(b mem.Block, node int, mode msg.LockMode) {
 	h.Grants++
-	h.grants.after(h.f.Time.TMem, msg.Msg{Kind: msg.LockGrant, Src: h.id, Dst: node, Block: b, Mode: mode})
-}
-
-// grants is a slot table of the grants waiting out the memory read; a
-// grant's slot rides in its typed event's arg, so a grant allocates
-// nothing once the table has grown to the most grants ever in flight at
-// once.
-type grants struct {
-	h     *Home
-	slots []msg.Msg
-	free  []uint64
-}
-
-// reset empties the table, keeping its memory.
-func (g *grants) reset() {
-	clear(g.slots)
-	g.slots, g.free = g.slots[:0], g.free[:0]
-}
-
-// after sends m, carrying its block's data as memory holds it then, d
-// cycles from now. It draws the same time, sequence number and jitter key
-// as the closure form eng.After would.
-func (g *grants) after(d sim.Time, m msg.Msg) {
-	var i uint64
-	if k := len(g.free); k > 0 {
-		i, g.free = g.free[k-1], g.free[:k-1]
-		g.slots[i] = m
-	} else {
-		i = uint64(len(g.slots))
-		g.slots = append(g.slots, m)
-	}
-	g.h.f.Eng.AfterStep(d, g, i)
-}
-
-// OnStep implements sim.Stepper: slot i's grant reads its block and goes
-// out.
-func (g *grants) OnStep(i uint64) {
-	m := g.slots[i]
-	g.slots[i] = msg.Msg{}
-	g.free = append(g.free, i)
-	m.Data = g.h.store.Block(m.Block)
-	g.h.f.Send(m)
+	h.f.SendBlockAfter(h.f.Time.TMem, msg.Msg{Kind: msg.LockGrant, Src: h.id, Dst: node, Block: b, Mode: mode}, h.store)
 }
 
 // holdingHere reports whether the home currently records node as a holder.

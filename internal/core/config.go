@@ -149,26 +149,23 @@ type Config struct {
 	// survives the misbehaving fabric. Seed 0 (the default) disables both,
 	// keeping runs bit-identical to the fault-free machine.
 	Faults network.FaultConfig
-	// FaultRTO overrides the transport's retry timing when Faults is
-	// enabled; zero fields take fabric.DefaultTransportConfig.
-	FaultRTO fabric.TransportConfig
 	// SimWorkers sets how the event population is partitioned into lanes
 	// of the PDES kernel (internal/sim/pdes.go) that every machine runs on.
 	// 0 (the default) is a serial run: one lane holds every node and runs
 	// its own event loop, in the serial engine's exact event order, so the
-	// golden digests hold. >= 1 puts one lane on each node and runs them
-	// with a pool of this many worker threads under a conservative
-	// time-windowed loop with a deterministic mailbox merge. Results are
-	// bit-identical at every worker count >= 1 — workers only size the
-	// thread pool; every ordering key is fixed by the config — but follow
-	// the per-lane key order, a different partition from the one-lane run.
+	// golden digests hold. Any value >= 1 puts one lane on each node and
+	// runs them under a conservative time-windowed loop with a
+	// deterministic mailbox merge, each window's lanes one after another
+	// on the caller's goroutine; the value's size changes nothing, so
+	// results are bit-identical at every value >= 1. They follow the
+	// per-lane key order, a different partition from the one-lane run.
 	// Contended networks (Ω and mesh) are lane-safe: switch-port occupancy
 	// is resolved by the coordinator's window-barrier arbiter in global
 	// injection-key order (network.NewParallel). The bus topology — a
 	// single shared medium with no lane-parallel structure — always runs
 	// one lane, so its result is the serial one at any SimWorkers. History
-	// recording, message tracing, and OnOp observers need one lane and
-	// panic on many.
+	// recording, message tracing and OnOp observers work on any number of
+	// lanes, and report window by window, lane by lane.
 	SimWorkers int
 }
 
@@ -231,7 +228,7 @@ func (c *Config) resettableTo(o *Config) bool {
 		c.SwitchDelay == o.SwitchDelay && c.LocalDelay == o.LocalDelay &&
 		c.IdealNetwork == o.IdealNetwork && c.DanceHall == o.DanceHall &&
 		c.Buf == o.Buf && c.Horizon == o.Horizon &&
-		c.FaultRTO == o.FaultRTO && c.SimWorkers == o.SimWorkers
+		c.SimWorkers == o.SimWorkers
 }
 
 // netConfig derives the network configuration.

@@ -168,11 +168,11 @@ type doCase struct {
 // TestDoMatchesMethods runs every primitive kind, as a program of named
 // calls, as the same program of records through Do and as the records
 // through RunOps, on the CBL machine under BC and SC (and as a dance-hall
-// machine, with a one-entry write buffer, and on two lanes at one and two
-// workers) and on the WBI machine, observed and not (a machine of many
-// lanes takes no observer). The three runs must show the same result,
-// per-processor stats, counts and parks, returned words, messages, memory,
-// OnOp reports and history, and the same error. Each case also pins what
+// machine, with a one-entry write buffer, and on two lanes at SimWorkers
+// 1 and 2) and on the WBI machine, observed and not, on one lane or two.
+// The three runs must show the same result, per-processor stats, counts
+// and parks, returned words, messages, memory, OnOp reports and history,
+// and the same error. Each case also pins what
 // processor 0's calls add to Proc.Ops, how many reports and history
 // records they leave, and the run's error, such as the panic of a kind on
 // a machine that does not offer it.
@@ -337,9 +337,6 @@ func TestDoMatchesMethods(t *testing.T) {
 	for _, c := range cases {
 		for _, mc := range c.machines {
 			for _, observe := range []bool{false, true} {
-				if observe && mc.cfg.SimWorkers > 0 {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/%s/observe=%v", c.name, mc.name, observe), func(t *testing.T) {
 					p1 := c.p1
 					if p1 == nil && !c.idle {

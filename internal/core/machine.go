@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"ssmp/internal/barrier"
 	"ssmp/internal/cache"
@@ -47,14 +46,14 @@ type Machine struct {
 	cfg   Config
 	par   *sim.Parallel
 	net   *network.Network
-	fab   *fabric.Fabric   // root fabric: every node's on one lane, the aggregation target on many
+	fab   *fabric.Fabric   // root fabric: every node's on one lane, its views' counters on many
 	views []*fabric.Fabric // per-node fabric views, one per lane (nil on one lane)
 	geom  mem.Geometry
 	nodes []node // one allocation for every node and its processor
 
 	running  bool
 	aborting bool
-	finished atomic.Int32
+	finished int // processors done with their program or op list
 	hist     *history.Recorder
 	onOp     func(proc int, o Op)
 	// words is what RunOps returns: each processor's word list.
@@ -74,14 +73,17 @@ type Machine struct {
 // serially-reusable resource, so lanes would serialize every message
 // through the barrier arbiter: all coordination cost, no parallelism.
 //
-// Otherwise there is one lane per node, with per-node fabric views that own
-// their message collectors and transport instances, and the coordinator's
-// lookahead is the network's minimum cross-node latency. Everything a
-// node's controllers touch — store, cache, lock cache, write buffer, RMR
-// row, per-link fault streams and transport state — is owned by that
-// node's lane; the only cross-lane channels are the network's
+// Otherwise there is one lane per node, with per-node fabric views that
+// schedule on their lanes and own their transport instances, and the
+// coordinator's lookahead is the network's minimum cross-node latency.
+// Everything a node's controllers touch — store, cache, lock cache, write
+// buffer, RMR row, per-link fault streams and transport state — is owned
+// by that node's lane; the only cross-lane channels are the network's
 // deterministic window merge and, with contention on, the coordinator's
-// window-barrier port arbiter (network.NewParallel).
+// window-barrier port arbiter (network.NewParallel). Every lane runs on
+// the goroutine that calls Run, so the counters the lanes share — message
+// counts, network and fault statistics, the free list of message records
+// — need no sharding, and a run starts no goroutine.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -171,7 +173,7 @@ func (m *Machine) Reset(cfg Config) {
 		n.proc.reset()
 	}
 	m.running, m.aborting, m.hist, m.onOp, m.words = false, false, nil, nil, m.words[:0]
-	m.finished.Store(0)
+	m.finished = 0
 	m.start(&cfg)
 }
 
@@ -187,9 +189,9 @@ func (m *Machine) start(cfg *Config) {
 		// A faulty fabric needs the reliable transport above it; the two
 		// are enabled together so the protocol controllers always see
 		// exactly-once, per-link-FIFO delivery.
-		m.fab.EnableTransport(cfg.FaultRTO)
+		m.fab.EnableTransport()
 		for _, v := range m.views {
-			v.EnableTransport(cfg.FaultRTO)
+			v.EnableTransport()
 		}
 	}
 }
@@ -261,29 +263,22 @@ func (m *Machine) RMRs() *metrics.RMRAccount { return m.fab.RMR }
 // every Read/Write/ReadGlobal/WriteGlobal/RMW is logged with its real-time
 // interval, and every ReadUpdate as a read. Call before Run (after Reset,
 // again: Reset turns recording off); check the returned recorder
-// afterwards.
-// Serial runs only: the recorder is a single append-ordered log, which
-// many lanes would both race on and order nondeterministically.
+// afterwards. On many lanes each interval is on its processor's lane
+// clock, and the records are appended window by window, lane by lane.
 func (m *Machine) EnableHistory() *history.Recorder {
-	if m.Lanes() > 1 {
-		panic("core: EnableHistory requires a serial run (SimWorkers=0)")
-	}
 	m.hist = &history.Recorder{}
 	return m.hist
 }
 
 // TraceMessages writes one line per injected message to w — a debugging aid
-// showing cycle, kind, endpoints, block and payload size. Call before Run.
-// Serial runs only: a single trace stream cannot be written from
-// concurrent lanes.
+// showing cycle, kind, endpoints, block and payload size; the cycle is the
+// sending node's lane clock. Call before Run. On many lanes the lines come
+// window by window, lane by lane, so within a window they are not in cycle
+// order.
 func (m *Machine) TraceMessages(w io.Writer) {
-	if m.Lanes() > 1 {
-		panic("core: TraceMessages requires a serial run (SimWorkers=0)")
-	}
-	eng := m.fab.Eng
 	m.fab.OnSend = func(mg *msg.Msg) {
 		fmt.Fprintf(w, "%10d %-18s %2d -> %2d block %-6d words %d\n",
-			eng.Now(), mg.Kind, mg.Src, mg.Dst, mg.Block, mg.Words())
+			m.nodes[mg.Src].proc.eng.Now(), mg.Kind, mg.Src, mg.Dst, mg.Block, mg.Words())
 	}
 }
 
@@ -309,9 +304,8 @@ func (m *Machine) WriteMemory(a mem.Addr, w mem.Word) {
 // ordinary Go control flow and the Proc's blocking primitives without data
 // races. A program must not call runtime.Goexit, nor t.FailNow or t.Fatal,
 // which call it: the coroutine hands a Goexit on to the goroutine that
-// resumed the program, which is the event loop or a lane worker. A program
-// that is only a fixed list of calls runs without a coroutine through
-// RunOps.
+// resumed the program, which is the event loop's. A program that is only a
+// fixed list of calls runs without a coroutine through RunOps.
 type Program func(p *Proc)
 
 // Result summarizes a completed run.
@@ -372,13 +366,7 @@ func (m *Machine) Run(programs []Program) (Result, error) {
 // cannot perturb a completed run's determinism — it only ends a run early.
 func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, error) {
 	m.prepare(ctx, len(programs), "programs")
-	var err error
-	if m.par.Lanes() > 1 {
-		err = m.executeApart(programs)
-	} else {
-		err = m.execute(programs, nil)
-	}
-	return m.result(err)
+	return m.result(m.execute(programs, nil))
 }
 
 // RunOps runs one list of primitive calls per processor, each call
@@ -435,11 +423,6 @@ func (m *Machine) result(err error) (Result, error) {
 			return Result{}, fmt.Errorf("core: processor %d panicked: %v", i, err)
 		}
 	}
-	// On many lanes, fold the per-node views' counters into the root
-	// fabric, so Messages() and the Result read as on one lane.
-	for _, v := range m.views {
-		m.fab.Fold(v)
-	}
 	st := m.net.Stats()
 	var utilSum float64
 	var utilN int
@@ -483,11 +466,11 @@ func (m *Machine) execute(programs []Program, lists [][]Op) error {
 		}
 		active++
 	}
-	m.finished.Store(int32(m.cfg.Nodes - active))
+	m.finished = m.cfg.Nodes - active
 	if err := m.runEvents(); err != nil {
 		return fmt.Errorf("core: %w at cycle %d", err, m.Now())
 	}
-	if int(m.finished.Load()) < m.cfg.Nodes {
+	if m.finished < m.cfg.Nodes {
 		var stuck []int
 		for i := range m.nodes {
 			if !m.nodes[i].proc.done {
@@ -498,32 +481,6 @@ func (m *Machine) execute(programs []Program, lists [][]Op) error {
 		return &ErrDeadlock{Stuck: stuck}
 	}
 	return nil
-}
-
-// executeApart is execute on a fresh goroutine, for programs run on many
-// lanes. The runtime resumes a coroutine only under the OS-thread locking
-// it was made under, and lane workers resume the programs on threads of
-// their own, so the coroutines must not be made on a caller that may be
-// locked to its thread (runtime.LockOSThread). The caller waits, and a
-// panic raised on the goroutine is re-raised on the caller once execute
-// has unwound the programs. Op lists make no coroutine and need none of
-// this.
-func (m *Machine) executeApart(programs []Program) error {
-	var (
-		err   error
-		fault any
-		done  = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		defer func() { fault = recover() }()
-		err = m.execute(programs, nil)
-	}()
-	<-done
-	if fault != nil {
-		panic(fault)
-	}
-	return err
 }
 
 // runEvents runs the event loop and, when it stops early, unwinds the
@@ -537,7 +494,7 @@ func (m *Machine) runEvents() (err error) {
 			m.drainAborted()
 		}
 	}()
-	err = m.par.Run(m.cfg.SimWorkers)
+	err = m.par.Run()
 	done = true
 	return err
 }

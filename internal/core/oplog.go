@@ -85,11 +85,6 @@ var opKinds = [...]kindInfo{
 
 // OnOp registers an observer invoked at the *issue* of every primitive,
 // with the issuing processor's id. Call before Run. The observer must not
-// call Proc methods. Serial runs only: a single observer cannot be invoked
-// from concurrent lanes.
-func (m *Machine) OnOp(fn func(proc int, o Op)) {
-	if m.Lanes() > 1 {
-		panic("core: OnOp requires a serial run (SimWorkers=0)")
-	}
-	m.onOp = fn
-}
+// call Proc methods. On many lanes it sees the calls window by window and,
+// within a window, lane by lane.
+func (m *Machine) OnOp(fn func(proc int, o Op)) { m.onOp = fn }

@@ -200,7 +200,7 @@ func TestMachineAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 92
+	const want = 91
 	if got != want {
 		t.Errorf("2-node build+run made %v allocations, want %v", got, want)
 	}

@@ -254,26 +254,101 @@ func TestPDESHorizonError(t *testing.T) {
 	}
 }
 
-// TestPDESObserversPanic: history recording, message tracing, and op
-// observers are serial-only; lane mode must reject them loudly rather
-// than race.
-func TestPDESObserversPanic(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.IdealNetwork = true
-	cfg.SimWorkers = 2
-	for name, use := range map[string]func(*Machine){
-		"history": func(m *Machine) { m.EnableHistory() },
-		"trace":   func(m *Machine) { m.TraceMessages(&strings.Builder{}) },
-		"onop":    func(m *Machine) { m.OnOp(func(int, Op) {}) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			m := NewMachine(cfg)
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s must panic under lane mode", name)
-				}
-			}()
-			use(m)
-		})
+// TestPDESObservers: the observation hooks work on four lanes, which run
+// on one goroutine. A WBI run's history passes CheckLinearizable; in an op
+// list run, OnOp shows each processor exactly its list; and TraceMessages
+// writes one line per message Result.Messages counts, the same lines on a
+// second run.
+func TestPDESObservers(t *testing.T) {
+	lanes := func(cfg Config) *Machine {
+		t.Helper()
+		cfg.SimWorkers = 2
+		m := NewMachine(cfg)
+		if m.Lanes() != cfg.Nodes {
+			t.Fatalf("%d lanes, want one per node", m.Lanes())
+		}
+		return m
 	}
+	t.Run("history", func(t *testing.T) {
+		cfg := wbiConfig(4)
+		m := lanes(cfg)
+		rec := m.EnableHistory()
+		progs := make([]Program, cfg.Nodes)
+		for i := range progs {
+			progs[i] = func(p *Proc) {
+				r := rand.New(rand.NewPCG(7, uint64(i)))
+				for k := 0; k < 16; k++ {
+					a := mem.Addr(100 + r.IntN(3)*8)
+					switch r.IntN(3) {
+					case 0:
+						p.Read(a)
+					case 1:
+						p.Write(a, mem.Word(1000*i+k+1))
+					default:
+						p.RMW(a, func(w mem.Word) mem.Word { return w + 1 })
+					}
+					p.Think(sim.Time(r.IntN(6)))
+				}
+			}
+		}
+		if _, err := m.Run(progs); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Len() != 16*cfg.Nodes {
+			t.Fatalf("recorded %d operations, want %d", rec.Len(), 16*cfg.Nodes)
+		}
+		if err := rec.CheckLinearizable(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("onop", func(t *testing.T) {
+		cfg := cblConfig(4)
+		m := lanes(cfg)
+		lists := make([][]Op, cfg.Nodes)
+		for i := range lists {
+			other := mem.Addr(64 * ((i + 1) % cfg.Nodes))
+			lists[i] = []Op{
+				{Kind: OpWriteGlobal, Addr: mem.Addr(64 * i), Val: mem.Word(i + 1)},
+				{Kind: OpThink, Val: mem.Word(3*i + 1)},
+				{Kind: OpBarrier, Addr: 4096, Val: mem.Word(cfg.Nodes)},
+				{Kind: OpReadGlobal, Addr: other},
+				{Kind: OpWriteLock, Addr: 8192},
+				{Kind: OpRead, Addr: 8192},
+				{Kind: OpUnlock, Addr: 8192},
+				{Kind: OpReadUpdate, Addr: other},
+			}
+		}
+		seen := make([][]Op, cfg.Nodes)
+		m.OnOp(func(proc int, o Op) { seen[proc] = append(seen[proc], o) })
+		if _, _, err := m.RunOps(lists); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(seen) != fmt.Sprint(lists) {
+			t.Fatalf("OnOp saw\n%v\nwant\n%v", seen, lists)
+		}
+	})
+	t.Run("trace", func(t *testing.T) {
+		cfg := DefaultConfig(4)
+		cfg.Faults = network.FaultConfig{Seed: 9, Rates: network.FaultRates{Drop: 0.02, Dup: 0.03, Delay: 0.05}}
+		trace := func() (string, Result) {
+			m := lanes(cfg)
+			var b strings.Builder
+			m.TraceMessages(&b)
+			res, err := m.Run(pdesProgs(cfg.Protocol, cfg.Nodes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b.String(), res
+		}
+		text, res := trace()
+		if n := strings.Count(text, "\n"); n == 0 || uint64(n) != res.Messages {
+			t.Fatalf("%d trace lines for %d messages", n, res.Messages)
+		}
+		if res.Faults.AcksSent == 0 || !strings.Contains(text, " net-ack ") {
+			t.Fatalf("the trace shows no transport acks; faults %+v", res.Faults)
+		}
+		if again, _ := trace(); again != text {
+			t.Fatal("a second run traced different lines")
+		}
+	})
 }

@@ -247,7 +247,7 @@ func (p *Proc) step(w mem.Word) {
 func (p *Proc) finish() {
 	p.done = true
 	p.stats.Finished = p.eng.Now()
-	p.m.finished.Add(1)
+	p.m.finished++
 }
 
 // startOps readies the processor to run list on the event loop and

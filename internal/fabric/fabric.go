@@ -5,16 +5,17 @@
 // processing.
 //
 // The fabric owns every message record. Send copies the sender's Msg value,
-// payload included, into a record from the sending fabric's free list
-// (spare); the network carries the record, and the fabric takes it back
-// once the last handler is done with it: after the node's dispatch returns,
-// or, for a message a station holds through its directory check, after the
-// station's receiver has processed it. The reliable transport takes back
-// the acks and the duplicates it suppresses itself. A fault-plane duplicate
-// is one record delivered twice (msg.Msg.Retain), returned after the
-// second delivery, and a record the fault plane drops comes back to the
-// sender at once. So once the free list has grown to the most records ever
-// in flight at once, sending a message allocates nothing, faults or not.
+// payload included, into a record from the free list (spare), which a root
+// fabric shares with its lane views; the network carries the record, and
+// the fabric takes it back once the last handler is done with it: after
+// the node's dispatch returns, or, for a message a station holds through
+// its directory check, after the station's receiver has processed it. The
+// reliable transport takes back the acks and the duplicates it suppresses
+// itself. A fault-plane duplicate is one record delivered twice
+// (msg.Msg.Retain), returned after the second delivery, and a record the
+// fault plane drops comes back to the sender at once. So once the free
+// list has grown to the most records ever in flight at once, sending a
+// message allocates nothing, faults or not.
 package fabric
 
 import (
@@ -44,7 +45,8 @@ func DefaultTiming() Timing {
 }
 
 // Fabric bundles the engine, the network, the timing parameters, and the
-// global message collector.
+// global message collector. A lane view (View) shares its root's collector,
+// RMR account, OnSend observer and free list.
 type Fabric struct {
 	Eng  *sim.Engine
 	Net  *network.Network
@@ -54,9 +56,9 @@ type Fabric struct {
 	// the cache-side protocol controllers at their hit/miss decision points
 	// — to the issuing processor.
 	RMR *metrics.RMRAccount
-	// OnSend, when set, observes every message at injection time (message
-	// tracing / debugging). It borrows the message for the call: it must
-	// neither mutate nor keep it.
+	// OnSend, when set on a root, observes every message its views and it
+	// inject, at injection time (message tracing / debugging). It borrows
+	// the message for the call: it must neither mutate nor keep it.
 	OnSend func(*msg.Msg)
 	// xp is the reliable transport, enabled alongside the network's fault
 	// plane (see transport.go); nil otherwise. kept holds its memory from
@@ -66,89 +68,60 @@ type Fabric struct {
 	// node is the node a lane view serves, or -1 on a root, which serves
 	// every node unless it has views.
 	node int
+	// root is the fabric a view was viewed from, or the root itself.
+	root *Fabric
 	// hits holds the word-carrying completions scheduled by AfterWord.
 	hits completions
-	// spare is the free list of message records. Send takes from it, and
-	// a record comes back to the list of the fabric its last handler ran
-	// on: on many lanes records move from the sender's view to the
-	// receiver's, and each list is touched only by its own lane.
+	// blocks holds the block-carrying sends scheduled by SendBlockAfter.
+	blocks blockSends
+	// spare is a root's free list of message records, which its views
+	// share: Send takes from it, and a record comes back to it after its
+	// last handler.
 	spare []*msg.Msg
-	// views are the per-node fabrics viewed from this one, whose free
-	// lists Reset deals out evenly again.
+	// views are the per-node fabrics viewed from this one.
 	views []*Fabric
 }
 
 // New builds a fabric over an engine and network.
 func New(eng *sim.Engine, net *network.Network, t Timing) *Fabric {
 	f := &Fabric{Eng: eng, Net: net, Time: t, Coll: &metrics.Collector{}, RMR: metrics.NewRMRAccount(net.Nodes()), node: -1}
+	f.root, f.blocks.f = f, f
 	f.Reset()
 	return f
 }
 
 // Reset returns the fabric to the state New builds, keeping its memory:
-// the message collector, RMR rows and completion table are empty, OnSend is
-// unset, and the reliable transport is emptied and off until
+// the message collector, RMR rows and completion tables are empty, OnSend
+// is unset, and the reliable transport is emptied and off until
 // EnableTransport turns it on again. Attached handlers, the free list of
-// message records and the transport's tables are kept. A view's RMR
-// account is its root's, which resetting either clears.
-//
-// Resetting a root also deals its views' free records out evenly again.
-// A run leaves them on the views of the nodes that received more than they
-// sent, so without the deal a machine reset and run again would leave
-// those lists longer every run, and the sending nodes' views would make
-// their records anew.
+// message records and the transport's tables are kept. A view's collector
+// and RMR account are its root's, which resetting either clears.
 func (f *Fabric) Reset() {
 	f.Coll.Reset()
 	f.RMR.Reset()
 	f.OnSend = nil
 	f.hits.reset()
+	f.blocks.reset()
 	if f.kept != nil {
 		f.kept.reset()
 	}
 	f.xp = nil
-	if len(f.views) > 0 {
-		for _, v := range f.views {
-			f.spare = append(f.spare, v.spare...)
-			clear(v.spare)
-			v.spare = v.spare[:0]
-		}
-		for i, m := range f.spare {
-			v := f.views[i%len(f.views)]
-			v.spare = append(v.spare, m)
-		}
-		clear(f.spare)
-		f.spare = f.spare[:0]
-	}
 }
 
 // View returns the fabric of node, bound to that node's lane engine in a
 // parallel (PDES) run. The view shares the network, the timing parameters,
-// and the RMR account with the root fabric — RMR rows are per-processor and
-// only ever written by the owning node's lane — but owns its message
-// collector and, once EnableTransport is called on it, its own transport
-// instance (a node's transport touches only the sender state of its
+// the message collector, the RMR account, the OnSend observer and the free
+// list of message records with the root fabric: every lane runs on one
+// goroutine. Its engine, completion tables and, once EnableTransport is
+// called on it, its transport instance are its own, since they schedule on
+// its lane (a node's transport touches only the sender state of its
 // outgoing links and the receiver state of its incoming ones, and acks
-// always land back on the sending node's view). Fold merges a view's
-// counters into the root after the run.
+// always land back on the sending node's view).
 func (f *Fabric) View(eng *sim.Engine, node int) *Fabric {
-	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: &metrics.Collector{}, RMR: f.RMR, node: node}
+	v := &Fabric{Eng: eng, Net: f.Net, Time: f.Time, Coll: f.Coll, RMR: f.RMR, node: node, root: f}
+	v.blocks.f = v
 	f.views = append(f.views, v)
 	return v
-}
-
-// Fold adds view v's message and transport counters to f, the fabric it
-// was viewed from. A root whose nodes all run on views carries no traffic
-// of its own, so once every view is folded its counters are the machine's.
-// Sums are order-independent: the totals are identical at any worker
-// count. Call Fold after the run.
-func (f *Fabric) Fold(v *Fabric) {
-	f.Coll.Add(v.Coll)
-	if v.xp != nil {
-		f.xp.retries += v.xp.retries
-		f.xp.dupSuppressed += v.xp.dupSuppressed
-		f.xp.reordered += v.xp.reordered
-		f.xp.acksSent += v.xp.acksSent
-	}
 }
 
 // Send counts and transmits a message. It copies m, payload included, into
@@ -163,8 +136,9 @@ func (f *Fabric) Send(m msg.Msg) { f.send(f.take(&m)) }
 // empty, holding a copy of m with its own copy of m's payload.
 func (f *Fabric) take(m *msg.Msg) *msg.Msg {
 	var r *msg.Msg
-	if k := len(f.spare); k > 0 {
-		r, f.spare = f.spare[k-1], f.spare[:k-1]
+	root := f.root
+	if k := len(root.spare); k > 0 {
+		r, root.spare = root.spare[k-1], root.spare[:k-1]
 	} else {
 		r = new(msg.Msg)
 	}
@@ -178,7 +152,7 @@ func (f *Fabric) take(m *msg.Msg) *msg.Msg {
 // when that was the last.
 func (f *Fabric) free(m *msg.Msg) {
 	if m.Release() {
-		f.spare = append(f.spare, m)
+		f.root.spare = append(f.root.spare, m)
 	}
 }
 
@@ -196,8 +170,8 @@ func (f *Fabric) send(m *msg.Msg) {
 // and acks all pass through here.
 func (f *Fabric) sendRaw(m *msg.Msg) {
 	f.Coll.Count(m.Kind)
-	if f.OnSend != nil {
-		f.OnSend(m)
+	if on := f.root.OnSend; on != nil {
+		on(m)
 	}
 	if f.Net.Send(m.Src, m.Dst, m.Words(), m) {
 		// Dropped by the fault plane: a tracked message lives on as
@@ -210,47 +184,90 @@ func (f *Fabric) sendRaw(m *msg.Msg) {
 // cache hit's completion allocates no closure. It draws the same time,
 // sequence number and jitter key as the closure form eng.After would.
 func (f *Fabric) AfterWord(d sim.Time, done func(mem.Word), w mem.Word) {
-	f.Eng.AfterStep(d, &f.hits, f.hits.put(done, w))
+	f.Eng.AfterStep(d, &f.hits, f.hits.put(completion{done, w}))
 }
 
-// completions is a slot table of pending word-carrying completions; a
-// slot's index rides in its event's arg. Several can be in flight on one
-// node at once, so freed slots are reused through a free list threaded
-// through the table itself.
-type completions struct {
-	slots []completion
+// SendBlockAfter sends m d cycles from now, carrying its block as store
+// holds it then: a reply or grant that waits out a memory read. It is a
+// typed event, so it allocates nothing once the table has grown to the
+// most such sends ever pending at once, and it draws the same time,
+// sequence number and jitter key as the closure form eng.After would.
+func (f *Fabric) SendBlockAfter(d sim.Time, m msg.Msg, store *mem.Store) {
+	f.Eng.AfterStep(d, &f.blocks, f.blocks.put(blockSend{m, store}))
+}
+
+// slotTable holds the state of pending typed events of one kind; a slot's
+// index rides in its event's arg. Several can be in flight on one node at
+// once, so freed slots are reused through a free list threaded through the
+// table itself, and scheduling allocates nothing once the table has grown
+// to the most events ever pending at once.
+type slotTable[T any] struct {
+	slots []slot[T]
 	free  uint64 // 1 + index of the first free slot; 0 when none is free
 }
 
-type completion struct {
-	done func(mem.Word)
-	w    mem.Word
+type slot[T any] struct {
+	v    T
 	next uint64 // while the slot is free: the free list's next link
 }
 
 // reset empties the table, keeping its memory.
-func (c *completions) reset() {
-	clear(c.slots)
-	c.slots, c.free = c.slots[:0], 0
+func (t *slotTable[T]) reset() {
+	clear(t.slots)
+	t.slots, t.free = t.slots[:0], 0
 }
 
-func (c *completions) put(done func(mem.Word), w mem.Word) uint64 {
-	if c.free == 0 {
-		c.slots = append(c.slots, completion{})
-		c.free = uint64(len(c.slots))
+// put stores v in a free slot and returns the slot's index.
+func (t *slotTable[T]) put(v T) uint64 {
+	if t.free == 0 {
+		t.slots = append(t.slots, slot[T]{})
+		t.free = uint64(len(t.slots))
 	}
-	i := c.free - 1
-	c.free = c.slots[i].next
-	c.slots[i] = completion{done: done, w: w}
+	i := t.free - 1
+	t.free = t.slots[i].next
+	t.slots[i] = slot[T]{v: v}
 	return i
+}
+
+// take frees slot i and returns what it held.
+func (t *slotTable[T]) take(i uint64) T {
+	v := t.slots[i].v
+	t.slots[i] = slot[T]{next: t.free}
+	t.free = i + 1
+	return v
+}
+
+// completions holds the word-carrying completions AfterWord schedules.
+type completions struct{ slotTable[completion] }
+
+type completion struct {
+	done func(mem.Word)
+	w    mem.Word
 }
 
 // OnStep implements sim.Stepper: it frees slot i and runs its completion.
 func (c *completions) OnStep(i uint64) {
-	s := c.slots[i]
-	c.slots[i] = completion{next: c.free}
-	c.free = i + 1
+	s := c.take(i)
 	s.done(s.w)
+}
+
+// blockSends holds the sends SendBlockAfter schedules.
+type blockSends struct {
+	f *Fabric
+	slotTable[blockSend]
+}
+
+type blockSend struct {
+	m     msg.Msg
+	store *mem.Store
+}
+
+// OnStep implements sim.Stepper: it frees slot i, and the slot's message
+// reads its block and goes out.
+func (b *blockSends) OnStep(i uint64) {
+	s := b.take(i)
+	s.m.Data = s.store.Block(s.m.Block)
+	b.f.Send(s.m)
 }
 
 // Attach registers node's protocol dispatch with the network, interposing

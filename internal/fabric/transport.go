@@ -18,9 +18,10 @@ package fabric
 //   - the receiver acknowledges each arrival with a NetAck (fire-and-forget,
 //     itself subject to faults);
 //   - the sender retransmits unacknowledged messages on a timeout with
-//     bounded exponential backoff (RTO doubling up to RTOMax; attempts are
-//     unbounded — with drop probability < 1 delivery is almost-surely
-//     eventual, and the machine's horizon guards the pathological case);
+//     bounded exponential backoff (rtoFirst doubling up to rtoCap;
+//     attempts are unbounded — with drop probability < 1 delivery is
+//     almost-surely eventual, and the machine's horizon guards the
+//     pathological case);
 //   - the receiver delivers ls == expected immediately, suppresses
 //     ls < expected as an already-delivered duplicate (re-acking it, which
 //     repairs a lost ack), and holds back ls > expected until the gap
@@ -55,34 +56,15 @@ import (
 	"ssmp/internal/sim"
 )
 
-// TransportConfig parameterizes the reliable transport.
-type TransportConfig struct {
-	// RTO is the initial retransmit timeout in cycles. It should exceed a
-	// loaded round trip (network transit + directory queueing + the ack's
-	// return transit); too small merely costs spurious retransmissions,
-	// which duplicate suppression absorbs.
-	RTO sim.Time
-	// RTOMax caps the exponential backoff.
-	RTOMax sim.Time
-}
-
-// DefaultTransportConfig returns the retry parameters used when the fault
-// plane is enabled: an RTO of 64 cycles (several uncontended round trips at
-// Table 4 timings) backing off to 1024.
-func DefaultTransportConfig() TransportConfig {
-	return TransportConfig{RTO: 64, RTOMax: 1024}
-}
-
-func (c TransportConfig) withDefaults() TransportConfig {
-	d := DefaultTransportConfig()
-	if c.RTO == 0 {
-		c.RTO = d.RTO
-	}
-	if c.RTOMax < c.RTO {
-		c.RTOMax = max(c.RTO, d.RTOMax)
-	}
-	return c
-}
+// The retransmit timeouts, in cycles. The first, 64, is several
+// uncontended round trips at Table 4 timings; it should exceed a loaded
+// round trip (network transit + directory queueing + the ack's return
+// transit), and one too small merely costs spurious retransmissions, which
+// duplicate suppression absorbs. Each retry doubles it, up to 1024.
+const (
+	rtoFirst sim.Time = 64
+	rtoCap   sim.Time = 1024
+)
 
 // outstanding is one slot of the transport's table of unacknowledged
 // messages: a copy of the message, its current retransmit timeout and the
@@ -121,15 +103,17 @@ type rxLink struct {
 // receiver's by destination node (rx, indexed by source). A root fabric
 // on one lane serves every node; a lane view serves its own node, so its
 // tables hold one row each; a root whose nodes all run on views serves
-// none and keeps only the counters its views are folded into.
+// none, and its TransportStats sums its views' counters.
 // Unacknowledged messages live in a slot table, so tracking a message
 // allocates nothing once the tables have grown to the most messages ever
 // in flight at once.
 type transport struct {
-	f   *Fabric
-	cfg TransportConfig
-	n   int
-	lo  int // the first node served: a node's row is node-lo
+	f  *Fabric
+	n  int
+	lo int // the first node served: a node's row is node-lo
+	// rto and rtoMax are the first retransmit timeout and its cap:
+	// rtoFirst and rtoCap.
+	rto, rtoMax sim.Time
 
 	tx    []txLink // [(src-lo)*n + dst]
 	rx    []rxLink // [(dst-lo)*n + src]
@@ -145,14 +129,13 @@ type transport struct {
 // EnableTransport activates the reliable transport on this fabric, as a
 // new one starts: no message tracked and every counter zero. It must be
 // called before any Send. A view does not inherit its root's transport:
-// the machine enables the root's and each view's itself. A zero config
-// field takes its default. The transport's tables are built on the first
-// call and kept from then on; Reset turns the transport off and empties
-// them.
-func (f *Fabric) EnableTransport(cfg TransportConfig) {
+// the machine enables the root's and each view's itself. The transport's
+// tables are built on the first call and kept from then on; Reset turns
+// the transport off and empties them.
+func (f *Fabric) EnableTransport() {
 	if f.kept == nil {
 		n := f.Net.Nodes()
-		t := &transport{f: f, n: n}
+		t := &transport{f: f, n: n, rto: rtoFirst, rtoMax: rtoCap}
 		switch {
 		case f.node >= 0:
 			t.lo, t.tx, t.rx = f.node, make([]txLink, n), make([]rxLink, n)
@@ -162,7 +145,6 @@ func (f *Fabric) EnableTransport(cfg TransportConfig) {
 		f.kept = t
 	}
 	f.xp = f.kept
-	f.xp.cfg = cfg.withDefaults()
 }
 
 // reset empties the transport, keeping its memory: no link has a sequence
@@ -183,13 +165,20 @@ func (t *transport) reset() {
 	t.retries, t.dupSuppressed, t.reordered, t.acksSent = 0, 0, 0, 0
 }
 
-// TransportStats reports the transport's recovery counters (zero when the
-// transport is disabled).
+// TransportStats reports the transport's recovery counters, a root's
+// summed with its views' (zero when the transport is disabled).
 func (f *Fabric) TransportStats() (retries, dupSuppressed, reordered, acksSent uint64) {
 	if f.xp == nil {
 		return 0, 0, 0, 0
 	}
-	return f.xp.retries, f.xp.dupSuppressed, f.xp.reordered, f.xp.acksSent
+	retries, dupSuppressed, reordered, acksSent = f.xp.retries, f.xp.dupSuppressed, f.xp.reordered, f.xp.acksSent
+	for _, v := range f.views {
+		retries += v.xp.retries
+		dupSuppressed += v.xp.dupSuppressed
+		reordered += v.xp.reordered
+		acksSent += v.xp.acksSent
+	}
+	return retries, dupSuppressed, reordered, acksSent
 }
 
 // FaultCounters combines the network's injection counters with the
@@ -228,9 +217,9 @@ func (t *transport) track(m *msg.Msg) {
 	m.XSeq = l.acked + uint64(len(l.win))
 	o := &t.slots[i]
 	buf := o.m.Data
-	*o = outstanding{m: *m, rto: t.cfg.RTO}
+	*o = outstanding{m: *m, rto: t.rto}
 	o.m.Data = append(buf[:0], m.Data...)
-	o.timer = t.f.Eng.AfterStep(t.cfg.RTO, t, uint64(i))
+	o.timer = t.f.Eng.AfterStep(t.rto, t, uint64(i))
 }
 
 // OnStep implements sim.Stepper as slot i's retransmit timer, which fires
@@ -245,8 +234,8 @@ func (t *transport) OnStep(i uint64) {
 	// The record first sent may be back on a free list and carrying
 	// another message: retransmit a fresh record made from the slot.
 	t.f.sendRaw(t.f.take(&o.m))
-	if o.rto < t.cfg.RTOMax {
-		o.rto = min(o.rto*2, t.cfg.RTOMax)
+	if o.rto < t.rtoMax {
+		o.rto = min(o.rto*2, t.rtoMax)
 	}
 	o.timer = t.f.Eng.AfterStep(o.rto, t, i)
 }

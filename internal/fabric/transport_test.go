@@ -21,7 +21,7 @@ func mkTransport(tb testing.TB, nodes int, faults network.FaultConfig) (*sim.Eng
 	cfg.Faults = faults
 	nw := network.New(eng, cfg)
 	f := New(eng, nw, DefaultTiming())
-	f.EnableTransport(TransportConfig{})
+	f.EnableTransport()
 	got := make([][]msg.Msg, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
@@ -209,26 +209,14 @@ func TestTransportLocalBypassUntracked(t *testing.T) {
 	}
 }
 
+// TestTransportBackoffIsBounded: under a persistently lossy link, with the
+// timeouts shortened to 8 cycles capped at 32, the retransmit interval
+// grows to the cap and stays there, the message gets through exactly once,
+// and the retransmit timers all drain.
 func TestTransportBackoffIsBounded(t *testing.T) {
-	cfg := TransportConfig{RTO: 8, RTOMax: 32}.withDefaults()
-	if cfg.RTO != 8 || cfg.RTOMax != 32 {
-		t.Fatalf("withDefaults clobbered explicit values: %+v", cfg)
-	}
-	d := TransportConfig{}.withDefaults()
-	if d != DefaultTransportConfig() {
-		t.Fatalf("zero config = %+v, want defaults %+v", d, DefaultTransportConfig())
-	}
-	inverted := TransportConfig{RTO: 2048}.withDefaults()
-	if inverted.RTOMax < inverted.RTO {
-		t.Fatalf("RTOMax %d < RTO %d after withDefaults", inverted.RTOMax, inverted.RTO)
-	}
-
-	// Under a persistently lossy link, the retransmit interval must grow to
-	// RTOMax and stay there: count retries over a fixed horizon and bound
-	// them by horizon/RTO (unbounded backoff would be far fewer).
 	faults := network.FaultConfig{Seed: 21, Rates: network.FaultRates{Drop: 0.8}}
 	eng, f, got := mkTransport(t, 4, faults)
-	f.xp.cfg = TransportConfig{RTO: 8, RTOMax: 32}
+	f.xp.rto, f.xp.rtoMax = 8, 32
 	f.Send(msg.Msg{Kind: msg.LockReq, Src: 0, Dst: 2})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -237,8 +225,14 @@ func TestTransportBackoffIsBounded(t *testing.T) {
 		t.Fatalf("delivered %d copies, want 1", len(got[2]))
 	}
 	retries, _, _, _ := f.TransportStats()
-	if retries == 0 {
-		t.Fatal("drop=0.8 link delivered without retries")
+	if retries < 4 {
+		t.Fatalf("drop=0.8 link delivered after %d retries, want the backoff to reach its cap", retries)
+	}
+	// Retries come at most 32 cycles apart, so the run ends within 32
+	// cycles per retry plus one more for the last delivery and its ack;
+	// doubling without a cap would take about 8 << retries.
+	if limit := sim.Time(retries+1) * 32; eng.Now() > limit {
+		t.Fatalf("the run ended at cycle %d after %d retries, past %d", eng.Now(), retries, limit)
 	}
 	// With the message eventually acked the queue drains; the engine must
 	// not be left with orphan timers extending the run.

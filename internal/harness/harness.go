@@ -53,12 +53,13 @@ type Options struct {
 	// nonzero seed and rates to check that the figures survive a lossy
 	// fabric.
 	Faults network.FaultConfig
-	// SimWorkers sets each simulated machine's PDES worker count
+	// SimWorkers sets each simulated machine's PDES lanes
 	// (core.Config.SimWorkers): 0 is a serial run, the kernel's one-lane
-	// case; >= 1 runs one lane per node under the time-windowed loop.
-	// Contended Ω and mesh networks are lane-safe (window-barrier port
-	// arbitration); the bus topology always runs one lane. The assembled
-	// figures and tables are bit-identical at every worker count >= 1.
+	// case; any value >= 1 runs one lane per node under the time-windowed
+	// loop, every lane on the caller's goroutine. Contended Ω and mesh
+	// networks are lane-safe (window-barrier port arbitration); the bus
+	// topology always runs one lane. The assembled figures and tables are
+	// bit-identical at every value >= 1.
 	SimWorkers int
 	// IdealNetwork removes switch contention (core.Config.IdealNetwork;
 	// ablation — no longer a precondition for SimWorkers).

@@ -27,7 +27,7 @@
 //
 // All mutable Go-side state is per-processor (client caches, op logs,
 // latency histograms), so the workload is lane-safe: results are
-// bit-identical at any core.Config.SimWorkers setting, and per-processor
+// bit-identical at every core.Config.SimWorkers >= 1, and per-processor
 // logs merge deterministically after the run.
 //
 // Every run is self-verifying: the per-key sequential-consistency oracle
@@ -163,9 +163,11 @@ type RunOptions struct {
 	Jitter uint64
 	// Faults enables the interconnect fault plane (zero = reliable).
 	Faults network.FaultConfig
-	// SimWorkers selects the PDES lane engine; the contended network is
-	// lane-safe (window-barrier port arbitration), so IdealNetwork is not
-	// required.
+	// SimWorkers selects the PDES lane engine (core.Config.SimWorkers):
+	// any value >= 1 runs one lane per node, every lane on the caller's
+	// goroutine, so results are bit-identical at every value >= 1. The
+	// contended network is lane-safe (window-barrier port arbitration), so
+	// IdealNetwork is not required.
 	SimWorkers int
 	// IdealNetwork removes switch contention (ablation).
 	IdealNetwork bool

@@ -78,11 +78,12 @@ func TestRunReuseMatchesFresh(t *testing.T) {
 
 // BenchmarkRun is the KV service's layer benchmark at the shape of the
 // whole-system benchmark's kv-chaos-lanes workload (bench/kv.go): 64
-// nodes on two PDES lane workers, 256 keys on 16 CBL-locked shards, 2
-// sessions and 64 ops a node, 32 subscriptions a node, under chaos faults
-// whose seed changes every run. Its runs take machines from the pool and
-// put them back, as the workload's do; one run before the timer builds the
-// machine, so allocs/op counts what a run on a reused machine makes.
+// nodes on one PDES lane each (SimWorkers 2), 256 keys on 16 CBL-locked
+// shards, 2 sessions and 64 ops a node, 32 subscriptions a node, under
+// chaos faults whose seed changes every run. Its runs take machines from
+// the pool and put them back, as the workload's do; one run before the
+// timer builds the machine, so allocs/op counts what a run on a reused
+// machine makes.
 func BenchmarkRun(b *testing.B) {
 	spec := DefaultSpec(64)
 	spec.Keys, spec.Shards, spec.Sessions, spec.Ops, spec.SubCap = 256, 16, 2, 64, 32

@@ -72,8 +72,6 @@ const (
 	// LockDequeue removes a read-lock releaser from the middle of the
 	// queue (doubly-linked-list fix-up).
 	LockDequeue
-	// LockDequeueAck confirms a LockDequeue pointer splice.
-	LockDequeueAck
 
 	// --- Write-back invalidation baseline (WBI, §5) ---
 
@@ -101,11 +99,6 @@ const (
 	PutX
 	// PutAck acknowledges a PutX.
 	PutAck
-	// RMWReq is an atomic read-modify-write executed at the home (the
-	// fetch-and-Φ style primitive used to build software locks).
-	RMWReq
-	// RMWReply carries the RMW result.
-	RMWReply
 
 	// --- Hardware barrier (Table 3) ---
 
@@ -147,7 +140,6 @@ var kindNames = [...]string{
 	LockLinked:      "lock-linked",
 	UnlockToHome:    "unlock-to-home",
 	LockDequeue:     "lock-dequeue",
-	LockDequeueAck:  "lock-dequeue-ack",
 	GetS:            "gets",
 	GetX:            "getx",
 	DataS:           "data-s",
@@ -160,8 +152,6 @@ var kindNames = [...]string{
 	OwnerDataMem:    "owner-data-mem",
 	PutX:            "putx",
 	PutAck:          "put-ack",
-	RMWReq:          "rmw",
-	RMWReply:        "rmw-reply",
 	BarrierArrive:   "barrier-arrive",
 	BarrierRelease:  "barrier-release",
 	NetAck:          "net-ack",
@@ -234,7 +224,7 @@ func ClassOf(k Kind) Class {
 	case ReadMissReply, ReadUpdateReply, UpdateProp, LockGrant, UnlockToHome,
 		WriteBack, DataS, DataX, OwnerData, OwnerDataMem, PutX:
 		return BlockXfer
-	case WriteGlobalReq, ReadGlobalReply, RMWReply:
+	case WriteGlobalReq, ReadGlobalReply:
 		return WordXfer
 	case Inv:
 		return Invalidation
@@ -312,7 +302,7 @@ type Msg struct {
 	Acks int
 	// Seq tags write-buffer entries and other request/reply matching.
 	Seq uint64
-	// Aux carries kind-specific extra state (e.g. barrier id, RMW operand).
+	// Aux carries kind-specific extra state (e.g. a barrier id).
 	Aux uint64
 	// XSeq is the reliable transport's per-link sequence number (1-based;
 	// 0 = untracked). It identifies the message for acknowledgment,

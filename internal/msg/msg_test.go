@@ -32,7 +32,7 @@ func TestClassOf(t *testing.T) {
 		UnlockToHome:    BlockXfer,
 		DataS:           BlockXfer,
 		GetX:            Control,
-		RMWReply:        WordXfer,
+		ReadGlobalReply: WordXfer,
 		BarrierArrive:   Control,
 	}
 	for k, want := range cases {

@@ -152,18 +152,17 @@ func splitmix64(x uint64) uint64 {
 }
 
 // faultPlane is the per-network fault state: one PRNG stream per ordered
-// link, advanced once per decision. Stats are sharded by source node so
-// that under a parallel (lane-per-node) run each lane touches only its own
-// shard; a link's stream is likewise touched only by its source lane. A
-// link's rates are the config's Rates, or, when the config overrides some
-// links, the entry of a per-link table built from the overrides.
+// link, advanced once per decision, and the network's one set of fault
+// counts. A link's rates are the config's Rates, or, when the config
+// overrides some links, the entry of a per-link table built from the
+// overrides.
 type faultPlane struct {
 	cfg      FaultConfig
 	delayMax sim.Time
 	rates    []FaultRates // [src*n + dst] with link overrides; empty without
 	streams  []uint64     // per-link splitmix64 state
 	n        int
-	stats    []FaultStats // [src]
+	stats    FaultStats
 }
 
 func newFaultPlane(cfg FaultConfig, nodes int) *faultPlane {
@@ -178,8 +177,7 @@ func newFaultPlane(cfg FaultConfig, nodes int) *faultPlane {
 func (p *faultPlane) reset(cfg FaultConfig, nodes int) {
 	p.cfg, p.delayMax, p.n = cfg, cfg.delayMax(), nodes
 	p.streams = slices.Grow(p.streams[:0], nodes*nodes)[:nodes*nodes]
-	p.stats = slices.Grow(p.stats[:0], nodes)[:nodes]
-	clear(p.stats)
+	p.stats = FaultStats{}
 	for s := 0; s < nodes; s++ {
 		for d := 0; d < nodes; d++ {
 			// Decorrelate the link streams: each starts at an
@@ -242,7 +240,7 @@ func (p *faultPlane) judge(src, dst int) verdict {
 		v.dup = true
 		v.dupAt = p.drawDelay(i)
 	}
-	st := &p.stats[src]
+	st := &p.stats
 	if v.drop {
 		st.Dropped++
 		return verdict{drop: true}
@@ -256,16 +254,4 @@ func (p *faultPlane) judge(src, dst int) verdict {
 		st.DelayCycles += uint64(v.dupAt)
 	}
 	return v
-}
-
-// total sums the per-source shards.
-func (p *faultPlane) total() FaultStats {
-	var t FaultStats
-	for i := range p.stats {
-		t.Dropped += p.stats[i].Dropped
-		t.Duplicated += p.stats[i].Duplicated
-		t.Delayed += p.stats[i].Delayed
-		t.DelayCycles += p.stats[i].DelayCycles
-	}
-	return t
 }

@@ -14,13 +14,11 @@ import (
 // the serial engine's acquire-order discipline. For open-loop traffic —
 // where every injection (src, dst, words, time) is fixed up front — the
 // arbiter's key-ordered replay is the serial execution, so delivery times
-// and the full Stats snapshot must match the serial network bit for bit,
-// at any worker count.
+// and the full Stats snapshot must match the serial network bit for bit.
 
 // arbTrace runs a fixed open-loop injection schedule and returns the
 // per-destination delivery-time trace plus the final stats. The trace has
-// one slice per node, so under lanes each node's lane appends only to its
-// own element.
+// one slice per node: each node's lane appends only to its own element.
 type arbShot struct {
 	at       sim.Time
 	src, dst int
@@ -60,7 +58,9 @@ func arbTraceSerial(t *testing.T, cfg Config) ([][]sim.Time, Stats) {
 	return trace, n.Stats()
 }
 
-func arbTraceLanes(t *testing.T, cfg Config, workers int) ([][]sim.Time, Stats) {
+// arbTraceLanes is arbTraceSerial on one lane per node. The last argument,
+// a worker count, changes nothing: every lane runs on the caller.
+func arbTraceLanes(t *testing.T, cfg Config, _ int) ([][]sim.Time, Stats) {
 	t.Helper()
 	par := sim.NewParallel(cfg.Nodes)
 	n := NewParallel(par, cfg)
@@ -75,7 +75,7 @@ func arbTraceLanes(t *testing.T, cfg Config, workers int) ([][]sim.Time, Stats) 
 		s := s
 		par.Lane(s.src).At(s.at, func() { n.Send(s.src, s.dst, s.words, nil) })
 	}
-	if err := par.Run(workers); err != nil {
+	if err := par.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return trace, n.Stats()
@@ -119,7 +119,7 @@ func TestLaneArbitrationSerializesSharedPort(t *testing.T) {
 	}
 	par.Lane(0).At(0, func() { n.Send(0, 7, 0, nil) })
 	par.Lane(1).At(0, func() { n.Send(1, 7, 0, nil) })
-	if err := par.Run(2); err != nil {
+	if err := par.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 2 {
@@ -145,14 +145,12 @@ func TestLaneArbitrationFaultParity(t *testing.T) {
 	if wantFaults.Dropped+wantFaults.Duplicated+wantFaults.Delayed == 0 {
 		t.Fatal("fault plane inert; the test proves nothing")
 	}
-	for _, w := range []int{1, 4} {
-		gotTrace, gotStats := arbTraceLanes(t, cfg, w)
-		if fmt.Sprint(gotStats) != fmt.Sprint(wantStats) {
-			t.Fatalf("workers=%d stats diverge:\n got %+v\nwant %+v", w, gotStats, wantStats)
-		}
-		if fmt.Sprint(gotTrace) != fmt.Sprint(wantTrace) {
-			t.Fatalf("workers=%d delivery trace diverges:\n got %v\nwant %v", w, gotTrace, wantTrace)
-		}
+	gotTrace, gotStats := arbTraceLanes(t, cfg, 1)
+	if fmt.Sprint(gotStats) != fmt.Sprint(wantStats) {
+		t.Fatalf("stats diverge:\n got %+v\nwant %+v", gotStats, wantStats)
+	}
+	if fmt.Sprint(gotTrace) != fmt.Sprint(wantTrace) {
+		t.Fatalf("delivery trace diverges:\n got %v\nwant %v", gotTrace, wantTrace)
 	}
 }
 
@@ -205,7 +203,7 @@ func TestArbitrateReplaysInKeyOrder(t *testing.T) {
 				}
 			}
 		}
-		if err := par.Run(2); err != nil {
+		if err := par.Run(); err != nil {
 			t.Fatal(err)
 		}
 		got := windows[0]

@@ -105,16 +105,15 @@ func (s Stats) MeanQueueing() float64 {
 	return float64(s.QueueSum) / float64(s.Messages)
 }
 
-// Network is the Ω network instance. In the default serial mode it is not
-// safe for concurrent use. Built with NewParallel it runs in lane mode:
-// every node's sends execute on that node's lane engine, counters are
-// sharded by source node, and cross-node deliveries are buffered through
-// the coordinator's deterministic window merge (sim.Parallel.Post). With
-// contention on (the default), a lane never touches port-occupancy state
-// during a window: it records the send (pend) and the coordinator's
-// window-barrier arbiter replays all recorded sends in global injection-key
-// order, resolving contention exactly as the serial engine's acquire order
-// would.
+// Network is the Ω network instance; it is not safe for concurrent use.
+// Built with NewParallel it runs in lane mode: every node's sends execute
+// on that node's lane engine, and cross-node deliveries are buffered
+// through the coordinator's deterministic window merge
+// (sim.Parallel.Post). With contention on (the default), a lane never
+// touches port-occupancy state during a window: it records the send (pend)
+// and the coordinator's window-barrier arbiter replays all recorded sends
+// in global injection-key order, resolving contention exactly as the
+// serial engine's acquire order would.
 type Network struct {
 	cfg      Config
 	engine   *sim.Engine
@@ -129,7 +128,7 @@ type Network struct {
 	inbox    []port       // per-node typed delivery endpoints
 	faults   *faultPlane  // the fault plane while it is on (kept), else nil
 	kept     *faultPlane  // the fault plane's memory, kept across Reset
-	shards   []Stats      // per-source-node counters, summed by Stats()
+	stats    Stats        // the counters; Faults is filled in by Stats()
 	pend     [][]pendSend // contended lane mode: per-source deferred sends
 	arbCnt   []int        // replay scratch: where each cycle's sends start
 	arbOrd   []*pendSend  // replay scratch: the window's sends in key order
@@ -210,7 +209,6 @@ func build(cfg Config) *Network {
 		logN:     logN,
 		handlers: make([]Handler, cfg.Nodes),
 		inbox:    make([]port, cfg.Nodes),
-		shards:   make([]Stats, cfg.Nodes),
 	}
 	for i := range n.inbox {
 		n.inbox[i] = port{n: n, node: i}
@@ -256,7 +254,7 @@ func (n *Network) reset(faults FaultConfig) {
 	if n.bus != nil {
 		n.bus.Reset()
 	}
-	clear(n.shards)
+	n.stats = Stats{}
 	for src, q := range n.pend {
 		clear(q)
 		n.pend[src] = q[:0]
@@ -288,21 +286,13 @@ func (n *Network) Nodes() int { return n.cfg.Nodes }
 // Stages returns the number of switch stages (log2 of the node count).
 func (n *Network) Stages() int { return n.stages }
 
-// Stats returns a snapshot of the counters, summed across the per-source
-// shards. In lane mode call it only between windows (after the run).
+// Stats returns a snapshot of the counters. In lane mode a window's
+// contended sends count their latency at the window's barrier, so call it
+// between windows (after the run).
 func (n *Network) Stats() Stats {
-	var s Stats
-	for i := range n.shards {
-		sh := &n.shards[i]
-		s.Messages += sh.Messages
-		s.Words += sh.Words
-		s.Hops += sh.Hops
-		s.Local += sh.Local
-		s.LatencySum += sh.LatencySum
-		s.QueueSum += sh.QueueSum
-	}
+	s := n.stats
 	if n.faults != nil {
-		s.Faults = n.faults.total()
+		s.Faults = n.faults.stats
 	}
 	return s
 }
@@ -342,8 +332,8 @@ func (n *Network) route(src, dst int, lines []int) []int {
 // Send injects a message of the given payload size (words; 0 for a control
 // transaction) from src to dst, delivering it to dst's handler after the
 // modeled latency. Node-local messages bypass the network entirely. In lane
-// mode Send must be called from src's lane; every counter it touches is
-// src's own shard, and cross-lane deliveries route through the coordinator.
+// mode Send must be called from src's lane, and cross-lane deliveries route
+// through the coordinator.
 // It reports whether the fault plane dropped the message: the network then
 // keeps no reference to payload, which goes back to the sender at once.
 func (n *Network) Send(src, dst, words int, payload any) (dropped bool) {
@@ -352,7 +342,7 @@ func (n *Network) Send(src, dst, words int, payload any) (dropped bool) {
 		eng = n.laneEng[src]
 	}
 	now := eng.Now()
-	st := &n.shards[src]
+	st := &n.stats
 	if src == dst && !n.cfg.DanceHall {
 		st.Local++
 		n.deliverAt(eng, now+n.cfg.LocalDelay, src, dst, payload)
@@ -438,12 +428,12 @@ func (n *Network) sendPath(src, dst int, now, hold sim.Time) sim.Time {
 // the port-occupancy state in global injection-key order (time, jitter,
 // source lane, source sequence) — the same order the serial engine's event
 // loop would have acquired the ports in — producing deterministic delivery
-// times and queueing stats regardless of worker count. Window start times
-// are monotone (every recorded send lies in the window just executed, and
-// the next GVT is at or beyond this window's end), so consecutive windows'
-// replays are globally time-ordered and the Resource free-times advance
-// exactly as they do serially. Deliveries are posted with the key drawn at
-// Send time and flow into the same window's merge.
+// times and queueing stats whatever order the lanes ran in. Window start
+// times are monotone (every recorded send lies in the window just
+// executed, and the next GVT is at or beyond this window's end), so
+// consecutive windows' replays are globally time-ordered and the Resource
+// free-times advance exactly as they do serially. Deliveries are posted
+// with the key drawn at Send time and flow into the same window's merge.
 func (n *Network) arbitrate() {
 	for _, q := range n.replayOrder() {
 		src, dst := int(q.src), int(q.dst)
@@ -456,7 +446,7 @@ func (n *Network) arbitrate() {
 		default:
 			done = n.sendPath(src, dst, q.at, q.hold)
 		}
-		st := &n.shards[src]
+		st := &n.stats
 		lat := done - q.at
 		st.LatencySum += lat
 		uncontended := q.hold * sim.Time(q.hops)

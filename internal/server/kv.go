@@ -59,9 +59,9 @@ type KVSpec struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Jitter seeds schedule jitter (core.Config.Jitter).
 	Jitter uint64 `json:"jitter"`
-	// SimWorkers sets the PDES worker count (same contract as SimSpec: 0
-	// is a serial run; the contended network is lane-safe, ideal_network
-	// not required).
+	// SimWorkers selects the PDES lanes (same contract as SimSpec: 0 is a
+	// serial run, >= 1 one lane per node on the job's goroutine; the
+	// contended network is lane-safe, ideal_network not required).
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// IdealNetwork removes switch contention (ablation).
 	IdealNetwork bool `json:"ideal_network"`

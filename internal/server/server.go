@@ -22,12 +22,12 @@ import (
 type Config struct {
 	// Workers is the worker-pool size; 0 means GOMAXPROCS. Each worker
 	// runs one job at a time, and most jobs occupy roughly one core: a
-	// simulation is a set of goroutines of which only one is runnable at
-	// any instant, and a litmus job sweeps its seeds on the worker's own
-	// goroutine (litmus.RunSerial). Two kinds of job take more: a spec
-	// with sim_workers runs that many PDES lanes, and a figure job still
-	// fans its cells out through the harness at Parallelism 0, that is on
-	// up to GOMAXPROCS goroutines.
+	// simulation, on one lane or one per node (sim_workers), runs on the
+	// worker's goroutine and its programs' coroutines, of which only one
+	// is runnable at any instant, and a litmus job sweeps its seeds on the
+	// worker's own goroutine (litmus.RunSerial). A figure job takes more:
+	// it fans its cells out through the harness at Parallelism 0, that is
+	// on up to GOMAXPROCS goroutines.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-not-running jobs;
 	// 0 means 4x workers. Beyond it, submissions get 429.

@@ -48,8 +48,8 @@ type SimSpec struct {
 	// Jitter seeds schedule jitter (core.Config.Jitter); 0 keeps the
 	// canonical deterministic schedule.
 	Jitter uint64 `json:"jitter"`
-	// SimWorkers runs the simulation with one lane per node under the
-	// time-windowed parallel loop, on this many workers
+	// SimWorkers >= 1 runs the simulation with one lane per node under the
+	// time-windowed parallel loop, every lane on the job's goroutine
 	// (core.Config.SimWorkers); 0 is a serial run, the kernel's one-lane
 	// case. The contended network is lane-safe (window-barrier port
 	// arbitration), so ideal_network is not required; the bus topology

@@ -16,8 +16,8 @@
 //     source-lane order, and every queue pops in the order of the key
 //     (time, jitter, source lane, source sequence). The key is drawn by the
 //     source lane at Post time, so it is a pure function of that lane's own
-//     schedule — no interleaving of lane execution, worker count, or merge
-//     order can change it.
+//     schedule — neither the order in which lanes run nor the merge order
+//     can change it.
 //
 // Models with globally-ordered shared state that lanes must not touch during
 // a window — contended network ports, for this machine — hook the barrier
@@ -26,13 +26,18 @@
 // in global key order on the coordinator, posting the resulting deliveries
 // with PostKeyed before the merge. See network.NewParallel.
 //
-// The result is a simulation whose outcome is bit-identical at any worker
-// count: workers only size the thread pool that drains the per-window lane
-// list; the partition (one lane per node) and every ordering key are fixed
-// by the configuration alone. This is the conservative (Chandy-Misra-style
-// windowed) flavor of PDES — lanes never execute past the horizon of what
-// other lanes could still affect, so there is no rollback machinery and no
-// state saving, at the cost of requiring a positive lookahead.
+// The result is a simulation whose outcome is bit-identical to any other
+// run of the same configuration: the partition (one lane per node) and
+// every ordering key are fixed by the configuration alone. Run executes
+// each window's active lanes one after another, in lane order, on the
+// calling goroutine; since every ordering decision is keyed by lane-local
+// state, the order in which lanes run within a window is immaterial to
+// the outcome, and running them on one thread makes it fixed, so anything
+// lanes report to a shared observer arrives window by window and lane by
+// lane. This is the conservative (Chandy-Misra-style windowed) flavor of
+// PDES — lanes never execute past the horizon of what other lanes could
+// still affect, so there is no rollback machinery and no state saving, at
+// the cost of requiring a positive lookahead.
 //
 // A serial run is the one-lane case. With one lane the key (time, jitter,
 // lane, sequence) reduces to the standalone engine's (time, jitter,
@@ -41,12 +46,7 @@
 // same order as Engine.Run.
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // post is one buffered cross-lane effect: a message delivery drawn from the
 // source lane's schedule, carrying the full ordering key assigned at Post
@@ -64,27 +64,17 @@ type post struct {
 // Parallel coordinates a set of lane engines through the window loop. The
 // zero value is not usable; call NewParallel.
 type Parallel struct {
-	lane0  Engine     // lane 0, held inline
-	solo   [1]*Engine // backing array of lanes on a one-lane run
-	lanes  []*Engine
-	out    [][]post // outboxes, indexed by source lane
-	la     Time     // lookahead (window width); at least 1
-	limit  Time     // horizon; Infinity when unset
-	clock  Time     // max event time fired so far (GVT on ErrHorizon)
-	wend   Time     // current window end (exclusive), read by lanes in Post
-	inter  func() error
-	arb    func()    // window-barrier arbitration hook (SetArbiter)
-	active []*Engine // lanes with work in the current window
-	nt     []Time    // cached per-lane next-event time (see Run)
-
-	// The window barrier (see runWindow). claim holds the window epoch in
-	// its high 32 bits and the number of active lanes not yet claimed in
-	// its low 32; finished counts the window's lanes run to the end.
-	claim    atomic.Uint64
-	finished atomic.Int64
-	wake     chan bool      // parked workers wait here: false wakes one, true ends it
-	workers  sync.WaitGroup // the workers Run started and has not yet ended
-	panics   []any          // per-lane captured panic values
+	lane0 Engine     // lane 0, held inline
+	solo  [1]*Engine // backing array of lanes on a one-lane run
+	lanes []*Engine
+	out   [][]post // outboxes, indexed by source lane
+	la    Time     // lookahead (window width); at least 1
+	limit Time     // horizon; Infinity when unset
+	clock Time     // max event time fired so far (GVT on ErrHorizon)
+	wend  Time     // current window end (exclusive), read by lanes in Post
+	inter func() error
+	arb   func() // window-barrier arbitration hook (SetArbiter)
+	nt    []Time // cached per-lane next-event time (see Run)
 }
 
 // NewParallel returns a coordinator over n lane engines with the clock at
@@ -103,8 +93,6 @@ func NewParallel(n int) *Parallel {
 	} else {
 		p.lanes = make([]*Engine, n)
 		p.out = make([][]post, n)
-		p.wake = make(chan bool, n-1)
-		p.panics = make([]any, n)
 		p.nt = make([]Time, n)
 		p.lanes[0] = &p.lane0
 		for i := 1; i < n; i++ {
@@ -132,12 +120,7 @@ func (p *Parallel) Reset() {
 		clear(out)
 		p.out[i] = out[:0]
 	}
-	clear(p.active)
-	clear(p.panics)
 	clear(p.nt)
-	p.active = p.active[:0]
-	p.claim.Store(0)
-	p.finished.Store(0)
 }
 
 // Lanes returns the number of lanes.
@@ -178,9 +161,9 @@ func (p *Parallel) SetInterrupt(fn func() error) { p.inter = fn }
 // engine's stream. With more lanes, each lane derives its own splitmix64
 // stream from (seed, lane), so the jitter key a lane assigns to an event
 // is a pure function of that lane's schedule — the same property that
-// makes the rest of the ordering worker-count-independent — and the run
-// explores its own (deterministic) schedule permutation per seed. Seed 0
-// disables jitter.
+// makes the rest of the ordering independent of the order lanes run in —
+// and the run explores its own (deterministic) schedule permutation per
+// seed. Seed 0 disables jitter.
 func (p *Parallel) SetJitter(seed uint64) {
 	if len(p.lanes) == 1 {
 		p.lane0.SetJitter(seed)
@@ -236,8 +219,7 @@ func (p *Parallel) Pending() int {
 // is executing a window (i.e. from inside one of its events), so a
 // one-lane run, which has no window and no other lane, never posts. The
 // ordering key — jitter draw and sequence number — comes from the source
-// lane's own schedule, making it independent of how lanes interleave in
-// wall time.
+// lane's own schedule, making it independent of the order lanes run in.
 //
 // Post panics if at lies inside the current window: that is a lookahead
 // violation, meaning the model has a cross-lane interaction faster than the
@@ -272,31 +254,27 @@ func (p *Parallel) PostKeyed(src, dst int32, at Time, jit, seq uint64, rcv Recei
 }
 
 // SetArbiter installs a hook the coordinator calls once per window at the
-// barrier — after every lane has finished executing the window (and any
-// lane panic has been re-raised), before the outbox merge. The hook runs
-// single-threaded on the coordinator goroutine; it is where a model
+// barrier — after every lane has finished executing the window, before
+// the outbox merge. The hook runs on Run's goroutine; it is where a model
 // resolves globally-ordered shared state that lanes recorded intent
 // against during the window (e.g. contended switch-port occupancy),
 // posting the resulting deliveries with PostKeyed so they join the same
 // merge. The hook must be deterministic: it may depend only on the
-// recorded intents and its own state, never on wall-clock interleaving.
+// recorded intents and its own state.
 func (p *Parallel) SetArbiter(fn func()) { p.arb = fn }
 
-// Run executes the window loop with the given number of worker threads
-// until every lane's queue drains, any lane calls Stop, the horizon is
-// exceeded, or the interrupt poll reports an error. workers is clamped to
-// [1, lanes]; every worker count produces bit-identical results, and
-// workers=1 runs the same loop on the calling goroutine alone. Stop is
-// honored at the window boundary: the window in which Stop was called
-// completes (every lane fires its remaining in-window events) before Run
-// returns nil. A panic on any lane is re-raised on the caller, from the
-// lowest panicking lane for determinism. Run returns once the workers it
-// started have exited.
+// Run executes the window loop on the calling goroutine until every lane's
+// queue drains, any lane calls Stop, the horizon is exceeded, or the
+// interrupt poll reports an error. Each window runs its active lanes one
+// after another in lane order. Stop is honored at the window boundary: the
+// window in which Stop was called completes (every lane fires its
+// remaining in-window events) before Run returns nil. A panic on a lane
+// propagates as it is raised; lanes run in lane order, so it comes from
+// the lowest lane that panics in its window.
 //
-// One lane runs Engine.Run's loop on the calling goroutine, under the
-// coordinator's horizon and interrupt: Stop returns after the current
-// event, and a panic propagates as it is raised.
-func (p *Parallel) Run(workers int) error {
+// One lane runs Engine.Run's loop under the coordinator's horizon and
+// interrupt: Stop returns after the current event.
+func (p *Parallel) Run() error {
 	if len(p.lanes) == 1 {
 		e := &p.lane0
 		e.stopped = false
@@ -305,28 +283,15 @@ func (p *Parallel) Run(workers int) error {
 		p.clock = e.now
 		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(p.lanes) {
-		workers = len(p.lanes)
-	}
-	for _, e := range p.lanes {
-		e.stopped = false
-	}
-	if workers > 1 {
-		p.startWorkers(workers - 1)
-		defer p.stopWorkers(workers - 1)
-	}
-
 	// nt caches every lane's next-event time between windows, so the
 	// per-window GVT reduction and active-lane selection scan a flat Time
 	// array instead of probing each lane's queue front through the record
 	// pool (two pointer-chasing nextTime calls per lane per window — the
 	// dominant coordinator cost at 512-1024 lanes). The cache is refreshed
-	// where it can change: by the worker that ran the lane's window, and
-	// by merge for lanes that received cross-lane posts.
+	// where it can change: after the lane runs its window, and by merge
+	// for lanes that received cross-lane posts.
 	for i, e := range p.lanes {
+		e.stopped = false
 		p.nt[i] = e.nextTime()
 	}
 	for {
@@ -356,16 +321,10 @@ func (p *Parallel) Run(workers int) error {
 			wend = p.limit + 1 // events at exactly the horizon still fire
 		}
 		p.wend = wend
-		p.active = p.active[:0]
 		for i, e := range p.lanes {
 			if p.nt[i] < wend {
-				p.active = append(p.active, e)
-			}
-		}
-		p.runWindow(workers)
-		for i := range p.panics {
-			if v := p.panics[i]; v != nil {
-				panic(v)
+				e.run(wend)
+				p.nt[i] = e.nextTime()
 			}
 		}
 		if p.arb != nil {
@@ -387,108 +346,6 @@ func (p *Parallel) Run(workers int) error {
 	}
 }
 
-// runWindow runs every active lane's window and returns once all of them
-// have finished. It publishes the window as a fresh claim word, wakes
-// parked workers without blocking, and claims lanes itself alongside
-// them, so it never waits for a worker that has not woken: it waits only
-// while a worker still runs a lane that worker claimed, yielding to other
-// goroutines meanwhile. A worker that wakes after the window is claimed
-// finds nothing to claim and parks again; the epoch makes every window's
-// word distinct, so a claim succeeds only against the window its claimer
-// read.
-func (p *Parallel) runWindow(workers int) {
-	n := len(p.active)
-	p.finished.Store(0)
-	p.claim.Store((p.claim.Load()>>32+1)<<32 | uint64(n))
-	// Queue a wake-up for each worker the window can use that is neither
-	// awake nor already has one queued. The channel holds one per lane
-	// but the first, so the sends never block.
-	for range min(workers, n) - 1 - len(p.wake) {
-		p.wake <- false
-	}
-	p.finished.Add(p.drain())
-	for p.finished.Load() != int64(n) {
-		runtime.Gosched()
-	}
-}
-
-// laneWorkers hands each worker goroutine Run starts the coordinator it
-// serves. Starting a goroutine from a function value that holds its
-// coordinator allocates that value on every Run; laneWorker is a static
-// function, so starting it allocates nothing.
-var laneWorkers = make(chan *Parallel)
-
-// startWorkers starts k workers for a Run, each parked until a window
-// wakes it.
-func (p *Parallel) startWorkers(k int) {
-	p.workers.Add(k)
-	for range k {
-		go laneWorker()
-		laneWorkers <- p
-	}
-}
-
-// stopWorkers ends the k workers a Run started and returns once they have
-// exited. Each ends at the first exit token it takes, after any wake-up
-// queued before it.
-func (p *Parallel) stopWorkers(k int) {
-	for range k {
-		p.wake <- true
-	}
-	p.workers.Wait()
-}
-
-// laneWorker is a worker of Run's pool: it claims and runs the window's
-// lanes each time it is woken, until it takes an exit token. Which Run's
-// start made the goroutine is immaterial: every coordinator sent on
-// laneWorkers is taken by exactly one worker.
-func laneWorker() {
-	p := <-laneWorkers
-	defer p.workers.Done()
-	for exit := range p.wake {
-		if exit {
-			return
-		}
-		if ran := p.drain(); ran > 0 {
-			p.finished.Add(ran)
-		}
-	}
-}
-
-// drain claims the current window's unclaimed lanes one at a time, in lane
-// order, runs each, and returns how many it ran. Each lane is executed by
-// exactly one goroutine; which one is immaterial, because every ordering
-// decision is keyed by lane-local state.
-func (p *Parallel) drain() int64 {
-	ran := int64(0)
-	for {
-		w := p.claim.Load()
-		left := int(uint32(w))
-		if left == 0 {
-			return ran
-		}
-		if p.claim.CompareAndSwap(w, w-1) {
-			// The claimed lane holds the window, and so active, in place.
-			p.runLane(p.active[len(p.active)-left])
-			ran++
-		}
-	}
-}
-
-// runLane executes one lane's window, capturing a panic into the lane's
-// slot so the coordinator can re-raise it deterministically. It refreshes
-// the lane's nt cache slot; each lane is run by exactly one worker per
-// window, so concurrent workers write disjoint elements.
-func (p *Parallel) runLane(e *Engine) {
-	defer func() {
-		if v := recover(); v != nil {
-			p.panics[e.lane] = v
-		}
-	}()
-	e.run(p.wend)
-	p.nt[e.lane] = e.nextTime()
-}
-
 // merge drains every outbox into the destination queues, appending the
 // outboxes in source-lane order. It needs no sort: each queue orders by the
 // full key (time, jitter, source lane, source sequence), which is unique,
@@ -496,7 +353,7 @@ func (p *Parallel) runLane(e *Engine) {
 // wheel's span links into its slot's list ahead of, between or behind the
 // lane's own events. Each outbox's contents and order are a function of
 // its source lane's schedule and the arbiter's replay alone, so arena
-// slots are assigned identically at any worker count too.
+// slots are assigned as deterministically as the events themselves.
 func (p *Parallel) merge() {
 	for src, out := range p.out {
 		for i := range out {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ringModel is a deterministic multi-lane kernel workload: each lane
@@ -45,7 +44,7 @@ func (rn *ringNode) OnDeliver(payload any) {
 	})
 }
 
-func runRing(t *testing.T, lanes, workers int, jitter uint64, horizon Time) (*ringModel, error) {
+func runRing(t *testing.T, lanes int, jitter uint64, horizon Time) (*ringModel, error) {
 	t.Helper()
 	p := NewParallel(lanes)
 	p.SetLookahead(7)
@@ -70,70 +69,34 @@ func runRing(t *testing.T, lanes, workers int, jitter uint64, horizon Time) (*ri
 			m.p.Post(i, dst, e.Now()+m.la, &ringNode{m, dst}, uint64(25))
 		})
 	}
-	err := p.Run(workers)
+	err := p.Run()
 	return m, err
-}
-
-// fingerprint captures everything observable about a run.
-func fingerprint(m *ringModel) (logs [][]uint64, fired uint64, now Time) {
-	return m.logs, m.p.Fired(), m.p.Now()
-}
-
-// TestParallelWorkerCountIdentical is the core PDES guarantee: the same
-// configuration produces bit-identical results at every worker count, with
-// and without jitter.
-func TestParallelWorkerCountIdentical(t *testing.T) {
-	for _, jitter := range []uint64{0, 1, 0xdecafbad} {
-		ref, err := runRing(t, 8, 1, jitter, 0)
-		if err != nil {
-			t.Fatalf("jitter %d workers 1: %v", jitter, err)
-		}
-		refLogs, refFired, refNow := fingerprint(ref)
-		if refFired == 0 {
-			t.Fatalf("jitter %d: no events fired", jitter)
-		}
-		for _, workers := range []int{2, 3, 8, 64} {
-			m, err := runRing(t, 8, workers, jitter, 0)
-			if err != nil {
-				t.Fatalf("jitter %d workers %d: %v", jitter, workers, err)
-			}
-			logs, fired, now := fingerprint(m)
-			if fired != refFired || now != refNow {
-				t.Fatalf("jitter %d workers %d: fired/now %d/%d, want %d/%d",
-					jitter, workers, fired, now, refFired, refNow)
-			}
-			if !reflect.DeepEqual(logs, refLogs) {
-				t.Fatalf("jitter %d workers %d: delivery logs diverge", jitter, workers)
-			}
-		}
-	}
 }
 
 // TestParallelJitterPermutes checks that a nonzero jitter seed actually
 // yields a different (but still deterministic) schedule.
 func TestParallelJitterPermutes(t *testing.T) {
-	a, err := runRing(t, 8, 2, 0, 0)
+	a, err := runRing(t, 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runRing(t, 8, 2, 12345, 0)
+	b, err := runRing(t, 8, 12345, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same physics — same event count — but tie-breaks may reorder
 	// same-cycle deliveries. (With this model most deliveries are alone at
 	// their cycle, so only assert the runs are internally consistent and
-	// event-count-equal; worker-count equality per seed is the real bar,
-	// covered above.)
+	// event-count-equal.)
 	if a.p.Fired() != b.p.Fired() {
 		t.Fatalf("jitter changed event count: %d vs %d", a.p.Fired(), b.p.Fired())
 	}
 }
 
-// TestParallelHorizonComposition pins the satellite regression: horizon +
-// interrupt + jitter compose identically under the window loop at
-// workers=1 and workers=N. The horizon cuts the ring mid-flight; the
-// interrupt counts windows; jitter permutes same-cycle ties.
+// TestParallelHorizonComposition: horizon + interrupt + jitter compose
+// under the window loop, and two runs of one configuration end in the same
+// state. The horizon cuts the ring mid-flight; the interrupt counts
+// windows; jitter permutes same-cycle ties.
 func TestParallelHorizonComposition(t *testing.T) {
 	type outcome struct {
 		logs    [][]uint64
@@ -142,7 +105,7 @@ func TestParallelHorizonComposition(t *testing.T) {
 		windows int
 		err     string
 	}
-	run := func(workers int) outcome {
+	run := func() outcome {
 		p := NewParallel(6)
 		p.SetLookahead(7)
 		p.SetHorizon(500)
@@ -159,35 +122,34 @@ func TestParallelHorizonComposition(t *testing.T) {
 				m.p.Post(i, dst, e.Now()+m.la, &ringNode{m, dst}, uint64(1_000_000))
 			})
 		}
-		err := p.Run(workers)
+		err := p.Run()
 		o := outcome{logs: m.logs, fired: p.Fired(), now: p.Now(), windows: windows}
 		if err != nil {
 			o.err = err.Error()
 		}
 		return o
 	}
-	ref := run(1)
+	ref := run()
 	if ref.err != ErrHorizon.Error() {
 		t.Fatalf("expected horizon error, got %q", ref.err)
 	}
 	if ref.now <= 500 {
 		t.Fatalf("horizon GVT should be past the limit, got %d", ref.now)
 	}
-	for _, workers := range []int{2, 6} {
-		got := run(workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers %d: outcome diverges from workers=1:\n got %+v\nwant %+v",
-				workers, got, ref)
-		}
+	if ref.windows == 0 {
+		t.Fatal("the interrupt was never polled")
+	}
+	if got := run(); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("a second run diverges:\n got %+v\nwant %+v", got, ref)
 	}
 }
 
-// TestParallelInterruptStops checks an interrupt error ends the run with
-// the same partial state at any worker count (windows are the poll
-// granularity, and the window sequence is worker-independent).
+// TestParallelInterruptStops checks an interrupt error ends the run, on
+// its eleventh poll, with the same partial state every time (windows are
+// the poll granularity).
 func TestParallelInterruptStops(t *testing.T) {
 	boom := errors.New("boom")
-	run := func(workers int) (uint64, Time, string) {
+	run := func() (uint64, Time, string) {
 		p := NewParallel(4)
 		p.SetLookahead(7)
 		m := &ringModel{p: p, lanes: 4, la: 7, logs: make([][]uint64, 4)}
@@ -207,16 +169,16 @@ func TestParallelInterruptStops(t *testing.T) {
 				m.p.Post(i, dst, e.Now()+m.la, &ringNode{m, dst}, uint64(1_000_000))
 			})
 		}
-		err := p.Run(workers)
+		err := p.Run()
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers %d: want boom, got %v", workers, err)
+			t.Fatalf("want boom, got %v", err)
 		}
 		return p.Fired(), p.Now(), fingerprintLogs(m.logs)
 	}
-	f1, n1, l1 := run(1)
-	f4, n4, l4 := run(4)
-	if f1 != f4 || n1 != n4 || l1 != l4 {
-		t.Fatalf("interrupted runs diverge: (%d,%d,%s) vs (%d,%d,%s)", f1, n1, l1, f4, n4, l4)
+	f1, n1, l1 := run()
+	f2, n2, l2 := run()
+	if f1 != f2 || n1 != n2 || l1 != l2 {
+		t.Fatalf("interrupted runs diverge: (%d,%d,%s) vs (%d,%d,%s)", f1, n1, l1, f2, n2, l2)
 	}
 }
 
@@ -231,10 +193,10 @@ func fingerprintLogs(logs [][]uint64) string {
 	return string(rune(h%26+'a')) + string(rune((h>>8)%26+'a')) + string(rune((h>>16)%26+'a'))
 }
 
-// TestParallelStop checks Stop ends the run cleanly at a window boundary
-// with identical state at any worker count.
+// TestParallelStop checks Stop ends the run cleanly at a window boundary,
+// with the same state every time.
 func TestParallelStop(t *testing.T) {
-	run := func(workers int) (uint64, Time) {
+	run := func() (uint64, Time) {
 		p := NewParallel(4)
 		p.SetLookahead(7)
 		m := &ringModel{p: p, lanes: 4, la: 7, logs: make([][]uint64, 4)}
@@ -247,63 +209,49 @@ func TestParallelStop(t *testing.T) {
 			})
 		}
 		p.Lane(2).At(200, func() { p.Lane(2).Stop() })
-		if err := p.Run(workers); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
 		}
 		return p.Fired(), p.Now()
 	}
-	f1, n1 := run(1)
-	f4, n4 := run(4)
-	if f1 != f4 || n1 != n4 {
-		t.Fatalf("stopped runs diverge: (%d,%d) vs (%d,%d)", f1, n1, f4, n4)
+	f1, n1 := run()
+	f2, n2 := run()
+	if f1 != f2 || n1 != n2 {
+		t.Fatalf("stopped runs diverge: (%d,%d) vs (%d,%d)", f1, n1, f2, n2)
 	}
 	if n1 < 200 {
 		t.Fatalf("run stopped before the Stop event: now %d", n1)
 	}
 }
 
-// TestParallelPanicLowestLane: when two lanes panic in one window, Run
-// re-raises the lower lane's value at any worker count, whichever goroutine
-// claimed that lane, though the higher lane panics first in simulated time;
-// and every worker Run started has exited once the panic reaches the
-// caller.
+// TestParallelPanicLowestLane: when two lanes panic in one window, the
+// panic that reaches Run's caller is the lower lane's, though the higher
+// lane panics first in simulated time; and Run leaves no goroutine behind.
 func TestParallelPanicLowestLane(t *testing.T) {
-	var sink [8]uint64 // one word per lane: lanes share no state
-	busy := func(lane int) func() {
-		return func() {
-			for i := uint64(0); i < 20000; i++ {
-				sink[lane] += i * i
-			}
+	before := runtime.NumGoroutine()
+	p := NewParallel(8)
+	p.SetLookahead(4)
+	ran := make([]int, 8) // events fired per lane
+	for i := 0; i < 8; i++ {
+		for at := Time(0); at < 3; at++ {
+			p.Lane(i).At(at, func() { ran[i]++ })
 		}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for rep := 0; rep < 10; rep++ {
-			before := runtime.NumGoroutine()
-			p := NewParallel(8)
-			p.SetLookahead(4)
-			for i := 0; i < 8; i++ {
-				// Busy lanes, so that workers waking in time claim some.
-				for at := Time(0); at < 3; at++ {
-					p.Lane(i).At(at, busy(i))
-				}
-			}
-			p.Lane(6).At(1, func() { panic("lane 6") })
-			p.Lane(3).At(2, func() { panic("lane 3") })
-			got := func() (v any) {
-				defer func() { v = recover() }()
-				_ = p.Run(workers)
-				return nil
-			}()
-			if got != "lane 3" {
-				t.Fatalf("workers=%d: re-raised %v, want lane 3's panic", workers, got)
-			}
-			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-				runtime.Gosched()
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Fatalf("workers=%d: %d goroutines after Run, %d before", workers, n, before)
-			}
-		}
+	p.Lane(6).At(1, func() { panic("lane 6") })
+	p.Lane(3).At(2, func() { panic("lane 3") })
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = p.Run()
+		return nil
+	}()
+	if got != "lane 3" {
+		t.Fatalf("re-raised %v, want lane 3's panic", got)
+	}
+	if ran[0] != 3 || ran[3] != 3 || ran[6] != 0 {
+		t.Fatalf("events fired per lane %v: lanes 0-3 run their window, lane 6 none", ran)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
 
@@ -324,7 +272,7 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 			t.Fatal("expected lookahead-violation panic")
 		}
 	}()
-	_ = p.Run(2)
+	_ = p.Run()
 }
 
 // recorder logs the payloads delivered to it, in firing order.
@@ -358,34 +306,32 @@ func TestMergeFiresInKeyOrder(t *testing.T) {
 		{"g", 2, 0, 7, 9},
 	}
 	const want = "g f d c e b a"
-	for _, workers := range []int{1, 4} {
-		p := NewParallel(4)
-		p.SetLookahead(8)
-		rec := &recorder{}
-		p.Lane(3).At(0, func() {})
-		posted := false
-		p.SetArbiter(func() {
-			if posted {
-				return
-			}
-			posted = true
-			for _, q := range posts {
-				p.PostKeyed(q.src, 3, p.wend+q.dt, q.jit, q.seq, rec, q.name)
-			}
-		})
-		if err := p.Run(workers); err != nil {
-			t.Fatal(err)
+	p := NewParallel(4)
+	p.SetLookahead(8)
+	rec := &recorder{}
+	p.Lane(3).At(0, func() {})
+	posted := false
+	p.SetArbiter(func() {
+		if posted {
+			return
 		}
-		if got := strings.Join(rec.got, " "); got != want {
-			t.Errorf("workers=%d: destination fired %q, want key order %q", workers, got, want)
+		posted = true
+		for _, q := range posts {
+			p.PostKeyed(q.src, 3, p.wend+q.dt, q.jit, q.seq, rec, q.name)
 		}
+	})
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rec.got, " "); got != want {
+		t.Errorf("destination fired %q, want key order %q", got, want)
 	}
 }
 
 // TestParallelDrainedOutcome checks the drained return: nil error, clock at
 // the last fired event.
 func TestParallelDrainedOutcome(t *testing.T) {
-	m, err := runRing(t, 4, 2, 0, 0)
+	m, err := runRing(t, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +447,7 @@ func TestOneLaneMatchesEngine(t *testing.T) {
 		err := e.Run()
 		return outcome{f.log, e.Fired(), e.Now(), e.Pending(), err}
 	}
-	oneLane := func(seed, jitter uint64, l limits, workers int) outcome {
+	oneLane := func(seed, jitter uint64, l limits) outcome {
 		p := NewParallel(1)
 		p.SetJitter(jitter)
 		if l.horizon != 0 {
@@ -511,7 +457,7 @@ func TestOneLaneMatchesEngine(t *testing.T) {
 			p.SetInterrupt(interrupt())
 		}
 		f := seededSchedule(p.Lane(0), seed, l.stop)
-		err := p.Run(workers)
+		err := p.Run()
 		return outcome{f.log, p.Fired(), p.Now(), p.Pending(), err}
 	}
 	for _, jitter := range []uint64{0, 7} {
@@ -530,13 +476,10 @@ func TestOneLaneMatchesEngine(t *testing.T) {
 				if name != "drain" && want.fired >= drained.fired {
 					t.Fatalf("%s did not end the run early: %d events fired", name, want.fired)
 				}
-				for _, workers := range []int{1, 4} {
-					got := oneLane(seed, jitter, l, workers)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("jitter %d seed %d %s workers %d: one lane diverges from the engine: fired/now/pending/err %d/%d/%d/%v, want %d/%d/%d/%v",
-							jitter, seed, name, workers, got.fired, got.now, got.pending, got.err,
-							want.fired, want.now, want.pending, want.err)
-					}
+				if got := oneLane(seed, jitter, l); !reflect.DeepEqual(got, want) {
+					t.Fatalf("jitter %d seed %d %s: one lane diverges from the engine: fired/now/pending/err %d/%d/%d/%v, want %d/%d/%d/%v",
+						jitter, seed, name, got.fired, got.now, got.pending, got.err,
+						want.fired, want.now, want.pending, want.err)
 				}
 				wantErr := map[string]error{"horizon": ErrHorizon, "interrupt": stopErr}[name]
 				if want.err != wantErr {

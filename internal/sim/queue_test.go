@@ -245,7 +245,7 @@ func TestMergeLinksIntoOccupiedSlot(t *testing.T) {
 			}
 			all = append(all, posts...)
 		})
-		if err := p.Run(1); err != nil {
+		if err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for i, k := range locals {

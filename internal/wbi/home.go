@@ -7,7 +7,6 @@ import (
 	"ssmp/internal/fabric"
 	"ssmp/internal/mem"
 	"ssmp/internal/msg"
-	"ssmp/internal/sim"
 )
 
 // dirEntry is the central directory's state for one block.
@@ -69,8 +68,6 @@ type Home struct {
 	station fabric.Station
 	dir     map[mem.Block]*dirEntry // nil until the first entry
 	spare   []*dirEntry             // emptied entries a Reset took out, reused before allocating
-	// replies holds the data replies waiting out the memory read.
-	replies replies
 
 	// MaxPointers caps the per-block sharer pointer count (the Dir-i-B
 	// limited directory the paper's directory-scalability discussion
@@ -89,13 +86,13 @@ type Home struct {
 // module.
 func NewHome(f *fabric.Fabric, id int, geom mem.Geometry, store *mem.Store) *Home {
 	h := &Home{f: f, id: id, geom: geom, store: store, station: fabric.NewStation(f)}
-	h.replies.h = h
 	h.Reset()
 	return h
 }
 
 // Reset returns the controller to the state NewHome builds: an empty
-// directory, no reply in flight, the station idle and every counter zero.
+// directory, the station idle and every counter zero (a data reply still
+// waiting out its memory read is the fabric's, which its own Reset drops).
 // The store (reset by its owner) and MaxPointers are kept, and so are the
 // directory's entries, emptied, with their sharer sets and wait queues,
 // for the next blocks the directory tracks.
@@ -108,7 +105,6 @@ func (h *Home) Reset() {
 		h.spare = append(h.spare, e)
 	}
 	clear(h.dir)
-	h.replies.reset()
 	h.InvSent, h.Broadcasts = 0, 0
 }
 
@@ -242,7 +238,7 @@ func (h *Home) gets(e *dirEntry, m *msg.Msg) {
 		return
 	}
 	h.addSharer(e, m.Src)
-	h.replies.after(h.f.Time.TMem, msg.Msg{Kind: msg.DataS, Src: h.id, Dst: m.Src, Block: m.Block})
+	h.f.SendBlockAfter(h.f.Time.TMem, msg.Msg{Kind: msg.DataS, Src: h.id, Dst: m.Src, Block: m.Block}, h.store)
 }
 
 // getx services an exclusive request.
@@ -280,48 +276,7 @@ func (h *Home) getx(e *dirEntry, m *msg.Msg) {
 	e.broadcast = false
 	clear(e.sharers)
 	e.owner = m.Src
-	h.replies.after(h.f.Time.TMem, msg.Msg{Kind: msg.DataX, Src: h.id, Dst: m.Src, Block: m.Block, Acks: acks})
-}
-
-// replies is a slot table of the data replies waiting out the memory read;
-// a reply's slot rides in its typed event's arg, so a reply allocates
-// nothing once the table has grown to the most replies ever in flight at
-// once.
-type replies struct {
-	h     *Home
-	slots []msg.Msg
-	free  []uint64
-}
-
-// reset empties the table, keeping its memory.
-func (r *replies) reset() {
-	clear(r.slots)
-	r.slots, r.free = r.slots[:0], r.free[:0]
-}
-
-// after sends m, carrying its block's data as memory holds it then, d
-// cycles from now. It draws the same time, sequence number and jitter key
-// as the closure form eng.After would.
-func (r *replies) after(d sim.Time, m msg.Msg) {
-	var i uint64
-	if k := len(r.free); k > 0 {
-		i, r.free = r.free[k-1], r.free[:k-1]
-		r.slots[i] = m
-	} else {
-		i = uint64(len(r.slots))
-		r.slots = append(r.slots, m)
-	}
-	r.h.f.Eng.AfterStep(d, r, i)
-}
-
-// OnStep implements sim.Stepper: slot i's reply reads its block and goes
-// out.
-func (r *replies) OnStep(i uint64) {
-	m := r.slots[i]
-	r.slots[i] = msg.Msg{}
-	r.free = append(r.free, i)
-	m.Data = r.h.store.Block(m.Block)
-	r.h.f.Send(m)
+	h.f.SendBlockAfter(h.f.Time.TMem, msg.Msg{Kind: msg.DataX, Src: h.id, Dst: m.Src, Block: m.Block, Acks: acks}, h.store)
 }
 
 // drain retries queued requests after a state change: it serves them in
