@@ -53,13 +53,14 @@ bench-check:
 # PDES determinism gate: the lane engine's unit tests, the window-merge
 # port-arbitration parity and replay-order suite, and every SimWorkers
 # equality property (engine, network, workload, harness, daemon, the KV
-# service under chaos) under the race detector. The bench line runs the
+# service under chaos, and the spin-wait against the loop it replaces, on
+# two lanes among its cases) under the race detector. The bench line runs the
 # ideal and the contended stencil (the PDESStencil pattern substring-matches
 # PDESStencilContended) and the KV service on the serial engine (workers=0)
 # and on one lane per node (workers=1).
 pdes:
 	$(GO) test -race ./internal/sim/
-	$(GO) test -race -run 'PDES|Parallel|Stencil|SimWorkers|LaneArbitration|Arbitrate' \
+	$(GO) test -race -run 'PDES|Parallel|Stencil|SimWorkers|LaneArbitration|Arbitrate|SpinMatchesLoop' \
 		./internal/core/ ./internal/network/ ./internal/workload/ ./internal/harness/ ./internal/server/ \
 		./internal/kvapp/
 	$(GO) test '-bench=PDES(Stencil|KV)/workers=(0|1)$$' -benchtime=1x -run=^$$ .

@@ -305,7 +305,9 @@ func (m *Machine) WriteMemory(a mem.Addr, w mem.Word) {
 // races. A program must not call runtime.Goexit, nor t.FailNow or t.Fatal,
 // which call it: the coroutine hands a Goexit on to the goroutine that
 // resumed the program, which is the event loop's. A program that is only a
-// fixed list of calls runs without a coroutine through RunOps.
+// fixed list of calls runs without a coroutine through RunOps, and a
+// program's spin-wait (Proc.Spin) switches once for the whole wait, not
+// once per probe: the event loop performs the probes.
 type Program func(p *Proc)
 
 // Result summarizes a completed run.

@@ -211,8 +211,11 @@ func TestMachineAllocs(t *testing.T) {
 // in its WBI cache, so each read waits once and its completion event goes
 // on with the next. runner=program runs them as a program, which parks on
 // its coroutine and is resumed; runner=RunOps runs them as an op list,
-// which the event loop performs itself. ns/park is the run's wall time,
-// machine build excluded, over its waits.
+// which the event loop performs itself. runner=spin is one Spin of as many
+// probes, each followed by its recheck THINK, which the event loop
+// performs while the program stays parked; a second processor's write ends
+// the wait. ns/park is the run's wall time, machine build excluded, over
+// its waits: the program's parks, the list's, or the spin's probes.
 func BenchmarkProcPark(b *testing.B) {
 	const reads = 4096
 	prog := func(p *Proc) {
@@ -224,7 +227,8 @@ func BenchmarkProcPark(b *testing.B) {
 	for i := range list {
 		list[i] = Op{Kind: OpRead, Addr: 100}
 	}
-	for _, runner := range []string{"program", "RunOps"} {
+	spin := []Program{func(p *Proc) { p.Spin(OpRead, spinX, WhileEqual, 0) }, spinRelease(reads)}
+	for _, runner := range []string{"program", "RunOps", "spin"} {
 		b.Run("runner="+runner, func(b *testing.B) {
 			b.ReportAllocs()
 			var parks uint64
@@ -233,15 +237,22 @@ func BenchmarkProcPark(b *testing.B) {
 				m := NewMachine(wbiConfig(2))
 				b.StartTimer()
 				var err error
-				if runner == "program" {
+				switch runner {
+				case "program":
 					_, err = m.Run([]Program{prog, nil})
-				} else {
+				case "RunOps":
 					_, _, err = m.RunOps([][]Op{list, nil})
+				default:
+					_, err = m.Run(spin)
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				parks += m.Proc(0).parks
+				if runner == "spin" {
+					parks += m.Proc(0).Ops
+				} else {
+					parks += m.Proc(0).parks
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(parks), "ns/park")
 		})

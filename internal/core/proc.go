@@ -18,7 +18,8 @@ import (
 // while the loop that resumed it waits, so programs need no synchronization
 // of their own. Proc methods must only be called from within the
 // processor's own Program. An op list (Machine.RunOps) needs no coroutine:
-// the event loop performs its calls itself.
+// the event loop performs its calls itself, and it performs a Spin's
+// probes after the first that waits while the program stays parked.
 type Proc struct {
 	id int
 	m  *Machine
@@ -35,14 +36,20 @@ type Proc struct {
 	yield func(struct{}) bool
 	w     mem.Word
 	// list is the op list the processor runs on the event loop instead of a
-	// program: pc indexes the next call to begin, begun marks a call begun
-	// and not yet ended, and words holds the word each ended call returned.
+	// program: pc indexes the next call to begin, and words holds the word
+	// each ended call returned. cur is the call the event loop began last,
+	// for a list or a spin-wait, and begun marks it not yet ended.
 	list  []Op
 	pc    int
+	cur   Op
 	begun bool
 	words []mem.Word
 	done  bool
 	err   any
+	// spin is the spin-wait the program is in (see Spin), and spinning
+	// marks the program parked while the event loop performs its probes.
+	spin     spinWait
+	spinning bool
 
 	// Batched stepping: purely local operations (Think, private
 	// references, lock-cache hits) do not yield to the event loop; their
@@ -149,7 +156,8 @@ func (p *Proc) init(m *Machine, n *node, eng *sim.Engine) {
 // callbacks and the memory of its hop and word lists are kept.
 func (p *Proc) reset() {
 	p.runs, p.next, p.yield, p.w = false, nil, nil, 0
-	p.list, p.pc, p.begun, p.words, p.done, p.err = nil, 0, false, p.words[:0], false, nil
+	p.list, p.pc, p.cur, p.begun, p.words, p.done, p.err = nil, 0, Op{}, false, p.words[:0], false, nil
+	p.spin, p.spinning = spinWait{}, false
 	p.hops, p.hopIdx, p.lag = p.hops[:0], 0, 0
 	p.op, p.begunAt, p.issuedAt, p.opPanic, p.bufWait, p.parks = pendingOp{}, 0, 0, nil, false, 0
 	p.Ops, p.PrivHits, p.PrivMisses, p.stats = 0, 0, 0, ProcStats{}
@@ -231,12 +239,13 @@ func (p *Proc) OnStep(last uint64) {
 
 // step hands w to the processor's program and returns when the program
 // waits on its next call or finishes: a coroutine is switched to, and an
-// op list continues on the event loop. Called from the event loop only.
+// op list or a spin-wait continues on the event loop. Called from the
+// event loop only.
 func (p *Proc) step(w mem.Word) {
 	if p.done {
 		panic(fmt.Sprintf("core: step on finished processor %d", p.id))
 	}
-	if p.list != nil {
+	if p.list != nil || p.spinning {
 		p.advance(w)
 		return
 	}
@@ -261,52 +270,107 @@ func (p *Proc) startOps(list []Op) {
 	p.eng.AtStep(0, p, stepResume)
 }
 
-// advance runs the op list on the event loop, as a program calling Do on
-// each record would: it ends the call begun before, handing it w, and
-// begins the next, until a call waits or the list ends. A full batch of
-// local time is replayed after the call that filled it, and the list's
-// trailing local time before it finishes. A panic a call raises is the
-// processor's error, as a program's is, and an abort drain finishes the
-// list where it stands.
+// advance goes on with the calls the event loop performs for the
+// processor, handing w to the call that waited: an op list's, or those of
+// the spin-wait a parked program is in. A list that waits counts a park,
+// as a program calling Do would; a spin-wait's program parked once, when
+// the wait began. When the calls are over the list finishes, and
+// the program is resumed with the word that ended its wait. An abort
+// drain ends them where they stand: the list finishes, and the program is
+// resumed to unwind.
 func (p *Proc) advance(w mem.Word) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.err = r
-			p.finish()
+	if !p.m.aborting && p.drive(w) {
+		if !p.spinning {
+			p.parks++
 		}
-	}()
-	if p.m.aborting {
-		p.finish()
 		return
 	}
+	if p.spinning {
+		p.spinning = false
+		p.resume(p.spin.w)
+		return
+	}
+	p.finish()
+}
+
+// drive is perform on the event loop. A panic a call raises is the list's
+// error, as a program's is, or goes back to the program parked in the
+// spin-wait, whose Spin call re-raises it.
+func (p *Proc) drive(w mem.Word) (waits bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if p.spinning {
+				p.opPanic = r
+			} else {
+				p.err = r
+			}
+			waits = false
+		}
+	}()
+	return p.perform(w)
+}
+
+// perform makes the calls of an op list, or of the spin-wait the program
+// is in, as a program calling Do on each would: it ends the call begun
+// before, handing it w, and begins the next, until a call waits or the
+// calls are over, and reports whether they wait. A full batch of local
+// time is replayed after the call that filled it, and a list's trailing
+// local time before the list ends, as a program's closing sync does; a
+// spin-wait leaves its trailing local time to the program, as a loop
+// would.
+func (p *Proc) perform(w mem.Word) bool {
 	for {
 		if p.begun {
 			p.begun = false
-			p.words = append(p.words, p.end(p.list[p.pc-1], w))
+			w = p.end(p.cur, w)
+			if p.list != nil {
+				p.words = append(p.words, w)
+			} else if p.cur.Kind != OpThink {
+				p.spin.w, p.spin.over = w, !p.spin.cond.holds(w, p.spin.val)
+			}
 			if len(p.hops) >= maxBatch {
-				break
+				p.replay(stepResume)
+				return true
 			}
 		}
-		if p.pc == len(p.list) {
-			if len(p.hops) == 0 {
-				p.finish()
-				return
+		if !p.nextCall() {
+			if p.list == nil || len(p.hops) == 0 {
+				return false
 			}
-			break
+			p.replay(stepResume)
+			return true
 		}
 		var waits bool
-		w, waits = p.begin(p.list[p.pc], nil)
-		p.pc++
+		w, waits = p.begin(p.cur, nil)
 		p.begun = true
 		if waits {
-			p.parks++
-			return
+			return true
 		}
 	}
-	// Wait for the replay of the batched local time, as a program's sync
-	// does.
-	p.replay(stepResume)
-	p.parks++
+}
+
+// nextCall sets cur to the call to begin next and reports whether there
+// is one: the list's next record, or the spin-wait's next probe or the
+// recheck THINK between two probes.
+func (p *Proc) nextCall() bool {
+	if p.list != nil {
+		if p.pc == len(p.list) {
+			return false
+		}
+		p.cur = p.list[p.pc]
+		p.pc++
+		return true
+	}
+	s := &p.spin
+	if s.over {
+		return false
+	}
+	p.cur = s.probe
+	if s.recheck {
+		p.cur = Op{Kind: OpThink, Val: mem.Word(SpinRecheck)}
+	}
+	s.recheck = !s.recheck
+	return true
 }
 
 // pendingOp is a blocking primitive as the call records it for issue,
@@ -582,6 +646,82 @@ func (p *Proc) Machine() *Machine { return p.m }
 // named primitive method is Do of its record, so Do of a captured or
 // parsed trace replays the calls that made it.
 func (p *Proc) Do(o Op) mem.Word { return p.do(o, nil) }
+
+// SpinCond is the condition under which a spin-wait goes on probing: it
+// holds of the probed word and the wait's value.
+type SpinCond uint8
+
+// Spin-wait conditions.
+const (
+	WhileEqual   SpinCond = iota // the word equals the value
+	WhileUnequal                 // the word differs from the value
+	WhileBelow                   // the word is below the value
+)
+
+// holds reports whether the condition holds of the word w and the value v.
+func (c SpinCond) holds(w, v mem.Word) bool {
+	switch c {
+	case WhileEqual:
+		return w == v
+	case WhileUnequal:
+		return w != v
+	}
+	return w < v
+}
+
+// SpinRecheck is the modeled cost of one spin-loop iteration on a cached
+// copy (load + test + branch): a spin-wait thinks this long between two
+// probes.
+const SpinRecheck = sim.Time(8)
+
+// spinWait is a spin-wait's state: its probe, condition and value, the
+// word the last probe returned and whether that word ended the wait, and
+// whether the recheck THINK is the next call.
+type spinWait struct {
+	probe   Op
+	cond    SpinCond
+	val     mem.Word
+	w       mem.Word
+	over    bool
+	recheck bool
+}
+
+// Spin busy-waits on the word at a: it probes the word with probe, READ or
+// READ-UPDATE, for as long as cond holds of the word and v, thinks
+// SpinRecheck cycles between two probes, and returns the word that ended
+// the wait. It makes exactly the calls of the loop
+//
+//	w := p.Do(Op{Kind: probe, Addr: a})
+//	for cond holds of w and v {
+//		p.Think(SpinRecheck)
+//		w = p.Do(Op{Kind: probe, Addr: a})
+//	}
+//
+// with the same events, reports and history records, but the program
+// parks once for the whole wait: the calls up to the first that waits run
+// here, and the event loop performs the rest and resumes the program with
+// the word that ends the wait. A probe's panic and an abort drain (a
+// cancelled run, the horizon, a panicking event) reach the program at its
+// Spin call, as they reach a call. A wait always has an event pending, so
+// a deadlock cannot stop a run inside one.
+func (p *Proc) Spin(probe OpKind, a mem.Addr, cond SpinCond, v mem.Word) mem.Word {
+	if probe != OpRead && probe != OpReadUpdate {
+		panic(fmt.Sprintf("core: a spin-wait probes with READ or READ-UPDATE, not op kind %d", probe))
+	}
+	if cond > WhileBelow {
+		panic(fmt.Sprintf("core: unknown spin-wait condition %d", cond))
+	}
+	p.spin = spinWait{probe: Op{Kind: probe, Addr: a}, cond: cond, val: v}
+	if p.perform(0) {
+		p.spinning = true
+		p.wait()
+		if r := p.opPanic; r != nil {
+			p.opPanic = nil
+			panic(r)
+		}
+	}
+	return p.spin.w
+}
 
 // privateRef is the arm of a private reference, costed as PrivateRef
 // describes.

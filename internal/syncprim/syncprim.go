@@ -25,10 +25,6 @@ import (
 	"ssmp/internal/sim"
 )
 
-// spinRecheck is the modeled cost of one spin-loop iteration on a cached
-// copy (load + test + branch). Spinners re-check at this granularity.
-const spinRecheck = sim.Time(8)
-
 // Locker is a mutual-exclusion lock usable from a processor program.
 type Locker interface {
 	// Acquire blocks until the calling processor holds the lock.
@@ -86,9 +82,7 @@ func (l TestAndSetLock) Acquire(p *core.Proc) {
 		}
 		// Busy-wait on the cached copy until it is invalidated by the
 		// release (or another acquirer).
-		for p.Read(l.Addr) != 0 {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, l.Addr, core.WhileUnequal, 0)
 	}
 }
 
@@ -151,9 +145,7 @@ type TicketLock struct {
 // Acquire takes a ticket and waits for service.
 func (l TicketLock) Acquire(p *core.Proc) {
 	ticket := p.RMW(l.TicketAddr, func(w mem.Word) mem.Word { return w + 1 })
-	for p.Read(l.ServingAddr) != ticket {
-		p.Think(spinRecheck)
-	}
+	p.Spin(core.OpRead, l.ServingAddr, core.WhileUnequal, ticket)
 }
 
 // Release advances the serving counter.
@@ -206,9 +198,7 @@ func (b SWBarrier) Wait(p *core.Proc) {
 		p.Write(b.GenAddr, gen+1)
 		return
 	}
-	for p.Read(b.GenAddr) == gen {
-		p.Think(spinRecheck)
-	}
+	p.Spin(core.OpRead, b.GenAddr, core.WhileEqual, gen)
 }
 
 // Name identifies the algorithm.
@@ -350,9 +340,7 @@ func (l MCSLock) Acquire(p *core.Proc) {
 	}
 	// Link behind the predecessor and spin locally.
 	p.Write(l.node(int(pred-1))+0, mem.Word(me+1))
-	for p.Read(my+1) != 0 {
-		p.Think(spinRecheck)
-	}
+	p.Spin(core.OpRead, my+1, core.WhileUnequal, 0)
 }
 
 // Release hands the lock to the successor, or frees it if none.
@@ -371,9 +359,7 @@ func (l MCSLock) Release(p *core.Proc) {
 			return // freed
 		}
 		// A successor is mid-enqueue: wait for the link.
-		for p.Read(my+0) == 0 {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, my+0, core.WhileEqual, 0)
 	}
 	succ := int(p.Read(my+0) - 1)
 	p.Write(l.node(succ)+1, 0) // release exactly one spinner

@@ -62,9 +62,7 @@ func (b *DisseminationBarrier) Wait(p *core.Proc) {
 	for r := 0; r < b.rounds; r++ {
 		peer := (me + 1<<r) % b.participants
 		p.Write(b.flag(peer, r), g)
-		for p.Read(b.flag(me, r)) < g {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, b.flag(me, r), core.WhileBelow, g)
 	}
 }
 
@@ -123,15 +121,11 @@ func (b *TreeBarrier) Wait(p *core.Proc) {
 	b.gen[me]++
 	g := mem.Word(b.gen[me])
 	for _, c := range b.children(me) {
-		for p.Read(b.arrive(c)) < g {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, b.arrive(c), core.WhileBelow, g)
 	}
 	if me != 0 {
 		p.Write(b.arrive(me), g)
-		for p.Read(b.wake(me)) < g {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, b.wake(me), core.WhileBelow, g)
 	}
 	for _, c := range b.children(me) {
 		p.Write(b.wake(c), g)
@@ -192,9 +186,7 @@ func (b *RUCDisseminationBarrier) Wait(p *core.Proc) {
 	for r := 0; r < b.rounds; r++ {
 		peer := (me + 1<<r) % b.participants
 		p.WriteGlobal(b.flag(peer, r), g)
-		for p.ReadUpdate(b.flag(me, r)) < g {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpReadUpdate, b.flag(me, r), core.WhileBelow, g)
 	}
 }
 

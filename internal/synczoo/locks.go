@@ -6,10 +6,6 @@ import (
 	"ssmp/internal/sim"
 )
 
-// spinRecheck is the modeled cost of one spin-loop iteration on a cached
-// copy (load + test + branch), matching syncprim's constant.
-const spinRecheck = sim.Time(8)
-
 // TTASLock is test-and-test-and-set with bounded exponential backoff: the
 // acquire path spins on the *cached* copy of the lock word (a local hit
 // until the holder's release invalidates it) and only issues the RMW when
@@ -35,9 +31,7 @@ func (l TTASLock) Acquire(p *core.Proc) {
 	}
 	delay := base
 	for {
-		for p.Read(l.Addr) != 0 {
-			p.Think(spinRecheck)
-		}
+		p.Spin(core.OpRead, l.Addr, core.WhileUnequal, 0)
 		if p.RMW(l.Addr, func(mem.Word) mem.Word { return 1 }) == 0 {
 			return
 		}
